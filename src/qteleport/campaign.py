@@ -3,6 +3,9 @@
 Every campaign is deterministic given its config and master seed; the
 serialized output (JSON or CSV) is byte-identical across reruns.  Wall
 clock timing is kept on the in-memory record only, never serialized.
+An undefined value (no success to average, or the fidelity of a branch
+of zero probability) is None: null in JSON, an empty field in CSV, so
+the JSON stays strict.
 """
 
 from __future__ import annotations
@@ -100,7 +103,7 @@ def _run_enumerate(cfg: ExperimentConfig) -> tuple[dict, list[dict], list[str]]:
             "controllers": _fmt_controllers(b.controllers),
             "aux": b.aux,
             "probability": b.probability,
-            "fidelity": b.fidelity,
+            "fidelity": None if np.isnan(b.fidelity) else b.fidelity,
         }
         for i, b in enumerate(report.branches)
     ]
@@ -135,7 +138,7 @@ def _run_montecarlo(cfg: ExperimentConfig) -> tuple[dict, list[dict], list[str]]
         "success_rate": successes / cfg.trials,
         "theoretical_success_probability": p,
         "z_score": _z_score(successes, cfg.trials, p),
-        "mean_success_fidelity": fid_sum / successes if successes else float("nan"),
+        "mean_success_fidelity": fid_sum / successes if successes else None,
     }
     columns = [
         "trial", "gbs", "controllers", "r_sums", "aux",

@@ -2,8 +2,9 @@
 
 Subcommands: enumerate, montecarlo, decoy, sweep, selftest.  Campaigns
 take either --config <json> or inline flag overrides; inline flags win
-over the config file.  Exit codes: 0 success, 1 validation error, 2
-size/enumeration guard exceeded, 3 selftest failure.
+over the config file.  Exit codes: 0 success, 1 validation error or
+unreadable/unwritable file, 2 size/enumeration guard exceeded, 3
+selftest failure.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ def main(argv=None) -> int:
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     return EXIT_OK

@@ -143,7 +143,12 @@ def load_config(source) -> ExperimentConfig:
         text = source
         path = Path(str(source))
         if path.suffix == ".json" or path.exists():
-            text = path.read_text()
+            try:
+                text = path.read_text()
+            except OSError as exc:
+                raise ConfigError(
+                    f"config: cannot read {str(path)!r}: {exc.strerror or exc}"
+                ) from None
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -19,6 +19,11 @@ import numpy as np
 from .state import StateVector, make_state
 
 COEFF_NORM_TOL = 1e-10
+# Distinct (spec, labels) channel copies kept by channel_state: a sweep
+# builds a fresh spec per point, so the cache must not grow without end,
+# yet one run's m labelled copies (m <= 26 under the default amplitude
+# guard) must never be evicted.
+CHANNEL_CACHE_SIZE = 256
 
 
 def _omega_powers(d: int, k: int) -> np.ndarray:
@@ -91,10 +96,16 @@ def gbs_basis(d: int) -> list[StateVector]:
     return [gbs_vector(d, r, s) for r in range(d) for s in range(d)]
 
 
+def _read_only(mat: np.ndarray) -> np.ndarray:
+    """Freeze a cached array: every caller shares the one instance."""
+    mat.setflags(write=False)
+    return mat
+
+
 @lru_cache(maxsize=None)
 def gbs_basis_matrix(d: int) -> np.ndarray:
-    """GBS basis stacked into rows, for measurement calls."""
-    return np.vstack([v.amps for v in gbs_basis(d)])
+    """GBS basis stacked into rows, for measurement calls (read-only)."""
+    return _read_only(np.vstack([v.amps for v in gbs_basis(d)]))
 
 
 def u_uv(d: int, u: int, v: int) -> np.ndarray:
@@ -117,8 +128,8 @@ def x_basis_vector(d: int, r: int) -> StateVector:
 
 @lru_cache(maxsize=None)
 def x_basis_matrix(d: int) -> np.ndarray:
-    """X-basis kets stacked into rows (outcome r on row r)."""
-    return np.vstack([x_basis_vector(d, r).amps for r in range(d)])
+    """X-basis kets stacked into rows (outcome r on row r; read-only)."""
+    return _read_only(np.vstack([x_basis_vector(d, r).amps for r in range(d)]))
 
 
 def hadamard_d(d: int) -> np.ndarray:
@@ -129,7 +140,7 @@ def hadamard_d(d: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(j, j) / d) / np.sqrt(d)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CHANNEL_CACHE_SIZE)
 def channel_state(spec: ChannelSpec, labels=None) -> StateVector:
     """One copy of the channel: (1/sqrt(d)) sum_j c_j |j>^(n+2).
 
@@ -163,6 +174,9 @@ def u_max_m(spec: ChannelSpec) -> np.ndarray:
     Basis ordering: all |j_1..j_m>|0>_aux first, then |j_1..j_m>|1>_aux.
     Built from coefficient moduli; phases of complex c_j are compensated
     separately during the correction step.
+
+    Reference matrix, (2 d^m)^2 entries and read-only: the protocol
+    applies the same direct sum of 2x2 rotations in closed form.
     """
     gamma = _gamma_table(spec)
     gamma_plus = np.sqrt(1.0 - gamma**2)
@@ -177,7 +191,7 @@ def u_max_m(spec: ChannelSpec) -> np.ndarray:
     # the operator reduce to the exact identity for a maximally entangled
     # channel (the aux |1> sector there is unreachable either way).
     op[idx + dm, idx + dm] = np.where(gamma_plus == 0.0, gamma, -gamma)
-    return op
+    return _read_only(op)
 
 
 def u_max(spec: ChannelSpec) -> np.ndarray:
@@ -188,7 +202,10 @@ def u_max(spec: ChannelSpec) -> np.ndarray:
 
 
 def correction_unitary(d: int, rho: int, sigma: int) -> np.ndarray:
-    """Receiver's phase-and-shift correction; indices reduced mod d."""
+    """Receiver's phase-and-shift correction; indices reduced mod d.
+
+    Reference matrix: the protocol applies it as a phase and a roll.
+    """
     return u_uv(d, rho % d, sigma % d)
 
 

@@ -8,6 +8,13 @@ collective extraction unitary with a two-level auxiliary system.  Aux
 outcome 0 heralds success; the receiver then applies phase-and-shift
 corrections built from the broadcast outcomes.
 
+The receiver's operators are applied in closed form, never as dense
+matrices: the extraction U_max^m is a direct sum of d^m 2x2 rotations,
+so it scales each receiver amplitude into the two aux sectors, and each
+per-copy correction is a qudit Pauli, i.e. one roll plus a phase.
+u_max_m and correction_unitary remain the reference matrices the tests
+check these closed forms against.
+
 Two execution paths share one observable contract:
 
   * run_protocol    -- dense reference path over the full register
@@ -21,28 +28,34 @@ branch and reports exact probabilities and fidelities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .primitives import (
     ChannelSpec,
+    _gamma_table,
     channel_state,
-    correction_unitary,
     gbs_basis_matrix,
-    u_max_m,
     x_basis_matrix,
 )
 from .state import (
     SizeGuardError,
     StateVector,
+    _check_size,
     _targets_front,
-    apply,
     branch_outcomes,
     fidelity,
     make_state,
     measure_in_basis,
     tensor,
 )
+
+# Not used here: the reference matrices and the dense apply stay
+# importable from this module because perfbench/tracer.py wraps them
+# under these names.
+from .primitives import correction_unitary, u_max_m  # noqa: F401
+from .state import apply  # noqa: F401
 
 ENUMERATION_GUARD = 10**6
 
@@ -151,32 +164,82 @@ def _r_sum(outcomes, d: int) -> int:
     return int(sum(outcomes)) % d
 
 
-_AUX0 = make_state((2,), [1.0, 0.0], labels=("aux",))
 _Z2 = np.eye(2)
 
 
-def _extract(receiver: StateVector, spec: ChannelSpec) -> StateVector:
-    """Attach the aux qubit in |0> and run the collective extraction."""
-    joint = tensor(receiver, _AUX0)
-    # The extraction unitary indexes aux as most significant digit.
-    targets = [spec.m] + list(range(spec.m))
-    return apply(joint, u_max_m(spec), targets)
+def _extract(state: StateVector, spec: ChannelSpec) -> StateVector:
+    """Attach the aux qubit in |0> and run the collective extraction.
+
+    U_max^m is a direct sum of 2x2 rotations, one per receiver index J
+    (the receiver qudits a_{n+1}_l read in copy order): it sends
+    psi_J |J>|0> to gamma_J psi_J |J>|0> + gamma+_J psi_J |J>|1>, with
+    gamma+ = sqrt(1 - gamma^2).  Any other subsystems still attached
+    (the controllers, during enumeration) only broadcast.  The aux qubit
+    is appended last.
+    """
+    _check_size(2 * state.amps.size)
+    receivers = [state.index_of(f"a_{spec.n + 1}_{l}") for l in range(1, spec.m + 1)]
+    shape = [1] * state.num_subsystems
+    for t in receivers:
+        shape[t] = spec.d
+    # Receivers sit in copy order, so gamma's copy-major layout carries over.
+    gamma = _gamma_table(spec).reshape(shape)
+    gamma_plus = np.sqrt(1.0 - gamma**2)
+    amps = state.amps.reshape(state.dims)
+    out = np.stack((gamma * amps, gamma_plus * amps), axis=-1)
+    return StateVector(state.dims + (2,), out.reshape(-1), state.labels + ("aux",))
+
+
+def _copy_shape(m: int, l: int, d: int) -> tuple[int, ...]:
+    """Broadcast shape of a length-d factor on copy l of m."""
+    return (1,) * l + (d,) + (1,) * (m - l - 1)
 
 
 def _correct(
     receiver: StateVector, spec: ChannelSpec, gbs, r_sums
 ) -> StateVector:
-    """Per-copy phase compensation plus phase-and-shift correction."""
-    d = spec.d
-    coeff_phases = np.angle(np.asarray(spec.coeffs))
-    phase_fix = np.diag(np.exp(-1j * coeff_phases))
-    needs_phase_fix = np.max(np.abs(coeff_phases)) > 1e-14
-    out = receiver
-    for l, ((r, s), r2) in enumerate(zip(gbs, r_sums)):
-        if needs_phase_fix:
-            out = apply(out, phase_fix, [l])
-        out = apply(out, correction_unitary(d, r + r2, d - s), [l])
-    return out
+    """Per-copy phase compensation plus phase-and-shift correction.
+
+    On copy l, U_{r+rho, d-s} diag(e^{-i phi}) maps psi_k to
+    omega^{(r+rho)(k+s)} e^{-i phi_(k+s)} psi_(k+s): an elementwise
+    phase, then a roll by -s along that copy's axis.
+    """
+    d, m = spec.d, spec.m
+    j = np.arange(d)
+    coeff_fix = np.exp(-1j * np.angle(np.asarray(spec.coeffs)))
+    amps = receiver.amps.reshape(receiver.dims)
+    for l, ((r, s), rho) in enumerate(zip(gbs, r_sums)):
+        phase = np.exp(2j * np.pi * ((r + rho) % d) * j / d) * coeff_fix
+        amps = np.roll(amps * phase.reshape(_copy_shape(m, l, d)), -s, axis=l)
+    return StateVector(receiver.dims, amps.reshape(-1), receiver.labels)
+
+
+def _omega_table(d: int, m: int) -> np.ndarray:
+    """m-fold Kronecker power of F[rho, j] = omega^(-rho j), copy-major."""
+    j = np.arange(d)
+    single = np.exp(-2j * np.pi * np.outer(j, j) / d)
+    return reduce(np.kron, [single] * m)
+
+
+def _reference_table(
+    input_state: StateVector, spec: ChannelSpec, gbs, omega_table: np.ndarray
+) -> np.ndarray:
+    """Rows C_rho^dagger |input> for every per-copy controller sum rho.
+
+    Row rho (flat, copy-major) is the input pulled back through the
+    correction of rho, so <row| applied to the extracted receiver gives
+    the corrected overlap.  C^dagger on copy l maps x_j to
+    omega^(-(r+rho) j) e^{i phi_j} x_(j-s): the rho-free part is an
+    inverse roll and phase of the input, the rest is omega_table.
+    """
+    d, m = spec.d, spec.m
+    j = np.arange(d)
+    coeff_phase = np.exp(1j * np.angle(np.asarray(spec.coeffs)))
+    base = input_state.amps.reshape((d,) * m)
+    for l, (r, s) in enumerate(gbs):
+        phase = np.exp(-2j * np.pi * r * j / d) * coeff_phase
+        base = np.roll(base, s, axis=l) * phase.reshape(_copy_shape(m, l, d))
+    return omega_table * base.reshape(-1)
 
 
 def _validate_pair(input_spec: InputStateSpec, spec: ChannelSpec) -> None:
@@ -423,14 +486,13 @@ def _enumerate(
     powers = d ** np.arange(m - 1, -1, -1)
     r_sum_index = r_sum_rows @ powers  # flat index into the reference table
 
-    coeff_phases = np.angle(np.asarray(spec.coeffs))
-    phase_fix = np.diag(np.exp(-1j * coeff_phases))
+    omega_table = _omega_table(d, m)
 
     records: list[BranchRecord] = []
     success_probability = 0.0
     total = 0.0
     for gbs_outcomes, prob, state in gbs_branches:
-        extracted = _extract_ordered(state, spec)
+        extracted = _extract(state, spec)
         ctrl_targets = [
             extracted.index_of(f"a_{q}_{l}")
             for l in range(1, m + 1)
@@ -443,14 +505,7 @@ def _enumerate(
 
         # Reference vectors <input| C for every possible per-copy outcome
         # sum, so each success leaf reduces to one short dot product.
-        refs = np.empty((d**m, d**m), dtype=complex)
-        for widx in range(d**m):
-            rho_digits = np.unravel_index(widx, (d,) * m)
-            ref = input_state
-            for l, ((r, s), rho) in enumerate(zip(gbs_outcomes, rho_digits)):
-                comp = correction_unitary(d, r + rho, d - s) @ phase_fix
-                ref = apply(ref, comp.conj().T, [l])
-            refs[widx] = ref.amps
+        refs = _reference_table(input_state, spec, gbs_outcomes, omega_table)
         uncorrected_ref = input_state.amps
 
         for ctrl_index in range(n_ctrl):
@@ -478,19 +533,6 @@ def _enumerate(
                     BranchRecord(gbs_outcomes, ctrl_outcomes, aux, branch_p, fid)
                 )
     return records, success_probability, total
-
-
-def _extract_ordered(state: StateVector, spec: ChannelSpec) -> StateVector:
-    """Extraction when controller qudits are still attached.
-
-    The receiver's qudits are the a_{n+1}_l subsystems; the aux qubit is
-    appended last.
-    """
-    joint = tensor(state, _AUX0)
-    targets = [joint.index_of("aux")] + [
-        joint.index_of(f"a_{spec.n + 1}_{l}") for l in range(1, spec.m + 1)
-    ]
-    return apply(joint, u_max_m(spec), targets)
 
 
 def enumerate_branches(

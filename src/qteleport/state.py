@@ -32,11 +32,21 @@ class SizeGuardError(SimulationError):
 
 
 def max_amplitudes() -> int:
-    """Current size guard, overridable via QTELEPORT_MAX_AMPLITUDES."""
+    """Current size guard, overridable via QTELEPORT_MAX_AMPLITUDES.
+
+    A value that is not a positive integer raises ValueError naming the
+    variable.
+    """
     raw = os.environ.get(MAX_AMPLITUDES_ENV)
     if raw is None:
         return DEFAULT_MAX_AMPLITUDES
-    return int(raw)
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ValueError(f"{MAX_AMPLITUDES_ENV} must be a positive integer, got {raw!r}")
+    return limit
 
 
 def _check_size(num_amps: int) -> None:

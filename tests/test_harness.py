@@ -3,10 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qteleport
 from qteleport.campaign import run_campaign, to_csv_text, to_json_text, write_output
 from qteleport.cli import main
 from qteleport.config import ConfigError, load_config, random_coeffs, resolve_beta, resolve_coeffs
@@ -291,3 +295,61 @@ def test_cli_montecarlo_deterministic(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
+
+
+def test_cli_no_success_mean_fidelity_is_null(capsys):
+    # One trial at success probability 0.04: no success to average.
+    args = ["montecarlo", "--d", "2", "--m", "1", "--coeffs", "1.4,0.2",
+            "--trials", "1", "--seed", "1"]
+    assert main(args) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert doc["aggregate"]["successes"] == 0
+    assert doc["aggregate"]["mean_success_fidelity"] is None
+
+
+def test_cli_zero_probability_branches_are_null_and_empty(capsys):
+    # A uniform channel always succeeds: every aux = 1 branch has p = 0.
+    args = ["enumerate", "--d", "2", "--n", "1", "--beta", "basis:0"]
+    assert main(args) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    undefined = [row for row in doc["rows"] if row["fidelity"] is None]
+    assert len(undefined) == 8
+    assert all(row["aux"] == 1 and row["probability"] == 0.0 for row in undefined)
+    assert main(args + ["--format", "csv"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [r["fidelity"] for r in rows if r["aux"] == "1"] == [""] * 8
+
+
+def test_cli_missing_config_file(tmp_path, capsys):
+    code = main(["montecarlo", "--config", str(tmp_path / "missing.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: cannot read") and err.count("\n") == 1
+
+
+def test_cli_unwritable_output(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["montecarlo", "--trials", "2", "--out", str(blocker / "r.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_cli_bad_amplitude_guard_setting():
+    # Importing must survive the bad setting; the run fails with one line.
+    src = os.path.dirname(os.path.dirname(qteleport.__file__))
+    env = dict(os.environ, QTELEPORT_MAX_AMPLITUDES="abc", PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qteleport.cli", "montecarlo", "--trials", "2"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: QTELEPORT_MAX_AMPLITUDES must be a positive integer, got 'abc'\n"
+    )

@@ -230,6 +230,13 @@ def test_size_guard_env_override(monkeypatch):
         tensor(make_state((2, 2), np.ones(4)), make_state((2, 2), np.ones(4)))
 
 
+@pytest.mark.parametrize("value", ["abc", "", "0", "-1", "2.5"])
+def test_size_guard_env_rejects_non_positive_integers(monkeypatch, value):
+    monkeypatch.setenv("QTELEPORT_MAX_AMPLITUDES", value)
+    with pytest.raises(ValueError, match="QTELEPORT_MAX_AMPLITUDES"):
+        max_amplitudes()
+
+
 def test_state_vector_is_immutable():
     st = make_state((2,), [1, 0])
     with pytest.raises(AttributeError):
