@@ -137,8 +137,8 @@ def main(argv=None) -> int:
     if args.command == "selftest":
         results = run_selftest()
         failed = 0
-        for name, ok in results:
-            print(f"{'PASS' if ok else 'FAIL'} {name}")
+        for name, ok, error in results:
+            print(f"{'PASS' if ok else 'FAIL'} {name}" + (f": {error}" if error else ""))
             failed += 0 if ok else 1
         print(f"{len(results) - failed}/{len(results)} checks passed")
         return EXIT_OK if failed == 0 else EXIT_SELFTEST

@@ -110,7 +110,7 @@ def resolve_beta(value, d: int, m: int) -> np.ndarray:
         if set(value) != {"basis"}:
             raise ConfigError(f"beta: unknown object form {value!r}")
         k = value["basis"]
-        if not isinstance(k, int) or not 0 <= k < size:
+        if not _is_int(k) or not 0 <= k < size:
             raise ConfigError(f"beta.basis: index {k!r} out of range for d^m = {size}")
         return InputStateSpec.basis(d, m, k).beta
     if isinstance(value, str) and value.startswith("random:"):
@@ -128,26 +128,31 @@ def resolve_beta(value, d: int, m: int) -> np.ndarray:
     return beta
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: Python's bool is an int, the schema's boolean is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _expect_int(doc: dict, key: str, default: int, minimum: int) -> int:
     value = doc.get(key, default)
-    if not isinstance(value, int) or value < minimum:
+    if not _is_int(value) or value < minimum:
         raise ConfigError(f"{key}: expected an integer >= {minimum}, got {value!r}")
     return value
 
 
 def load_config(source) -> ExperimentConfig:
-    """Parse and validate a config from a dict, JSON text, or file path."""
+    """Parse and validate a config from a dict, JSON text (a string whose
+    first non-blank character is "{"), or a file path (any other string)."""
     if isinstance(source, dict):
         doc = source
     else:
-        text = source
-        path = Path(str(source))
-        if path.suffix == ".json" or path.exists():
+        text = str(source)
+        if not text.lstrip().startswith("{"):
             try:
-                text = path.read_text()
+                text = Path(text).read_text()
             except OSError as exc:
                 raise ConfigError(
-                    f"config: cannot read {str(path)!r}: {exc.strerror or exc}"
+                    f"config: cannot read {text!r}: {exc.strerror or exc}"
                 ) from None
         try:
             doc = json.loads(text)
@@ -183,7 +188,7 @@ def load_config(source) -> ExperimentConfig:
             if (
                 not isinstance(values, list)
                 or not values
-                or not all(isinstance(v, int) and v >= (2 if key == "d" else 0) for v in values)
+                or not all(_is_int(v) and v >= (2 if key == "d" else 0) for v in values)
             ):
                 raise ConfigError(f"sweep.{key}: expected a non-empty list of integers")
         if any(v < 1 for v in sweep["m"]):

@@ -4,16 +4,23 @@ Single flying qudits are prepared uniformly in one of the 2d eigenstates
 of the computational (Z) and X bases.  An eavesdropper without quantum
 memory may measure-and-resend in a fixed or randomly guessed basis; the
 checker re-measures in the preparation basis and flags any mismatch.
+
+The physics lives in a few helpers over plain length-d kets: the
+preparation draw, the Z/X eigenket, the Z/X measurement, and the
+adversary's basis for an action.  The campaign's rounds and the public
+per-step API (prepare_decoy, eavesdrop, check_decoy) both run on them,
+so one generator yields the same rounds either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .state import StateVector, make_state, measure_in_basis
-from .primitives import x_basis_matrix, x_basis_vector
+from .state import StateVector, _sample, make_state
+from .primitives import _read_only, x_basis_matrix
 
 EVE_ACTIONS = ("none", "measure_Z_resend", "measure_X_resend", "random_basis_resend")
 
@@ -37,10 +44,47 @@ class DetectionReport:
     z_score: float
 
 
-def _z_state(d: int, k: int) -> StateVector:
-    amps = np.zeros(d, dtype=complex)
-    amps[k] = 1.0
-    return make_state((d,), amps)
+def _draw_basis(rng: np.random.Generator) -> str:
+    return "Z" if rng.integers(2) == 0 else "X"
+
+
+def _draw_prep(d: int, rng: np.random.Generator) -> tuple[str, int]:
+    """Uniform decoy: basis first, then value, from the same stream."""
+    basis = _draw_basis(rng)
+    return basis, int(rng.integers(d))
+
+
+# Cached, so a round allocates no d x d matrix.
+@lru_cache(maxsize=None)
+def _z_kets(d: int) -> np.ndarray:
+    return _read_only(np.eye(d, dtype=complex))
+
+
+@lru_cache(maxsize=None)
+def _x_bras(d: int) -> np.ndarray:
+    return _read_only(x_basis_matrix(d).conj())
+
+
+def _ket(d: int, basis: str, value: int) -> np.ndarray:
+    """Eigenket |value> of the Z or X basis (a read-only row)."""
+    return (_z_kets(d) if basis == "Z" else x_basis_matrix(d))[value]
+
+
+def _measure(ket: np.ndarray, basis: str, rng: np.random.Generator) -> int:
+    """Born-sampled outcome of measuring a length-d ket in Z or X."""
+    amps = ket if basis == "Z" else _x_bras(ket.size) @ ket
+    return _sample(np.abs(amps) ** 2, rng)
+
+
+def _eve_basis(eve_action: str, rng: np.random.Generator) -> str | None:
+    """The basis the adversary measures and resends in; None for no attack."""
+    if eve_action == "none":
+        return None
+    if eve_action in ("measure_Z_resend", "measure_X_resend"):
+        return eve_action[8]
+    if eve_action == "random_basis_resend":
+        return _draw_basis(rng)
+    raise ValueError(f"unknown eve action {eve_action!r} (expected one of {EVE_ACTIONS})")
 
 
 def prepare_decoy(
@@ -54,47 +98,30 @@ def prepare_decoy(
     else:
         if rng is None:
             raise ValueError("either rng or forced is required")
-        basis = "Z" if rng.integers(2) == 0 else "X"
-        value = int(rng.integers(d))
+        basis, value = _draw_prep(d, rng)
     if basis not in ("Z", "X"):
         raise ValueError(f"unknown basis {basis!r}")
     if not 0 <= value < d:
         raise ValueError(f"value {value} out of range for d = {d}")
-    state = _z_state(d, value) if basis == "Z" else x_basis_vector(d, value)
-    return basis, value, state
-
-
-def _measure_resend(state: StateVector, basis: str, rng: np.random.Generator):
-    d = state.dims[0]
-    bmat = np.eye(d) if basis == "Z" else x_basis_matrix(d)
-    out = measure_in_basis(state, [0], bmat, rng)
-    return _z_state(d, out.value) if basis == "Z" else x_basis_vector(d, out.value)
+    return basis, value, make_state((d,), _ket(d, basis, value))
 
 
 def eavesdrop(
     state: StateVector, eve_action: str, rng: np.random.Generator
 ) -> StateVector:
     """Apply the adversary's action to a flying decoy qudit."""
-    if eve_action == "none":
+    basis = _eve_basis(eve_action, rng)
+    if basis is None:
         return state
-    if eve_action == "measure_Z_resend":
-        return _measure_resend(state, "Z", rng)
-    if eve_action == "measure_X_resend":
-        return _measure_resend(state, "X", rng)
-    if eve_action == "random_basis_resend":
-        basis = "Z" if rng.integers(2) == 0 else "X"
-        return _measure_resend(state, basis, rng)
-    raise ValueError(f"unknown eve action {eve_action!r} (expected one of {EVE_ACTIONS})")
+    d = state.dims[0]
+    return make_state((d,), _ket(d, basis, _measure(state.amps, basis, rng)))
 
 
 def check_decoy(
     prep_basis: str, prep_value: int, state: StateVector, rng: np.random.Generator
 ) -> bool:
     """Re-measure in the preparation basis; True means the round passes."""
-    d = state.dims[0]
-    bmat = np.eye(d) if prep_basis == "Z" else x_basis_matrix(d)
-    out = measure_in_basis(state, [0], bmat, rng)
-    return out.value == prep_value
+    return _measure(state.amps, prep_basis, rng) == prep_value
 
 
 def analytic_detection_rate(d: int, eve_action: str) -> float:
@@ -112,41 +139,15 @@ def analytic_detection_rate(d: int, eve_action: str) -> float:
     raise ValueError(f"unknown eve action {eve_action!r}")
 
 
-def _sample(probs: np.ndarray, rng: np.random.Generator) -> int:
-    cumulative = np.cumsum(probs)
-    return min(
-        int(np.searchsorted(cumulative, rng.random() * cumulative[-1], "right")),
-        probs.size - 1,
-    )
-
-
-def _flat_round(
-    d: int, x_mat: np.ndarray, eve_action: str, rng: np.random.Generator
-) -> DecoyRound:
-    """One decoy round on plain length-d vectors (same physics as the
-    StateVector path above, without the per-round object overhead)."""
-    prep_basis = "Z" if rng.integers(2) == 0 else "X"
-    prep_value = int(rng.integers(d))
-    vec = (
-        np.eye(d, dtype=complex)[prep_value]
-        if prep_basis == "Z"
-        else x_mat[prep_value]
-    )
-    if eve_action != "none":
-        eve_basis = eve_action[8]  # "Z" or "X" from measure_?_resend
-        if eve_action == "random_basis_resend":
-            eve_basis = "Z" if rng.integers(2) == 0 else "X"
-        if eve_basis == "Z":
-            got = _sample(np.abs(vec) ** 2, rng)
-            vec = np.eye(d, dtype=complex)[got]
-        else:
-            got = _sample(np.abs(x_mat.conj() @ vec) ** 2, rng)
-            vec = x_mat[got]
-    if prep_basis == "Z":
-        check = _sample(np.abs(vec) ** 2, rng)
-    else:
-        check = _sample(np.abs(x_mat.conj() @ vec) ** 2, rng)
-    return DecoyRound(prep_basis, prep_value, eve_action, check != prep_value)
+def _flat_round(d: int, eve_action: str, rng: np.random.Generator) -> DecoyRound:
+    """One decoy round on a plain length-d ket, without StateVector objects."""
+    prep_basis, prep_value = _draw_prep(d, rng)
+    ket = _ket(d, prep_basis, prep_value)
+    eve_basis = _eve_basis(eve_action, rng)
+    if eve_basis is not None:
+        ket = _ket(d, eve_basis, _measure(ket, eve_basis, rng))
+    detected = _measure(ket, prep_basis, rng) != prep_value
+    return DecoyRound(prep_basis, prep_value, eve_action, detected)
 
 
 def detection_campaign(
@@ -157,11 +158,10 @@ def detection_campaign(
         raise ValueError("rounds must be >= 1")
     expected = analytic_detection_rate(d, eve_action)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    x_mat = x_basis_matrix(d)
     records: list[DecoyRound] = []
     detections = 0
     for _ in range(rounds):
-        round_record = _flat_round(d, x_mat, eve_action, rng)
+        round_record = _flat_round(d, eve_action, rng)
         if round_record.detected:
             detections += 1
         records.append(round_record)

@@ -15,11 +15,12 @@ per-copy correction is a qudit Pauli, i.e. one roll plus a phase.
 u_max_m and correction_unitary remain the reference matrices the tests
 check these closed forms against.
 
-Two execution paths share one observable contract:
+One copy loop runs the protocol; its two entry points differ only in
+when the channel copies are attached:
 
-  * run_protocol    -- dense reference path over the full register
-  * run_structured  -- processes channel copies one at a time, never
-                       materializing the full register
+  * run_protocol    -- all copies up front, the full dense register
+  * run_structured  -- each copy just before it is measured, so the full
+                       register never exists
 
 plus an exact oracle, enumerate_branches, that walks every measurement
 branch and reports exact probabilities and fidelities.
@@ -35,6 +36,7 @@ import numpy as np
 from .primitives import (
     ChannelSpec,
     _gamma_table,
+    _read_only,
     channel_state,
     gbs_basis_matrix,
     x_basis_matrix,
@@ -160,11 +162,7 @@ def _rng_from_seed(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _r_sum(outcomes, d: int) -> int:
-    return int(sum(outcomes)) % d
-
-
-_Z2 = np.eye(2)
+_Z2 = _read_only(np.eye(2, dtype=complex))
 
 
 def _extract(state: StateVector, spec: ChannelSpec) -> StateVector:
@@ -254,6 +252,14 @@ def _copy_labels(spec: ChannelSpec, l: int) -> tuple[str, ...]:
     return tuple(f"a_{k}_{l}" for k in range(spec.n + 2))
 
 
+def _full_register(input_state: StateVector, spec: ChannelSpec) -> StateVector:
+    """The input followed by all m channel copies, as one dense register."""
+    state = input_state
+    for l in range(1, spec.m + 1):
+        state = tensor(state, channel_state(spec, labels=_copy_labels(spec, l)))
+    return state
+
+
 def run_protocol(
     input_spec: InputStateSpec,
     spec: ChannelSpec,
@@ -268,45 +274,8 @@ def run_protocol(
     input, and the probability of the realized branch.
     """
     _validate_pair(input_spec, spec)
-    if (forced is None) == (seed is None):
-        raise ValueError("exactly one of seed or forced is required")
-    rng = _rng_from_seed(seed) if forced is None else None
-
-    d, m, n = spec.d, spec.m, spec.n
     input_state = input_spec.state()
-    state = input_state
-    for l in range(1, m + 1):
-        state = tensor(state, channel_state(spec, labels=_copy_labels(spec, l)))
-
-    gbs_mat = gbs_basis_matrix(d)
-    x_mat = x_basis_matrix(d)
-    probability = 1.0
-    gbs_outcomes: list[tuple[int, int]] = []
-    ctrl_outcomes: list[tuple[int, ...]] = []
-    for l in range(1, m + 1):
-        pair = [state.index_of(f"chi_{l}"), state.index_of(f"a_0_{l}")]
-        forced_k = None if forced is None else forced.gbs[l - 1][0] * d + forced.gbs[l - 1][1]
-        out = measure_in_basis(state, pair, gbs_mat, rng, forced_k)
-        state = out.post_state
-        probability *= out.probability
-        gbs_outcomes.append((out.value // d, out.value % d))
-        copy_ctrl = []
-        for q in range(1, n + 1):
-            forced_x = None if forced is None else forced.controllers[l - 1][q - 1]
-            out = measure_in_basis(
-                state, [state.index_of(f"a_{q}_{l}")], x_mat, rng, forced_x
-            )
-            state = out.post_state
-            probability *= out.probability
-            copy_ctrl.append(out.value)
-        ctrl_outcomes.append(tuple(copy_ctrl))
-
-    # Only the receiver's qudits remain, in copy order.
-    r_sums = tuple(_r_sum(c, d) for c in ctrl_outcomes)
-    return _finish(
-        state, input_state, spec, gbs_outcomes, ctrl_outcomes, r_sums,
-        probability, rng, None if forced is None else forced.aux, seed,
-    )
+    return _run(_full_register(input_state, spec), input_state, spec, seed, forced)
 
 
 def run_structured(
@@ -322,20 +291,36 @@ def run_structured(
     receiver qudits, and one channel copy at a time.
     """
     _validate_pair(input_spec, spec)
+    input_state = input_spec.state()
+    return _run(input_state, input_state, spec, seed, forced)
+
+
+def _run(
+    state: StateVector,
+    input_state: StateVector,
+    spec: ChannelSpec,
+    seed: int | None,
+    forced: ForcedBranch | None,
+) -> Transcript:
+    """The protocol on a register holding the input and any channel copies.
+
+    Copy l is tensored in just before its measurements unless the
+    register already holds it.  Then come the extraction, the aux
+    measurement and, on success, the correction.
+    """
     if (forced is None) == (seed is None):
         raise ValueError("exactly one of seed or forced is required")
     rng = _rng_from_seed(seed) if forced is None else None
 
     d, m, n = spec.d, spec.m, spec.n
-    input_state = input_spec.state()
-    state = input_state
     gbs_mat = gbs_basis_matrix(d)
     x_mat = x_basis_matrix(d)
     probability = 1.0
     gbs_outcomes: list[tuple[int, int]] = []
     ctrl_outcomes: list[tuple[int, ...]] = []
     for l in range(1, m + 1):
-        state = tensor(state, channel_state(spec, labels=_copy_labels(spec, l)))
+        if f"a_0_{l}" not in state.labels:
+            state = tensor(state, channel_state(spec, labels=_copy_labels(spec, l)))
         pair = [state.index_of(f"chi_{l}"), state.index_of(f"a_0_{l}")]
         forced_k = None if forced is None else forced.gbs[l - 1][0] * d + forced.gbs[l - 1][1]
         out = measure_in_basis(state, pair, gbs_mat, rng, forced_k)
@@ -353,51 +338,27 @@ def run_structured(
             copy_ctrl.append(out.value)
         ctrl_outcomes.append(tuple(copy_ctrl))
 
-    # Receiver qudits accumulated in copy order behind the remaining inputs.
-    r_sums = tuple(_r_sum(c, d) for c in ctrl_outcomes)
-    return _finish(
-        state, input_state, spec, gbs_outcomes, ctrl_outcomes, r_sums,
-        probability, rng, None if forced is None else forced.aux, seed,
+    # Only the receiver's qudits remain, in copy order; the aux joins last.
+    r_sums = tuple(sum(c) % d for c in ctrl_outcomes)
+    out = measure_in_basis(
+        _extract(state, spec), [m], _Z2, rng, None if forced is None else forced.aux
     )
-
-
-def _finish(
-    receiver: StateVector,
-    input_state: StateVector,
-    spec: ChannelSpec,
-    gbs_outcomes,
-    ctrl_outcomes,
-    r_sums,
-    probability: float,
-    rng,
-    forced_aux: int | None,
-    seed: int | None,
-) -> Transcript:
-    """Extraction, aux measurement, and (on success) correction."""
-    extracted = _extract(receiver, spec)
-    out = measure_in_basis(extracted, [spec.m], _Z2, rng, forced_aux)
     probability *= out.probability
-    aux = out.value
-    if aux == 0:
-        corrected = _correct(out.post_state, spec, gbs_outcomes, r_sums)
-        fid = fidelity(
-            StateVector(input_state.dims, corrected.amps, input_state.labels),
-            input_state,
-        )
-    else:
-        # Diagnostic only: the uncorrected leftover against the input.
-        fid = fidelity(
-            StateVector(input_state.dims, out.post_state.amps, input_state.labels),
-            input_state,
-        )
+    receiver = out.post_state
+    if out.value == 0:
+        receiver = _correct(receiver, spec, gbs_outcomes, r_sums)
+    # On failure the fidelity is diagnostic only: the uncorrected leftover.
     return Transcript(
         seed=seed if isinstance(seed, int) else None,
         gbs=tuple(gbs_outcomes),
         controllers=tuple(ctrl_outcomes),
-        r_sums=tuple(r_sums),
-        aux=aux,
-        success=aux == 0,
-        fidelity=fid,
+        r_sums=r_sums,
+        aux=out.value,
+        success=out.value == 0,
+        fidelity=fidelity(
+            StateVector(input_state.dims, receiver.amps, input_state.labels),
+            input_state,
+        ),
         probability=probability,
     )
 
@@ -427,12 +388,9 @@ def _enumerate(
     if correction_controllers is None:
         correction_controllers = set(range(n))
 
-    full = input_spec.state()
-    for l in range(1, m + 1):
-        full = tensor(full, channel_state(spec, labels=_copy_labels(spec, l)))
-
-    gbs_mat = gbs_basis_matrix(d)
     input_state = input_spec.state()
+    full = _full_register(input_state, spec)
+    gbs_mat = gbs_basis_matrix(d)
 
     # Stage 1: all sender outcomes, copy by copy (branch tree).
     gbs_branches = [((), 1.0, full)]
@@ -455,15 +413,7 @@ def _enumerate(
     # Stage 2: per sender branch, extraction commutes with the controller
     # measurements, so run it first and read off every controller+aux
     # outcome from a single joint projection.
-    if n > 0:
-        x_mat = x_basis_matrix(d)
-        joint_basis = x_mat
-        for _ in range(m * n - 1):
-            joint_basis = np.kron(joint_basis, x_mat)
-        joint_basis = np.kron(joint_basis, np.eye(2))
-    else:
-        joint_basis = np.eye(2)
-    joint_bra = joint_basis.conj()
+    joint_bra = reduce(np.kron, [x_basis_matrix(d)] * (m * n) + [np.eye(2)]).conj()
 
     # Controller-outcome bookkeeping, shared by every sender branch:
     # base-d digits (copy-major), the printable outcome tuples, and the
@@ -479,10 +429,7 @@ def _enumerate(
         tuple(tuple(int(x) for x in copy) for copy in digits[i]) for i in range(n_ctrl)
     ]
     cooperating = sorted(correction_controllers)
-    if cooperating:
-        r_sum_rows = digits[:, :, cooperating].sum(axis=2) % d
-    else:
-        r_sum_rows = np.zeros((n_ctrl, m), dtype=int)
+    r_sum_rows = digits[:, :, cooperating].sum(axis=2) % d
     powers = d ** np.arange(m - 1, -1, -1)
     r_sum_index = r_sum_rows @ powers  # flat index into the reference table
 

@@ -151,12 +151,12 @@ CHECKS = [
 ]
 
 
-def run_selftest() -> list[tuple[str, bool]]:
+def run_selftest() -> list[tuple[str, bool, str]]:
+    """Run every check: (name, passed, "<Type>: <message>" if it raised, else "")."""
     results = []
     for name, check in CHECKS:
         try:
-            ok = bool(check())
-        except Exception:
-            ok = False
-        results.append((name, ok))
+            results.append((name, bool(check()), ""))
+        except Exception as exc:
+            results.append((name, False, f"{type(exc).__name__}: {exc}"))
     return results

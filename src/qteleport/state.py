@@ -182,17 +182,18 @@ def _remaining(state: StateVector, targets: list[int]):
     return dims, labels
 
 
-# Bases already validated this session, keyed by object identity (the
-# keyed arrays are retained, so ids stay live).  Bounded FIFO.
+# Read-only bases already validated this session, keyed by object
+# identity (the keyed arrays are retained, so ids stay live).  Writable
+# arrays are revalidated on every call.  Bounded FIFO.
 _VALIDATED_BASES: dict[int, np.ndarray] = {}
 
 
 def _basis_matrix(basis, block: int) -> np.ndarray:
     """Stack basis kets into rows and validate orthonormal completeness."""
+    frozen = isinstance(basis, np.ndarray) and not basis.flags.writeable
+    if frozen and _VALIDATED_BASES.get(id(basis)) is basis and basis.shape == (block, block):
+        return basis
     if isinstance(basis, np.ndarray) and basis.ndim == 2:
-        cached = _VALIDATED_BASES.get(id(basis))
-        if cached is basis and basis.shape == (block, block):
-            return basis
         mat = basis if basis.dtype == complex else basis.astype(complex)
     else:
         rows = [
@@ -207,7 +208,7 @@ def _basis_matrix(basis, block: int) -> np.ndarray:
     gram = mat @ mat.conj().T
     if float(np.max(np.abs(gram - np.eye(block)))) > ORTHONORMALITY_TOL:
         raise ValueError("basis is not orthonormal within tolerance")
-    if mat is basis:
+    if mat is basis and frozen:
         if len(_VALIDATED_BASES) > 64:
             _VALIDATED_BASES.pop(next(iter(_VALIDATED_BASES)))
         _VALIDATED_BASES[id(basis)] = basis
@@ -246,6 +247,15 @@ def branch_outcomes(state: StateVector, targets, basis) -> list[MeasurementOutco
     return outcomes
 
 
+def _sample(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """Born draw: one uniform from rng picks an index by cumulative weight."""
+    cumulative = np.cumsum(probs)
+    return min(
+        int(np.searchsorted(cumulative, rng.random() * cumulative[-1], "right")),
+        probs.size - 1,
+    )
+
+
 def measure_in_basis(
     state: StateVector,
     targets,
@@ -272,11 +282,7 @@ def measure_in_basis(
     else:
         if rng is None:
             raise ValueError("either rng or forced_outcome is required")
-        cumulative = np.cumsum(probs)
-        idx = min(
-            int(np.searchsorted(cumulative, rng.random() * cumulative[-1], "right")),
-            probs.size - 1,
-        )
+        idx = _sample(probs, rng)
     post = coeffs[idx].reshape(-1)
     post = post / np.linalg.norm(post)
     return MeasurementOutcome(

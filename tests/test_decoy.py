@@ -5,6 +5,7 @@ import pytest
 
 from qteleport.decoy import (
     EVE_ACTIONS,
+    DecoyRound,
     analytic_detection_rate,
     check_decoy,
     detection_campaign,
@@ -104,3 +105,19 @@ def test_campaign_deterministic_in_seed():
 def test_campaign_validates_rounds():
     with pytest.raises(ValueError, match="rounds"):
         detection_campaign(2, "none", 0, seed=1)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("action", EVE_ACTIONS)
+def test_public_steps_replay_the_campaign(d, action):
+    # prepare -> eavesdrop -> check on one stream seeded like the campaign
+    # draws exactly the campaign's rounds.
+    seed, rounds = 31 * d + len(action), 300
+    _, campaign_rounds = detection_campaign(d, action, rounds, seed)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    replayed = []
+    for _ in range(rounds):
+        basis, value, state = prepare_decoy(d, rng)
+        passed = check_decoy(basis, value, eavesdrop(state, action, rng), rng)
+        replayed.append(DecoyRound(basis, value, action, not passed))
+    assert replayed == campaign_rounds

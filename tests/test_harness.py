@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import qteleport
+from qteleport import selftest
 from qteleport.campaign import run_campaign, to_csv_text, to_json_text, write_output
 from qteleport.cli import main
 from qteleport.config import ConfigError, load_config, random_coeffs, resolve_beta, resolve_coeffs
@@ -45,6 +46,18 @@ def test_load_config_from_json_text_and_file(tmp_path):
     assert load_config(str(path)).d == 2
 
 
+def test_load_config_json_text_versus_path(tmp_path):
+    # A string starting with "{" is JSON text, however long; anything
+    # else is a path.
+    doc = dict(BASE, out="r" * 300 + ".json")
+    assert load_config(json.dumps(doc)).out == doc["out"]
+    assert load_config("  \n" + json.dumps(doc)).d == 2
+    with pytest.raises(ConfigError, match="config: cannot read"):
+        load_config(str(tmp_path / "missing.json"))
+    with pytest.raises(ConfigError, match="config: cannot read"):
+        load_config(str(tmp_path / "missing"))
+
+
 def test_parse_error_reports_position():
     with pytest.raises(ConfigError, match="line 2"):
         load_config('{\n  "kind": oops\n}')
@@ -69,6 +82,11 @@ def test_parse_error_reports_position():
         ({"beta": [1.0, 0.0, 0.0]}, "beta"),
         ({"beta": {"basis": 5}}, "beta.basis"),
         ({"beta": "haar"}, "beta"),
+        ({"seed": True}, "seed"),
+        ({"trials": True}, "trials"),
+        ({"m": True}, "m"),
+        ({"beta": {"basis": True}}, "beta.basis"),
+        ({"kind": "sweep", "sweep": {"d": [2], "m": [True], "n": [0]}}, "sweep.m"),
     ],
 )
 def test_constraint_errors_name_the_field(patch, match):
@@ -266,6 +284,21 @@ def test_cli_selftest(capsys):
     out = capsys.readouterr().out
     assert "checks passed" in out
     assert "FAIL" not in out
+
+
+def test_cli_selftest_reports_why_a_check_failed(monkeypatch, capsys):
+    def boom():
+        raise RuntimeError("basis drifted")
+
+    monkeypatch.setattr(
+        selftest, "CHECKS", [("gbs_orthonormality", lambda: True), ("exploding", boom)]
+    )
+    assert main(["selftest"]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS gbs_orthonormality",
+        "FAIL exploding: RuntimeError: basis drifted",
+        "1/2 checks passed",
+    ]
 
 
 def test_cli_sweep_grid_flags(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qteleport.primitives import x_basis_matrix
 from qteleport.state import (
     SizeGuardError,
     StateVector,
@@ -208,6 +209,28 @@ def test_basis_validation():
         measure_in_basis(st, [0], np.array([[1.0, 0.0], [1.0, 0.0]]), forced_outcome=0)
     with pytest.raises(ValueError, match="complete"):
         measure_in_basis(st, [0], np.eye(3), forced_outcome=0)
+
+
+def test_mutated_basis_is_revalidated():
+    # A writable basis validated once must not skip the check after a
+    # caller changes it, nor may a cached one made writable again.
+    st = make_state((2,), [1, 0])
+    rng = np.random.default_rng(0)
+    for basis in (np.eye(2, dtype=complex), x_basis_matrix(2).copy()):
+        assert measure_in_basis(st, [0], basis, rng).probability > 0.4
+        basis[:] = 0
+        basis[0, 0] = 5
+        with pytest.raises(ValueError, match="not orthonormal"):
+            measure_in_basis(st, [0], basis, rng)
+    cached = x_basis_matrix(7)
+    measure_in_basis(make_state((7,), np.ones(7)), [0], cached, rng)
+    try:
+        cached.setflags(write=True)
+        cached[0, 0] = 5
+        with pytest.raises(ValueError, match="not orthonormal"):
+            measure_in_basis(make_state((7,), np.ones(7)), [0], cached, rng)
+    finally:
+        x_basis_matrix.cache_clear()
 
 
 def test_fidelity_global_phase_invariant():
