@@ -23,13 +23,21 @@ when the channel copies are attached:
                        register never exists
 
 plus an exact oracle, enumerate_branches, that walks every measurement
-branch and reports exact probabilities and fidelities.
+branch and reports exact probabilities and fidelities.  The oracle walks
+the sender's branches depth first, attaching each copy by the same rule
+as the copy loop, so only one root-to-leaf path of states is alive.  Per
+sender branch it extracts, projects the controllers onto the X basis one
+axis at a time (a d x d contraction each), and reads every controller
+and aux leaf's probability and fidelity as arrays.  BranchRecords are
+built only when a caller reads report.branches.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -45,7 +53,6 @@ from .state import (
     SizeGuardError,
     StateVector,
     _check_size,
-    _targets_front,
     branch_outcomes,
     fidelity,
     make_state,
@@ -99,8 +106,15 @@ class InputStateSpec:
         return cls(d, m, raw / np.linalg.norm(raw))
 
     def state(self) -> StateVector:
+        """The input register chi_1..chi_m; built once per spec, read-only."""
+        return self._register
+
+    @cached_property
+    def _register(self) -> StateVector:
         labels = tuple(f"chi_{l + 1}" for l in range(self.m))
-        return make_state((self.d,) * self.m, self.beta, labels)
+        register = make_state((self.d,) * self.m, self.beta, labels)
+        _read_only(register.amps)
+        return register
 
 
 @dataclass(frozen=True)
@@ -140,11 +154,64 @@ class BranchRecord:
     fidelity: float
 
 
+class _Branches(Sequence):
+    """Read-only view of an enumeration's leaves, in (gbs, controllers,
+    aux) product order.  A BranchRecord is built only when a leaf is read.
+
+    gbs         -- one sender-outcome tuple per sender branch
+    probability -- per-leaf branch probability
+    fidelity    -- per-leaf output fidelity, NaN where the branch is empty
+    """
+
+    def __init__(self, gbs, d: int, m: int, n: int, probability, fidelity):
+        self._gbs = gbs
+        self._d, self._m, self._n = d, m, n
+        self._per_sender = 2 * d ** (m * n)
+        self.probability = _read_only(probability)
+        self.fidelity = _read_only(fidelity)
+
+    def __len__(self) -> int:
+        return self.probability.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._record(i) for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"branch index {index} out of range for {len(self)} branches")
+        return self._record(i)
+
+    def __iter__(self) -> Iterator[BranchRecord]:
+        return map(self._record, range(len(self)))
+
+    def _record(self, i: int) -> BranchRecord:
+        sender, leaf = divmod(i, self._per_sender)
+        ctrl, aux = divmod(leaf, 2)
+        digits = []
+        for _ in range(self._m * self._n):
+            ctrl, digit = divmod(ctrl, self._d)
+            digits.append(digit)
+        digits.reverse()  # copy-major, controller-minor
+        n = self._n
+        controllers = tuple(
+            tuple(digits[l * n:(l + 1) * n]) for l in range(self._m)
+        )
+        return BranchRecord(
+            self._gbs[sender],
+            controllers,
+            aux,
+            float(self.probability[i]),
+            float(self.fidelity[i]),
+        )
+
+
 @dataclass(frozen=True)
 class BranchReport:
     """Exhaustive branch listing with exact probabilities."""
 
-    branches: list[BranchRecord]
+    branches: Sequence[BranchRecord]
     success_probability: float
     theoretical: float
     total_probability: float
@@ -252,11 +319,18 @@ def _copy_labels(spec: ChannelSpec, l: int) -> tuple[str, ...]:
     return tuple(f"a_{k}_{l}" for k in range(spec.n + 2))
 
 
+def _attach_copy(state: StateVector, spec: ChannelSpec, l: int) -> StateVector:
+    """The register with channel copy l tensored in last, unless it holds it."""
+    if f"a_0_{l}" in state.labels:
+        return state
+    return tensor(state, channel_state(spec, labels=_copy_labels(spec, l)))
+
+
 def _full_register(input_state: StateVector, spec: ChannelSpec) -> StateVector:
     """The input followed by all m channel copies, as one dense register."""
     state = input_state
     for l in range(1, spec.m + 1):
-        state = tensor(state, channel_state(spec, labels=_copy_labels(spec, l)))
+        state = _attach_copy(state, spec, l)
     return state
 
 
@@ -319,8 +393,7 @@ def _run(
     gbs_outcomes: list[tuple[int, int]] = []
     ctrl_outcomes: list[tuple[int, ...]] = []
     for l in range(1, m + 1):
-        if f"a_0_{l}" not in state.labels:
-            state = tensor(state, channel_state(spec, labels=_copy_labels(spec, l)))
+        state = _attach_copy(state, spec, l)
         pair = [state.index_of(f"chi_{l}"), state.index_of(f"a_0_{l}")]
         forced_k = None if forced is None else forced.gbs[l - 1][0] * d + forced.gbs[l - 1][1]
         out = measure_in_basis(state, pair, gbs_mat, rng, forced_k)
@@ -367,16 +440,54 @@ def _branch_count(spec: ChannelSpec) -> int:
     return spec.d ** (2 * spec.m) * spec.d ** (spec.n * spec.m) * 2
 
 
+def _sender_branches(state, spec, gbs_mat, l=1, gbs=(), probability=1.0):
+    """Depth-first walk of the sender's outcomes, copy by copy.
+
+    Yields (gbs outcomes, probability, post state) per sender branch in
+    lexicographic order.  Copy l is attached just before its GBS
+    measurement, so only one root-to-leaf path of states is alive.
+    """
+    if l > spec.m:
+        yield gbs, probability, state
+        return
+    state = _attach_copy(state, spec, l)
+    pair = [state.index_of(f"chi_{l}"), state.index_of(f"a_0_{l}")]
+    for out in branch_outcomes(state, pair, gbs_mat):
+        if out.post_state is None:
+            continue  # unreachable: every sender outcome has p > 0
+        yield from _sender_branches(
+            out.post_state,
+            spec,
+            gbs_mat,
+            l + 1,
+            gbs + ((out.value // spec.d, out.value % spec.d),),
+            probability * out.probability,
+        )
+
+
 def _enumerate(
     input_spec: InputStateSpec,
     spec: ChannelSpec,
     correction_controllers: set[int] | None = None,
-):
+) -> tuple[_Branches, float, float]:
     """Walk every measurement branch exactly.
+
+    Stage 1 walks the sender's GBS outcomes depth first (see
+    _sender_branches).  Stage 2, per sender branch: extraction commutes
+    with the controllers' measurements, so it runs first; then each
+    controller axis is projected onto the X basis by one d x d
+    contraction with x_basis_matrix, which leaves one receiver vector
+    per (controllers, aux) leaf.  Every leaf's probability and fidelity
+    are computed as arrays: a success overlap against the input pulled
+    back through that leaf's correction (_reference_table), a failure
+    overlap against the input itself.  Memory is one path of states plus
+    two floats per leaf; records are built on demand by _Branches.
 
     correction_controllers restricts which controllers' outcomes enter
     the receiver's correction (None = all); the branch probabilities are
     unaffected, only the applied correction and hence the fidelity.
+    Returns the leaves, the success probability and the total
+    probability, both summed in leaf order.
     """
     _validate_pair(input_spec, spec)
     count = _branch_count(spec)
@@ -388,108 +499,81 @@ def _enumerate(
     if correction_controllers is None:
         correction_controllers = set(range(n))
 
-    input_state = input_spec.state()
-    full = _full_register(input_state, spec)
-    gbs_mat = gbs_basis_matrix(d)
-
-    # Stage 1: all sender outcomes, copy by copy (branch tree).
-    gbs_branches = [((), 1.0, full)]
-    for l in range(1, m + 1):
-        grown = []
-        for outcomes, prob, state in gbs_branches:
-            pair = [state.index_of(f"chi_{l}"), state.index_of(f"a_0_{l}")]
-            for out in branch_outcomes(state, pair, gbs_mat):
-                if out.post_state is None:
-                    continue  # unreachable: every sender outcome has p > 0
-                grown.append(
-                    (
-                        outcomes + ((out.value // d, out.value % d),),
-                        prob * out.probability,
-                        out.post_state,
-                    )
-                )
-        gbs_branches = grown
-
-    # Stage 2: per sender branch, extraction commutes with the controller
-    # measurements, so run it first and read off every controller+aux
-    # outcome from a single joint projection.
-    joint_bra = reduce(np.kron, [x_basis_matrix(d)] * (m * n) + [np.eye(2)]).conj()
-
-    # Controller-outcome bookkeeping, shared by every sender branch:
-    # base-d digits (copy-major), the printable outcome tuples, and the
-    # per-copy outcome sums that feed the correction.
+    # Controller-outcome bookkeeping, shared by every sender branch: the
+    # per-copy sums of the cooperating controllers' base-d digits
+    # (copy-major) index the reference table.
     n_ctrl = d ** (m * n)
-    if n > 0:
-        digits = np.array(
-            np.unravel_index(np.arange(n_ctrl), (d,) * (m * n))
-        ).T.reshape(n_ctrl, m, n)
-    else:
-        digits = np.zeros((1, m, 0), dtype=int)
-    ctrl_tuples = [
-        tuple(tuple(int(x) for x in copy) for copy in digits[i]) for i in range(n_ctrl)
-    ]
+    place = d ** np.arange(m * n - 1, -1, -1)
+    digits = (np.arange(n_ctrl)[:, None] // place % d).reshape(n_ctrl, m, n)
     cooperating = sorted(correction_controllers)
     r_sum_rows = digits[:, :, cooperating].sum(axis=2) % d
-    powers = d ** np.arange(m - 1, -1, -1)
-    r_sum_index = r_sum_rows @ powers  # flat index into the reference table
+    r_sum_index = r_sum_rows @ (d ** np.arange(m - 1, -1, -1))
 
+    input_state = input_spec.state()
     omega_table = _omega_table(d, m)
+    input_bra = input_state.amps.conj()
+    x_bra = x_basis_matrix(d).conj()
+    ctrl_labels = [f"a_{q}_{l}" for l in range(1, m + 1) for q in range(1, n + 1)]
+    receiver_labels = [f"a_{n + 1}_{l}" for l in range(1, m + 1)]
 
-    records: list[BranchRecord] = []
-    success_probability = 0.0
-    total = 0.0
-    for gbs_outcomes, prob, state in gbs_branches:
+    gbs_list = []
+    probabilities = []
+    fidelities = []
+    for gbs_outcomes, prob, state in _sender_branches(
+        input_state, spec, gbs_basis_matrix(d)
+    ):
         extracted = _extract(state, spec)
-        ctrl_targets = [
-            extracted.index_of(f"a_{q}_{l}")
-            for l in range(1, m + 1)
-            for q in range(1, n + 1)
-        ]
-        targets = ctrl_targets + [extracted.index_of("aux")]
-        mat, _ = _targets_front(extracted, targets)
-        coeffs = joint_bra @ mat  # (outcome, receiver amplitude)
-        probs = np.einsum("kr,kr->k", coeffs, coeffs.conj()).real
+        # Controllers first, then aux and receivers.  Each step contracts
+        # the leading controller axis with the X bra and moves its
+        # outcome last, so the outcomes end up copy-major at the back.
+        order = [extracted.index_of(x) for x in ctrl_labels + ["aux"] + receiver_labels]
+        amps = extracted.amps.reshape(extracted.dims).transpose(order)
+        for _ in ctrl_labels:
+            amps = amps.reshape(d, -1).T @ x_bra.T
+        coeffs = amps.reshape(2, d**m, n_ctrl)  # (aux, receiver, controllers)
+        probs = np.einsum("ark,ark->ka", coeffs, coeffs.conj()).real
 
-        # Reference vectors <input| C for every possible per-copy outcome
-        # sum, so each success leaf reduces to one short dot product.
+        # Success leaves overlap the input pulled back through their
+        # correction, failure leaves the uncorrected input.
         refs = _reference_table(input_state, spec, gbs_outcomes, omega_table)
-        uncorrected_ref = input_state.amps
+        overlaps = np.stack(
+            (
+                np.einsum("kr,rk->k", refs[r_sum_index].conj(), coeffs[0]),
+                input_bra @ coeffs[1],
+            ),
+            axis=1,
+        )
+        empty = probs < 1e-18
+        fid = np.minimum(1.0, np.abs(overlaps) ** 2 / np.where(empty, 1.0, probs))
+        fid[empty] = np.nan
 
-        for ctrl_index in range(n_ctrl):
-            ctrl_outcomes = ctrl_tuples[ctrl_index]
-            for aux in (0, 1):
-                k = ctrl_index * 2 + aux
-                pk = float(probs[k])
-                branch_p = prob * pk
-                total += branch_p
-                if pk < 1e-18:
-                    records.append(
-                        BranchRecord(
-                            gbs_outcomes, ctrl_outcomes, aux, branch_p, float("nan")
-                        )
-                    )
-                    continue
-                if aux == 0:
-                    overlap = refs[r_sum_index[ctrl_index]].conj() @ coeffs[k]
-                    fid = min(1.0, float(abs(overlap) ** 2 / pk))
-                    success_probability += branch_p
-                else:
-                    overlap = uncorrected_ref.conj() @ coeffs[k]
-                    fid = min(1.0, float(abs(overlap) ** 2 / pk))
-                records.append(
-                    BranchRecord(gbs_outcomes, ctrl_outcomes, aux, branch_p, fid)
-                )
-    return records, success_probability, total
+        gbs_list.append(gbs_outcomes)
+        probabilities.append(prob * probs.reshape(-1))
+        fidelities.append(fid.reshape(-1))
+
+    probability = np.concatenate(probabilities)
+    fidelity = np.concatenate(fidelities)
+    # Sequential sums in leaf order, as branch-by-branch addition gives;
+    # success counts the non-empty aux-0 leaves (even positions).
+    success = probability[0::2][~np.isnan(fidelity[0::2])]
+    success_probability = float(np.cumsum(success)[-1]) if success.size else 0.0
+    total = float(np.cumsum(probability)[-1])
+    branches = _Branches(tuple(gbs_list), d, m, n, probability, fidelity)
+    return branches, success_probability, total
 
 
 def enumerate_branches(
     input_spec: InputStateSpec, spec: ChannelSpec
 ) -> BranchReport:
     """Exact oracle: every (sender, controller, aux) outcome with its
-    exact probability and output fidelity."""
-    records, success_probability, total = _enumerate(input_spec, spec)
+    exact probability and output fidelity.
+
+    report.branches is a read-only sequence that builds each
+    BranchRecord when it is read; len() costs nothing.
+    """
+    branches, success_probability, total = _enumerate(input_spec, spec)
     return BranchReport(
-        branches=records,
+        branches=branches,
         success_probability=success_probability,
         theoretical=theoretical_success_probability(spec),
         total_probability=total,
@@ -506,12 +590,11 @@ def fidelity_without_control(
     if not withheld <= set(range(spec.n)):
         raise ValueError(f"withheld controllers {withheld} out of range")
     cooperating = set(range(spec.n)) - withheld
-    records, success_probability, _ = _enumerate(
+    branches, success_probability, _ = _enumerate(
         input_spec, spec, correction_controllers=cooperating
     )
     if success_probability <= 0.0:
         raise ValueError("no success branch has positive probability")
-    weighted = sum(
-        rec.probability * rec.fidelity for rec in records if rec.aux == 0
-    )
+    # Success leaves sit at even positions (aux = 0).
+    weighted = np.cumsum(branches.probability[0::2] * branches.fidelity[0::2])[-1]
     return float(weighted / success_probability)

@@ -1,13 +1,18 @@
 """Protocol runs, exact branch enumeration, and control necessity."""
 
+import tracemalloc
+from itertools import product
+
 import numpy as np
 import pytest
 
+from qteleport.config import random_coeffs
 from qteleport.protocol import (
     ENUMERATION_GUARD,
     EnumerationGuardError,
     ForcedBranch,
     InputStateSpec,
+    _branch_count,
     enumerate_branches,
     fidelity_without_control,
     run_protocol,
@@ -38,6 +43,25 @@ def test_input_spec_constructors():
     b = InputStateSpec.random(3, 1, 9)
     assert np.array_equal(a.beta, b.beta)
     assert not np.array_equal(a.beta, InputStateSpec.random(3, 1, 10).beta)
+
+
+def test_input_register_is_built_once_and_read_only():
+    inp = InputStateSpec.random(3, 2, 21)
+    register = inp.state()
+    assert inp.state() is register
+    assert not register.amps.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        register.amps[0] = 0.0
+    snapshot = register.amps.copy()
+    spec = _spec(3, 1, 2, (1.5, 1.0, 0.5))
+    for seed in range(5):
+        # A fresh spec builds its own register; the shared one must give
+        # the same transcripts and stay untouched.
+        fresh = InputStateSpec.random(3, 2, 21)
+        assert run_structured(inp, spec, seed=seed) == run_structured(fresh, spec, seed=seed)
+        assert run_protocol(inp, spec, seed=seed) == run_protocol(fresh, spec, seed=seed)
+    enumerate_branches(inp, spec)
+    assert np.array_equal(register.amps, snapshot)
 
 
 def test_success_probability_uniform_channel_is_one():
@@ -100,6 +124,41 @@ def test_branch_count_and_probability_closure():
     # d^2 sender outcomes, d^n controller outcomes, 2 aux outcomes.
     assert len(report.branches) == 4 * 4 * 2
     assert abs(report.total_probability - 1.0) < 1e-10
+
+
+def test_branch_sequence_reads_records_in_product_order():
+    d, n, m = 2, 2, 2  # m * n = 4 controller axes
+    spec = ChannelSpec(d, n, m, random_coeffs(d, 6))
+    branches = enumerate_branches(InputStateSpec.random(d, m, 3), spec).branches
+    records = list(branches)
+    assert len(branches) == len(records) == _branch_count(spec)
+    gbs = product(product(range(d), repeat=2), repeat=m)
+    controllers = list(product(product(range(d), repeat=n), repeat=m))
+    expected = list(product(gbs, controllers, (0, 1)))
+    assert [(b.gbs, b.controllers, b.aux) for b in records] == expected
+    assert list(iter(branches)) == records
+    for i in (0, 1, 37, len(records) - 1, -1, -2, -len(records)):
+        assert branches[i] == records[i]
+    for cut in (slice(None, 6), slice(3, 200, 7), slice(-5, None), slice(None, None, -50)):
+        assert branches[cut] == records[cut]
+    for i in (len(records), -len(records) - 1):
+        with pytest.raises(IndexError):
+            branches[i]
+
+
+def test_enumeration_memory_is_bounded():
+    # 131,072 leaves: reading the count and the sum builds no record.
+    spec = ChannelSpec(4, 2, 2, random_coeffs(4, 3))
+    inp = InputStateSpec.random(4, 2, 5)
+    tracemalloc.start()
+    try:
+        report = enumerate_branches(inp, spec)
+        assert len(report.branches) == 131_072
+        assert abs(report.success_probability - report.theoretical) < 1e-12
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_no_controllers_case():

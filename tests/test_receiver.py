@@ -5,7 +5,8 @@ rotations and each per-copy correction as a roll plus a phase.  These
 properties check both, and the enumeration's reference table, against
 the dense operators u_max_m and correction_unitary applied with the
 state engine, over d in 2..5, m in 1..3, n in 0..2, real and
-complex-phase channels and random inputs.
+complex-phase channels and random inputs.  The enumeration oracle's
+records are checked against forced runs of the dense reference path.
 """
 
 import numpy as np
@@ -25,6 +26,7 @@ from qteleport.primitives import (
 from qteleport.protocol import (
     ForcedBranch,
     InputStateSpec,
+    _branch_count,
     _correct,
     _extract,
     _omega_table,
@@ -47,6 +49,12 @@ def channels(draw, max_amplitudes=4096, parties=1):
     m = draw(st.integers(1, max(fits, default=1)))
     fits = [n for n in (1, 2) if d ** (m * (n + parties)) <= max_amplitudes]
     n = draw(st.integers(0, max(fits, default=0)))
+    return ChannelSpec(d, n, m, draw(coefficients(d)))
+
+
+@st.composite
+def coefficients(draw, d):
+    """Channel coefficients: equal or skewed weights, real or complex phases."""
     if draw(st.booleans()):
         weights = np.ones(d)
     else:
@@ -56,7 +64,24 @@ def channels(draw, max_amplitudes=4096, parties=1):
         phases = np.zeros(d)
     else:
         phases = np.array(draw(st.lists(st.floats(-np.pi, np.pi), min_size=d, max_size=d)))
-    return ChannelSpec(d, n, m, tuple(np.sqrt(weights) * np.exp(1j * phases)))
+    return tuple(np.sqrt(weights) * np.exp(1j * phases))
+
+
+# (d, m, n) with at most ~5k branches; several have m * n >= 2, so the
+# order of the controller axes matters.
+ORACLE_SHAPES = [
+    (d, m, n)
+    for d in (2, 3, 4)
+    for m in (1, 2)
+    for n in (0, 1, 2)
+    if d ** (2 * m + n * m) * 2 <= 5000
+]
+
+
+@st.composite
+def oracle_channels(draw):
+    d, m, n = draw(st.sampled_from(ORACLE_SHAPES))
+    return ChannelSpec(d, n, m, draw(coefficients(d)))
 
 
 def _random_state(dims, labels, seed):
@@ -156,6 +181,23 @@ def test_structured_and_dense_transcripts_agree(spec, seed):
         assert abs(a.fidelity - b.fidelity) < 1e-10
         if a.success:
             assert a.fidelity > 1 - 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=oracle_channels(), seed=st.integers(0, 2**32 - 1))
+def test_oracle_records_match_forced_dense_runs(spec, seed):
+    inp = InputStateSpec.random(spec.d, spec.m, seed)
+    report = enumerate_branches(inp, spec)
+    assert len(report.branches) == _branch_count(spec)
+    rng = np.random.default_rng(seed)
+    for aux in (0, 1):
+        # Near-empty leaves are skipped: forcing one may hit the 1e-15 floor.
+        live = [b for b in report.branches if b.aux == aux and b.probability > 1e-12]
+        for i in rng.choice(len(live), size=min(3, len(live)), replace=False):
+            rec = live[i]
+            t = run_protocol(inp, spec, forced=ForcedBranch(rec.gbs, rec.controllers, aux))
+            assert abs(t.probability - rec.probability) < 1e-12
+            assert abs(t.fidelity - rec.fidelity) < 1e-9
 
 
 def test_extraction_applies_the_amplitude_guard(monkeypatch):
