@@ -22,7 +22,7 @@ from itertools import product
 import numpy as np
 
 from .config import ExperimentConfig, random_coeffs
-from .decoy import detection_campaign
+from .decoy import _z_score, detection_campaign
 from .primitives import ChannelSpec
 from .protocol import (
     InputStateSpec,
@@ -65,12 +65,6 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     echo["coeffs"] = _complex_pairs(cfg.coeffs)
     echo["beta"] = _complex_pairs(cfg.beta)
     return echo
-
-
-def _z_score(successes: int, trials: int, p: float) -> float:
-    if not 0.0 < p < 1.0:
-        return 0.0 if successes == round(p * trials) else float("inf")
-    return float((successes / trials - p) / np.sqrt(p * (1.0 - p) / trials))
 
 
 def _fmt_gbs(gbs) -> str:

@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .campaign import run_campaign, write_output
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, read_config
 from .selftest import run_selftest
 from .state import SizeGuardError
 
@@ -97,10 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_doc(args: argparse.Namespace) -> dict:
-    doc: dict = {}
-    if args.config:
-        loaded = load_config(args.config).raw
-        doc.update(loaded)
+    """The config file's object (unvalidated) with the inline flags merged
+    over it; load_config validates the result once."""
+    doc = read_config(args.config) if args.config else {}
     doc["kind"] = args.command
     if args.seed is not None:
         doc["seed"] = args.seed
@@ -111,12 +110,14 @@ def _build_doc(args: argparse.Namespace) -> dict:
     if args.trials is not None:
         doc["trials"] = args.trials
     if args.command == "sweep":
-        sweep = dict(doc.get("sweep", {}))
-        for key in ("d", "m", "n"):
-            flag = getattr(args, key)
-            if flag is not None:
-                sweep[key] = _int_list(flag)
-        doc["sweep"] = sweep
+        sweep = doc.get("sweep", {})
+        if isinstance(sweep, dict):  # otherwise load_config names the bad value
+            sweep = dict(sweep)
+            for key in ("d", "m", "n"):
+                flag = getattr(args, key)
+                if flag is not None:
+                    sweep[key] = _int_list(flag)
+            doc["sweep"] = sweep
     else:
         for key in ("d", "m", "n"):
             flag = getattr(args, key)

@@ -8,7 +8,7 @@ name the offending field and the violated constraint.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,6 @@ class ExperimentConfig:
     out: str | None = None
     fmt: str = "json"
     sweep: dict | None = None
-    raw: dict = field(default_factory=dict)
 
     def channel_spec(self) -> ChannelSpec:
         return ChannelSpec(self.d, self.n, self.m, self.coeffs)
@@ -140,9 +139,10 @@ def _expect_int(doc: dict, key: str, default: int, minimum: int) -> int:
     return value
 
 
-def load_config(source) -> ExperimentConfig:
-    """Parse and validate a config from a dict, JSON text (a string whose
-    first non-blank character is "{"), or a file path (any other string)."""
+def read_config(source) -> dict:
+    """The config's JSON object, not yet validated, from a dict, JSON text
+    (a string whose first non-blank character is "{"), or a file path
+    (any other string)."""
     if isinstance(source, dict):
         doc = source
     else:
@@ -162,6 +162,12 @@ def load_config(source) -> ExperimentConfig:
             ) from None
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
+    return doc
+
+
+def load_config(source) -> ExperimentConfig:
+    """Parse (see read_config) and validate a config."""
+    doc = read_config(source)
 
     kind = doc.get("kind")
     if kind not in KINDS:
@@ -175,9 +181,7 @@ def load_config(source) -> ExperimentConfig:
     if out is not None and not isinstance(out, str):
         raise ConfigError(f"out: expected a path string, got {out!r}")
 
-    cfg = ExperimentConfig(
-        kind=kind, trials=trials, seed=seed, out=out, fmt=fmt, raw=dict(doc)
-    )
+    cfg = ExperimentConfig(kind=kind, trials=trials, seed=seed, out=out, fmt=fmt)
 
     if kind == "sweep":
         sweep = doc.get("sweep")

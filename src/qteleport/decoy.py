@@ -139,6 +139,14 @@ def analytic_detection_rate(d: int, eve_action: str) -> float:
     raise ValueError(f"unknown eve action {eve_action!r}")
 
 
+def _z_score(hits: int, trials: int, p: float) -> float:
+    """Standard score of hits in trials against a Bernoulli rate p; at
+    p in {0, 1} it is 0 if the count is the certain one, else inf."""
+    if not 0.0 < p < 1.0:
+        return 0.0 if hits == round(p * trials) else float("inf")
+    return float((hits / trials - p) / np.sqrt(p * (1.0 - p) / trials))
+
+
 def _flat_round(d: int, eve_action: str, rng: np.random.Generator) -> DecoyRound:
     """One decoy round on a plain length-d ket, without StateVector objects."""
     prep_basis, prep_value = _draw_prep(d, rng)
@@ -165,18 +173,13 @@ def detection_campaign(
         if round_record.detected:
             detections += 1
         records.append(round_record)
-    rate = detections / rounds
-    if 0.0 < expected < 1.0:
-        z = (rate - expected) / np.sqrt(expected * (1.0 - expected) / rounds)
-    else:
-        z = 0.0 if rate == expected else float("inf")
     report = DetectionReport(
         d=d,
         eve_action=eve_action,
         rounds=rounds,
         detections=detections,
-        rate=rate,
+        rate=detections / rounds,
         expected_rate=expected,
-        z_score=float(z),
+        z_score=_z_score(detections, rounds, expected),
     )
     return report, records

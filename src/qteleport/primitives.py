@@ -19,10 +19,11 @@ import numpy as np
 from .state import StateVector, make_state
 
 COEFF_NORM_TOL = 1e-10
-# Distinct (spec, labels) channel copies kept by channel_state: a sweep
-# builds a fresh spec per point, so the cache must not grow without end,
-# yet one run's m labelled copies (m <= 26 under the default amplitude
-# guard) must never be evicted.
+# Distinct (spec, labels) channel copies kept by channel_state, and
+# specs kept by _receiver_constants: a sweep builds a fresh spec per
+# point, so the caches must not grow without end, yet one run's m
+# labelled copies (m <= 26 under the default amplitude guard) must never
+# be evicted.
 CHANNEL_CACHE_SIZE = 256
 
 
@@ -158,13 +159,25 @@ def channel_state(spec: ChannelSpec, labels=None) -> StateVector:
     return make_state(dims, amps, labels)
 
 
-def _gamma_table(spec: ChannelSpec) -> np.ndarray:
-    """Extraction ratios Gamma_J = |c_k|^m / prod_l |c_(J_l)| over d^m indices."""
+@lru_cache(maxsize=CHANNEL_CACHE_SIZE)
+def _receiver_constants(spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The receiver's spec-only tables, built once per spec, read-only.
+
+    gamma      -- extraction ratios Gamma_J = |c_k|^m / prod_l |c_(J_l)|
+                  over the d^m receiver indices (copy-major)
+    gamma_plus -- sqrt(1 - gamma^2), each rotation's aux-1 amplitude
+    phase_rows -- phase_rows[u, j] = omega^(-u j) e^{i phi_j} with
+                  phi_j = arg c_j: the phase the adjoint correction puts
+                  on a copy with phase index u
+    """
     mods = np.abs(np.asarray(spec.coeffs))
-    ck = mods[spec.k_min]
-    per_index = ck / mods  # length d, each <= 1
+    per_index = mods[spec.k_min] / mods  # length d, each <= 1
     table = reduce(np.multiply.outer, [per_index] * spec.m).reshape(-1)
-    return np.minimum(table, 1.0)  # clamp float overshoot at ties
+    gamma = np.minimum(table, 1.0)  # clamp float overshoot at ties
+    j = np.arange(spec.d)
+    coeff_phase = np.exp(1j * np.angle(np.asarray(spec.coeffs)))
+    phase_rows = np.exp(-2j * np.pi * j[:, None] * j / spec.d) * coeff_phase
+    return tuple(map(_read_only, (gamma, np.sqrt(1.0 - gamma**2), phase_rows)))
 
 
 @lru_cache(maxsize=None)
@@ -178,8 +191,7 @@ def u_max_m(spec: ChannelSpec) -> np.ndarray:
     Reference matrix, (2 d^m)^2 entries and read-only: the protocol
     applies the same direct sum of 2x2 rotations in closed form.
     """
-    gamma = _gamma_table(spec)
-    gamma_plus = np.sqrt(1.0 - gamma**2)
+    gamma, gamma_plus, _ = _receiver_constants(spec)
     dm = gamma.size
     op = np.zeros((2 * dm, 2 * dm), dtype=complex)
     idx = np.arange(dm)

@@ -8,10 +8,13 @@ collective extraction unitary with a two-level auxiliary system.  Aux
 outcome 0 heralds success; the receiver then applies phase-and-shift
 corrections built from the broadcast outcomes.
 
-The receiver's operators are applied in closed form, never as dense
-matrices: the extraction U_max^m is a direct sum of d^m 2x2 rotations,
-so it scales each receiver amplitude into the two aux sectors, and each
-per-copy correction is a qudit Pauli, i.e. one roll plus a phase.
+The receiver's operators are never dense matrices.  The extraction
+U_max^m is a direct sum of d^m 2x2 rotations, so it scales each receiver
+amplitude into the two aux sectors.  The correction C is never applied:
+|<input|C psi>|^2 = |<C^dagger input|psi>|^2, so sampled runs and the
+oracle both score the receiver against the input pulled back through
+the correction (_pullback: per copy one roll plus a phase).  The
+spec-only constants (gamma, gamma+, phase rows) are built once per spec.
 u_max_m and correction_unitary remain the reference matrices the tests
 check these closed forms against.
 
@@ -43,8 +46,8 @@ import numpy as np
 
 from .primitives import (
     ChannelSpec,
-    _gamma_table,
     _read_only,
+    _receiver_constants,
     channel_state,
     gbs_basis_matrix,
     x_basis_matrix,
@@ -54,17 +57,16 @@ from .state import (
     StateVector,
     _check_size,
     branch_outcomes,
-    fidelity,
     make_state,
     measure_in_basis,
     tensor,
 )
 
-# Not used here: the reference matrices and the dense apply stay
-# importable from this module because perfbench/tracer.py wraps them
-# under these names.
+# Not used here: the reference matrices, the dense apply and fidelity
+# stay importable from this module because perfbench/tracer.py wraps
+# them under these names.
 from .primitives import correction_unitary, u_max_m  # noqa: F401
-from .state import apply  # noqa: F401
+from .state import apply, fidelity  # noqa: F401
 
 ENUMERATION_GUARD = 10**6
 
@@ -189,22 +191,22 @@ class _Branches(Sequence):
     def _record(self, i: int) -> BranchRecord:
         sender, leaf = divmod(i, self._per_sender)
         ctrl, aux = divmod(leaf, 2)
-        digits = []
-        for _ in range(self._m * self._n):
-            ctrl, digit = divmod(ctrl, self._d)
-            digits.append(digit)
-        digits.reverse()  # copy-major, controller-minor
-        n = self._n
-        controllers = tuple(
-            tuple(digits[l * n:(l + 1) * n]) for l in range(self._m)
-        )
+        digits = _controller_digits(ctrl, self._d, self._m, self._n)
         return BranchRecord(
             self._gbs[sender],
-            controllers,
+            tuple(map(tuple, digits.tolist())),
             aux,
             float(self.probability[i]),
             float(self.fidelity[i]),
         )
+
+
+def _controller_digits(ctrl, d: int, m: int, n: int) -> np.ndarray:
+    """Controller outcomes of controller-leaf index ctrl (int or array):
+    its base-d digits, shape (..., m, n), copy-major, controller-minor."""
+    place = d ** np.arange(m * n - 1, -1, -1)
+    ctrl = np.asarray(ctrl)
+    return (ctrl[..., None] // place % d).reshape(ctrl.shape + (m, n))
 
 
 @dataclass(frozen=True)
@@ -248,35 +250,17 @@ def _extract(state: StateVector, spec: ChannelSpec) -> StateVector:
     for t in receivers:
         shape[t] = spec.d
     # Receivers sit in copy order, so gamma's copy-major layout carries over.
-    gamma = _gamma_table(spec).reshape(shape)
-    gamma_plus = np.sqrt(1.0 - gamma**2)
+    gamma, gamma_plus, _ = _receiver_constants(spec)
     amps = state.amps.reshape(state.dims)
-    out = np.stack((gamma * amps, gamma_plus * amps), axis=-1)
+    out = np.stack(
+        (gamma.reshape(shape) * amps, gamma_plus.reshape(shape) * amps), axis=-1
+    )
     return StateVector(state.dims + (2,), out.reshape(-1), state.labels + ("aux",))
 
 
 def _copy_shape(m: int, l: int, d: int) -> tuple[int, ...]:
     """Broadcast shape of a length-d factor on copy l of m."""
     return (1,) * l + (d,) + (1,) * (m - l - 1)
-
-
-def _correct(
-    receiver: StateVector, spec: ChannelSpec, gbs, r_sums
-) -> StateVector:
-    """Per-copy phase compensation plus phase-and-shift correction.
-
-    On copy l, U_{r+rho, d-s} diag(e^{-i phi}) maps psi_k to
-    omega^{(r+rho)(k+s)} e^{-i phi_(k+s)} psi_(k+s): an elementwise
-    phase, then a roll by -s along that copy's axis.
-    """
-    d, m = spec.d, spec.m
-    j = np.arange(d)
-    coeff_fix = np.exp(-1j * np.angle(np.asarray(spec.coeffs)))
-    amps = receiver.amps.reshape(receiver.dims)
-    for l, ((r, s), rho) in enumerate(zip(gbs, r_sums)):
-        phase = np.exp(2j * np.pi * ((r + rho) % d) * j / d) * coeff_fix
-        amps = np.roll(amps * phase.reshape(_copy_shape(m, l, d)), -s, axis=l)
-    return StateVector(receiver.dims, amps.reshape(-1), receiver.labels)
 
 
 def _omega_table(d: int, m: int) -> np.ndarray:
@@ -286,25 +270,22 @@ def _omega_table(d: int, m: int) -> np.ndarray:
     return reduce(np.kron, [single] * m)
 
 
-def _reference_table(
-    input_state: StateVector, spec: ChannelSpec, gbs, omega_table: np.ndarray
-) -> np.ndarray:
-    """Rows C_rho^dagger |input> for every per-copy controller sum rho.
+def _pullback(input_state: StateVector, spec: ChannelSpec, shifts) -> np.ndarray:
+    """C^dagger |input> (flat, copy-major) for per-copy (u, s) pairs.
 
-    Row rho (flat, copy-major) is the input pulled back through the
-    correction of rho, so <row| applied to the extracted receiver gives
-    the corrected overlap.  C^dagger on copy l maps x_j to
-    omega^(-(r+rho) j) e^{i phi_j} x_(j-s): the rho-free part is an
-    inverse roll and phase of the input, the rest is omega_table.
+    The correction on copy l, U_{u, d-s} diag(e^{-i phi}), maps psi_k to
+    omega^{u(k+s)} e^{-i phi_(k+s)} psi_(k+s); its adjoint maps x_j to
+    omega^(-u j) e^{i phi_j} x_(j-s), a roll by s and a phase row.  So
+    |<row|psi>|^2 is the fidelity of the corrected receiver psi.  A
+    sampled run pulls back through (r + rho, s); the oracle through
+    (r, s), and _omega_table supplies every rho's omega^(-rho j).
     """
     d, m = spec.d, spec.m
-    j = np.arange(d)
-    coeff_phase = np.exp(1j * np.angle(np.asarray(spec.coeffs)))
-    base = input_state.amps.reshape((d,) * m)
-    for l, (r, s) in enumerate(gbs):
-        phase = np.exp(-2j * np.pi * r * j / d) * coeff_phase
-        base = np.roll(base, s, axis=l) * phase.reshape(_copy_shape(m, l, d))
-    return omega_table * base.reshape(-1)
+    _, _, phase_rows = _receiver_constants(spec)
+    amps = input_state.amps.reshape((d,) * m)
+    for l, (u, s) in enumerate(shifts):
+        amps = np.roll(amps, s, axis=l) * phase_rows[u % d].reshape(_copy_shape(m, l, d))
+    return amps.reshape(-1)
 
 
 def _validate_pair(input_spec: InputStateSpec, spec: ChannelSpec) -> None:
@@ -379,8 +360,10 @@ def _run(
     """The protocol on a register holding the input and any channel copies.
 
     Copy l is tensored in just before its measurements unless the
-    register already holds it.  Then come the extraction, the aux
-    measurement and, on success, the correction.
+    register already holds it.  Then come the extraction and the aux
+    measurement.  The receiver is scored, not corrected: on success
+    against the input pulled back through the correction, on failure
+    (a diagnostic only: the uncorrected leftover) against the input.
     """
     if (forced is None) == (seed is None):
         raise ValueError("exactly one of seed or forced is required")
@@ -417,10 +400,11 @@ def _run(
         _extract(state, spec), [m], _Z2, rng, None if forced is None else forced.aux
     )
     probability *= out.probability
-    receiver = out.post_state
     if out.value == 0:
-        receiver = _correct(receiver, spec, gbs_outcomes, r_sums)
-    # On failure the fidelity is diagnostic only: the uncorrected leftover.
+        shifts = [(r + rho, s) for (r, s), rho in zip(gbs_outcomes, r_sums)]
+        ref = _pullback(input_state, spec, shifts)
+    else:
+        ref = input_state.amps
     return Transcript(
         seed=seed if isinstance(seed, int) else None,
         gbs=tuple(gbs_outcomes),
@@ -428,10 +412,7 @@ def _run(
         r_sums=r_sums,
         aux=out.value,
         success=out.value == 0,
-        fidelity=fidelity(
-            StateVector(input_state.dims, receiver.amps, input_state.labels),
-            input_state,
-        ),
+        fidelity=float(min(1.0, abs(np.vdot(ref, out.post_state.amps)) ** 2)),
         probability=probability,
     )
 
@@ -478,10 +459,12 @@ def _enumerate(
     controller axis is projected onto the X basis by one d x d
     contraction with x_basis_matrix, which leaves one receiver vector
     per (controllers, aux) leaf.  Every leaf's probability and fidelity
-    are computed as arrays: a success overlap against the input pulled
-    back through that leaf's correction (_reference_table), a failure
-    overlap against the input itself.  Memory is one path of states plus
-    two floats per leaf; records are built on demand by _Branches.
+    are computed as arrays, scored as a sampled run scores them: success
+    against the input pulled back through the leaf's correction (the
+    same _pullback, through the sender's (r, s); the controllers' rho
+    picks the row of _omega_table), failure against the input itself.
+    Memory is one path of states plus two floats per leaf; records are
+    built on demand by _Branches.
 
     correction_controllers restricts which controllers' outcomes enter
     the receiver's correction (None = all); the branch probabilities are
@@ -500,11 +483,10 @@ def _enumerate(
         correction_controllers = set(range(n))
 
     # Controller-outcome bookkeeping, shared by every sender branch: the
-    # per-copy sums of the cooperating controllers' base-d digits
-    # (copy-major) index the reference table.
+    # per-copy sums of the cooperating controllers' outcomes index the
+    # reference rows.
     n_ctrl = d ** (m * n)
-    place = d ** np.arange(m * n - 1, -1, -1)
-    digits = (np.arange(n_ctrl)[:, None] // place % d).reshape(n_ctrl, m, n)
+    digits = _controller_digits(np.arange(n_ctrl), d, m, n)
     cooperating = sorted(correction_controllers)
     r_sum_rows = digits[:, :, cooperating].sum(axis=2) % d
     r_sum_index = r_sum_rows @ (d ** np.arange(m - 1, -1, -1))
@@ -535,7 +517,7 @@ def _enumerate(
 
         # Success leaves overlap the input pulled back through their
         # correction, failure leaves the uncorrected input.
-        refs = _reference_table(input_state, spec, gbs_outcomes, omega_table)
+        refs = omega_table * _pullback(input_state, spec, gbs_outcomes)
         overlaps = np.stack(
             (
                 np.einsum("kr,rk->k", refs[r_sum_index].conj(), coeffs[0]),

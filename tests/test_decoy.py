@@ -121,3 +121,14 @@ def test_public_steps_replay_the_campaign(d, action):
         passed = check_decoy(basis, value, eavesdrop(state, action, rng), rng)
         replayed.append(DecoyRound(basis, value, action, not passed))
     assert replayed == campaign_rounds
+
+
+def test_z_score_edge_rates_and_shared_helper():
+    from qteleport import campaign, decoy
+
+    assert campaign._z_score is decoy._z_score
+    assert decoy._z_score(0, 10, 0.0) == 0.0
+    assert decoy._z_score(1, 10, 0.0) == float("inf")
+    assert decoy._z_score(10, 10, 1.0) == 0.0
+    assert decoy._z_score(9, 10, 1.0) == float("inf")
+    assert decoy._z_score(6, 10, 0.5) == (0.6 - 0.5) / np.sqrt(0.025)

@@ -267,6 +267,30 @@ def test_cli_config_file_with_inline_override(tmp_path):
     assert doc["aggregate"]["trials"] == 30  # inline flag wins
 
 
+def test_cli_inline_flag_mends_an_invalid_config_field(tmp_path, capsys):
+    # Valid only once --coeffs replaces the file's two coefficients.
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"kind": "montecarlo", "d": 3, "coeffs": [1.0, 1.0]}))
+    code = main(["montecarlo", "--config", str(path), "--coeffs", "uniform", "--trials", "5"])
+    assert code == 0, capsys.readouterr().err
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["coeffs"] == [[1.0, 0.0]] * 3
+
+
+def test_cli_subcommand_supplies_the_kind(tmp_path, capsys):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"d": 3, "eve": "none", "trials": 5}))
+    code = main(["decoy", "--config", str(path)])
+    assert code == 0, capsys.readouterr().err
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["kind"] == "decoy"
+    assert doc["aggregate"]["rounds"] == 5
+    # A malformed field the flags cannot mend is still named, not a traceback.
+    path.write_text(json.dumps({"sweep": [2, 3]}))
+    assert main(["sweep", "--config", str(path), "--d", "2"]) == 1
+    assert capsys.readouterr().err == 'error: sweep: kind "sweep" requires a "sweep" object\n'
+
+
 def test_cli_validation_error_exit_code(capsys):
     code = main(["enumerate", "--d", "2", "--coeffs", "1.0,1.5"])
     assert code == 1

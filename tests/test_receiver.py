@@ -1,12 +1,14 @@
 """The receiver's closed forms against the dense reference matrices.
 
 The protocol applies the extraction U_max^m as d^m independent 2x2
-rotations and each per-copy correction as a roll plus a phase.  These
-properties check both, and the enumeration's reference table, against
-the dense operators u_max_m and correction_unitary applied with the
-state engine, over d in 2..5, m in 1..3, n in 0..2, real and
-complex-phase channels and random inputs.  The enumeration oracle's
-records are checked against forced runs of the dense reference path.
+rotations and never applies the correction: it scores the receiver
+against the input pulled back through the correction (a roll plus a
+phase per copy).  These properties check the extraction, forced runs of
+both entry points and the enumeration's reference rows against the
+dense operators u_max_m and correction_unitary applied with the state
+engine, over d in 2..5, m in 1..3, n in 0..2, real and complex-phase
+channels and random inputs.  The enumeration oracle's records are
+checked against forced runs of the dense reference path.
 """
 
 import numpy as np
@@ -27,15 +29,23 @@ from qteleport.protocol import (
     ForcedBranch,
     InputStateSpec,
     _branch_count,
-    _correct,
     _extract,
     _omega_table,
-    _reference_table,
+    _pullback,
     enumerate_branches,
     run_protocol,
     run_structured,
 )
-from qteleport.state import SizeGuardError, apply, make_state, tensor
+from qteleport.state import (
+    SizeGuardError,
+    StateVector,
+    apply,
+    branch_outcomes,
+    fidelity,
+    make_state,
+    measure_in_basis,
+    tensor,
+)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 TOL = 1e-12
@@ -138,18 +148,65 @@ def _dense_correction(d, coeffs, r, rho, s):
     return correction_unitary(d, r + rho, d - s) @ phase_fix
 
 
+def _dense_branches(inp, spec, gbs, controllers):
+    """(aux, probability, fidelity) of each live aux outcome, densely.
+
+    The sender's and controllers' forced measurements on the full
+    register, then: tensor in |0>_aux, apply u_max_m, project the aux
+    and, on success, apply the _dense_correction loop to the receiver.
+    """
+    d = spec.d
+    state = inp.state()
+    for l in range(1, spec.m + 1):
+        labels = tuple(f"a_{k}_{l}" for k in range(spec.n + 2))
+        state = tensor(state, channel_state(spec, labels=labels))
+    probability = 1.0
+    for l, ((r, s), ctrl) in enumerate(zip(gbs, controllers), start=1):
+        pair = [state.index_of(f"chi_{l}"), state.index_of(f"a_0_{l}")]
+        out = measure_in_basis(state, pair, gbs_basis_matrix(d), forced_outcome=r * d + s)
+        probability *= out.probability
+        for q, x in enumerate(ctrl, start=1):
+            target = [out.post_state.index_of(f"a_{q}_{l}")]
+            out = measure_in_basis(out.post_state, target, x_basis_matrix(d), forced_outcome=x)
+            probability *= out.probability
+        state = out.post_state
+    joint = _dense_extract(state, spec)
+    results = []
+    for out in branch_outcomes(joint, [joint.index_of("aux")], np.eye(2)):
+        if out.probability < 1e-12:
+            continue  # forcing it may hit the 1e-15 floor
+        receiver = out.post_state
+        if out.value == 0:
+            for l, ((r, s), ctrl) in enumerate(zip(gbs, controllers)):
+                comp = _dense_correction(d, spec.coeffs, r, sum(ctrl) % d, s)
+                receiver = apply(receiver, comp, [l])
+        relabelled = StateVector(receiver.dims, receiver.amps, inp.state().labels)
+        results.append(
+            (out.value, probability * out.probability, fidelity(relabelled, inp.state()))
+        )
+    return results
+
+
 @SETTINGS
-@given(spec=channels(), seed=st.integers(0, 2**32 - 1))
-def test_correction_matches_correction_unitary_loop(spec, seed):
+@given(spec=channels(max_amplitudes=2**12, parties=3), seed=st.integers(0, 2**32 - 1))
+def test_forced_runs_match_dense_correction(spec, seed):
     d, m = spec.d, spec.m
+    inp = InputStateSpec.random(d, m, seed)
     gbs, rng = _outcomes(d, m, seed)
-    r_sums = [int(rng.integers(d)) for _ in range(m)]
-    receiver = _random_state((d,) * m, _receiver_labels(spec), seed)
-    dense = receiver
-    for l, ((r, s), rho) in enumerate(zip(gbs, r_sums)):
-        dense = apply(dense, _dense_correction(d, spec.coeffs, r, rho, s), [l])
-    fast = _correct(receiver, spec, gbs, r_sums)
-    assert np.max(np.abs(fast.amps - dense.amps)) < TOL
+    controllers = tuple(
+        tuple(int(x) for x in rng.integers(d, size=spec.n)) for _ in range(m)
+    )
+    dense = _dense_branches(inp, spec, gbs, controllers)
+    assert 0 in [aux for aux, _, _ in dense]
+    for aux, probability, fid in dense:
+        forced = ForcedBranch(tuple(gbs), controllers, aux)
+        for run in (run_protocol, run_structured):
+            t = run(inp, spec, forced=forced)
+            assert t.success == (aux == 0)
+            assert abs(t.probability - probability) < TOL
+            assert abs(t.fidelity - fid) < TOL
+            if aux == 0:
+                assert t.fidelity > 1 - 1e-9
 
 
 @SETTINGS
@@ -158,7 +215,7 @@ def test_reference_table_matches_correction_unitary_loop(spec, seed):
     d, m = spec.d, spec.m
     gbs, _ = _outcomes(d, m, seed)
     input_state = InputStateSpec.random(d, m, seed).state()
-    table = _reference_table(input_state, spec, gbs, _omega_table(d, m))
+    table = _omega_table(d, m) * _pullback(input_state, spec, gbs)
     assert table.shape == (d**m, d**m)
     for widx in range(d**m):
         ref = input_state
