@@ -1,8 +1,9 @@
 """Teleport a two-qutrit state by sampling, then check the empirical
 success rate against (min_j |c_j|^2)^m with a binomial z-score.
 
-Uses the copy-at-a-time execution path, which never builds the full
-register, so it also works at sizes the dense path cannot reach.
+Uses run_structured with a seed, the closed-form sampler, which never
+builds the full register, so it also works at sizes the dense path
+cannot reach.
 """
 
 import numpy as np

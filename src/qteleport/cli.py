@@ -51,16 +51,30 @@ def _beta_flag(text: str) -> object:
     return _parse_complex_list(text, "beta")
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",")]
+def _int_list(text: str, fieldname: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(
+            f"{fieldname}: cannot parse {text!r} as a comma list of integers"
+        ) from None
+
+
+def _int_flag(text: str) -> int | str:
+    """An integer flag's value; unparsable text passes through unchanged,
+    so that load_config names the field it fails."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="path to a JSON experiment config")
-    parser.add_argument("--seed", type=int, help="master seed")
+    parser.add_argument("--seed", type=_int_flag, help="master seed")
     parser.add_argument("--out", help="output file (default: stdout)")
     parser.add_argument("--format", choices=("json", "csv"), dest="fmt")
-    parser.add_argument("--trials", type=int, help="trial/round/spec count")
+    parser.add_argument("--trials", type=_int_flag, help="trial/round/spec count")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,9 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--m", help="comma list of copy counts")
             p.add_argument("--n", help="comma list of controller counts")
         else:
-            p.add_argument("--d", type=int, help="qudit dimension")
-            p.add_argument("--m", type=int, help="copies of the channel")
-            p.add_argument("--n", type=int, help="controller count")
+            p.add_argument("--d", type=_int_flag, help="qudit dimension")
+            p.add_argument("--m", type=_int_flag, help="copies of the channel")
+            p.add_argument("--n", type=_int_flag, help="controller count")
         if kind in ("enumerate", "montecarlo"):
             p.add_argument("--coeffs", help='"uniform", "random:<seed>", or comma list')
             p.add_argument("--beta", help='comma list, "basis:<k>", or "random:<seed>"')
@@ -116,7 +130,7 @@ def _build_doc(args: argparse.Namespace) -> dict:
             for key in ("d", "m", "n"):
                 flag = getattr(args, key)
                 if flag is not None:
-                    sweep[key] = _int_list(flag)
+                    sweep[key] = _int_list(flag, f"sweep.{key}")
             doc["sweep"] = sweep
     else:
         for key in ("d", "m", "n"):

@@ -16,6 +16,7 @@ import numpy as np
 from .decoy import EVE_ACTIONS
 from .primitives import ChannelSpec
 from .protocol import InputStateSpec
+from .state import MAX_AMPLITUDES_ENV, SizeGuardError, max_amplitudes
 
 KINDS = ("enumerate", "montecarlo", "decoy", "sweep")
 FORMATS = ("json", "csv")
@@ -127,6 +128,18 @@ def resolve_beta(value, d: int, m: int) -> np.ndarray:
     return beta
 
 
+def _check_input_size(d: int, m: int) -> None:
+    """The amplitude guard on the d^m-amplitude input, before any of it
+    is built.  An m at least the guard's bit length exceeds it for every
+    d >= 2, so d**m is computed only for smaller m."""
+    limit = max_amplitudes()
+    if m >= limit.bit_length() or d**m > limit:
+        raise SizeGuardError(
+            f"an input of {d}^{m} amplitudes exceeds the size guard of {limit} "
+            f"(override with {MAX_AMPLITUDES_ENV})"
+        )
+
+
 def _is_int(value) -> bool:
     """A JSON integer: Python's bool is an int, the schema's boolean is not."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -216,6 +229,7 @@ def load_config(source) -> ExperimentConfig:
         cfg.channel_spec()
     except ValueError as exc:
         raise ConfigError(f"coeffs: {exc}") from None
+    _check_input_size(cfg.d, cfg.m)
     cfg.beta = resolve_beta(doc.get("beta"), cfg.d, cfg.m)
     try:
         cfg.input_spec()

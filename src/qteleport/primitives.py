@@ -57,6 +57,8 @@ class ChannelSpec:
         object.__setattr__(self, "coeffs", coeffs)
         if len(coeffs) != self.d:
             raise ValueError(f"need {self.d} coefficients, got {len(coeffs)}")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError(f"coefficients must be finite, got {coeffs!r}")
         mods2 = np.abs(np.asarray(coeffs)) ** 2
         if np.any(mods2 < 1e-12):
             raise ValueError(

@@ -18,12 +18,22 @@ spec-only constants (gamma, gamma+, phase rows) are built once per spec.
 u_max_m and correction_unitary remain the reference matrices the tests
 check these closed forms against.
 
-One copy loop runs the protocol; its two entry points differ only in
-when the channel copies are attached:
+Sampling runs in closed form, with no state engine: _sample_runs takes
+a batch of runs as one (batch, d^m) array of input and receiver digits.
+Per copy it draws the sender's outcome from the digit's marginal, rolls
+and phases that digit, and draws the controllers' outcomes, which are
+uniform.  The montecarlo campaign runs it in chunks of trials fed by
+_streams; run_structured(seed=...) runs it as a batch of one.  Every
+draw reads one uniform by the state engine's rule, so a seed gives the
+outcomes the engine's copy loop gives.
 
-  * run_protocol    -- all copies up front, the full dense register
-  * run_structured  -- each copy just before it is measured, so the full
-                       register never exists
+The copy loop (_run) on the state engine is the reference the sampler is
+tested against.  Its entry points differ only in when the channel
+copies are attached:
+
+  * run_protocol            -- all copies up front, the full dense register
+  * run_structured(forced=) -- each copy just before it is measured, so
+                               the full register never exists
 
 plus an exact oracle, enumerate_branches, that walks every measurement
 branch and reports exact probabilities and fidelities.  The oracle walks
@@ -40,11 +50,13 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
 from .primitives import (
+    CHANNEL_CACHE_SIZE,
     ChannelSpec,
     _read_only,
     _receiver_constants,
@@ -89,6 +101,8 @@ class InputStateSpec:
             raise ValueError(
                 f"beta length {beta.size} != d^m = {self.d ** self.m}"
             )
+        if not np.all(np.isfinite(beta)):
+            raise ValueError("beta amplitudes must be finite")
         norm = np.linalg.norm(beta)
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"beta violates sum|beta|^2 = 1: norm = {norm!r}")
@@ -258,16 +272,32 @@ def _extract(state: StateVector, spec: ChannelSpec) -> StateVector:
     return StateVector(state.dims + (2,), out.reshape(-1), state.labels + ("aux",))
 
 
-def _copy_shape(m: int, l: int, d: int) -> tuple[int, ...]:
-    """Broadcast shape of a length-d factor on copy l of m."""
-    return (1,) * l + (d,) + (1,) * (m - l - 1)
-
-
 def _omega_table(d: int, m: int) -> np.ndarray:
     """m-fold Kronecker power of F[rho, j] = omega^(-rho j), copy-major."""
     j = np.arange(d)
     single = np.exp(-2j * np.pi * np.outer(j, j) / d)
     return reduce(np.kron, [single] * m)
+
+
+@lru_cache(maxsize=None)
+def _roll_sources(d: int) -> np.ndarray:
+    """[s, j] = (j - s) mod d: the digit a roll by s moves to digit j."""
+    j = np.arange(d)
+    return _read_only((j - j[:, None]) % d)
+
+
+def _shift_axis(amps, d: int, m: int, l: int, shift, row) -> np.ndarray:
+    """Roll and scale copy axis l of amps (rows, d^m), rows 1 or batch:
+    output row b's digit j is row[b, j] times amps's digit j - shift[b].
+    Returns (batch, d^m); a single input row serves every shift."""
+    view = amps.reshape(len(amps), d**l, d, -1)
+    out = view[
+        np.arange(len(amps))[:, None, None],
+        np.arange(d**l)[:, None],
+        _roll_sources(d)[shift][:, None, :],
+    ]
+    out *= row[:, None, :, None]
+    return out.reshape(len(shift), d**m)
 
 
 def _pullback(input_state: StateVector, spec: ChannelSpec, shifts) -> np.ndarray:
@@ -279,13 +309,18 @@ def _pullback(input_state: StateVector, spec: ChannelSpec, shifts) -> np.ndarray
     |<row|psi>|^2 is the fidelity of the corrected receiver psi.  A
     sampled run pulls back through (r + rho, s); the oracle through
     (r, s), and _omega_table supplies every rho's omega^(-rho j).
+    shifts has shape (..., m, 2), and the result (..., d^m): a batch
+    pulls back through one row of shifts per run.
     """
     d, m = spec.d, spec.m
     _, _, phase_rows = _receiver_constants(spec)
-    amps = input_state.amps.reshape((d,) * m)
-    for l, (u, s) in enumerate(shifts):
-        amps = np.roll(amps, s, axis=l) * phase_rows[u % d].reshape(_copy_shape(m, l, d))
-    return amps.reshape(-1)
+    shifts = np.asarray(shifts)
+    batch = shifts.reshape(-1, m, 2)
+    amps = input_state.amps[None]
+    for l in range(m):
+        u, s = batch[:, l, 0], batch[:, l, 1]
+        amps = _shift_axis(amps, d, m, l, s, phase_rows[u % d])
+    return amps.reshape(shifts.shape[:-2] + (d**m,))
 
 
 def _validate_pair(input_spec: InputStateSpec, spec: ChannelSpec) -> None:
@@ -339,15 +374,29 @@ def run_structured(
     seed: int | None = None,
     forced: ForcedBranch | None = None,
 ) -> Transcript:
-    """Copy-at-a-time execution path; same observable contract as
-    run_protocol but never materializes the full register.
+    """Same observable contract as run_protocol, without the full register.
 
-    Holds at most the unmeasured input qudits, already-extracted
-    receiver qudits, and one channel copy at a time.
+    A seeded run is the closed-form sampler (_sample_runs) as a batch of
+    one, fed by the first _draw_count(spec) random() values of the seed's
+    Philox stream, the values the copy loop would read.  A forced run is
+    the copy loop attaching each channel copy just before it is measured.
     """
     _validate_pair(input_spec, spec)
     input_state = input_spec.state()
-    return _run(input_state, input_state, spec, seed, forced)
+    if forced is not None or seed is None:
+        return _run(input_state, input_state, spec, seed, forced)
+    uniforms = _rng_from_seed(seed).random(_draw_count(spec))
+    sample = _sample_runs(input_state, spec, uniforms[None])
+    return Transcript(
+        seed=seed if isinstance(seed, int) else None,
+        gbs=tuple(map(tuple, sample.gbs[0].tolist())),
+        controllers=tuple(map(tuple, sample.controllers[0].tolist())),
+        r_sums=tuple(sample.r_sums[0].tolist()),
+        aux=int(sample.aux[0]),
+        success=bool(sample.aux[0] == 0),
+        fidelity=float(sample.fidelity[0]),
+        probability=float(sample.probability[0]),
+    )
 
 
 def _run(
@@ -357,13 +406,14 @@ def _run(
     seed: int | None,
     forced: ForcedBranch | None,
 ) -> Transcript:
-    """The protocol on a register holding the input and any channel copies.
+    """The protocol on the state engine: the reference for the sampler.
 
-    Copy l is tensored in just before its measurements unless the
-    register already holds it.  Then come the extraction and the aux
-    measurement.  The receiver is scored, not corrected: on success
-    against the input pulled back through the correction, on failure
-    (a diagnostic only: the uncorrected leftover) against the input.
+    The register holds the input and any channel copies; copy l is
+    tensored in just before its measurements unless the register
+    already holds it.  Then come the extraction and the aux measurement.
+    The receiver is scored, not corrected: on success against the input
+    pulled back through the correction, on failure (a diagnostic only:
+    the uncorrected leftover) against the input.
     """
     if (forced is None) == (seed is None):
         raise ValueError("exactly one of seed or forced is required")
@@ -415,6 +465,129 @@ def _run(
         fidelity=float(min(1.0, abs(np.vdot(ref, out.post_state.amps)) ** 2)),
         probability=probability,
     )
+
+
+class _Samples(NamedTuple):
+    """Outcomes of a batch of sampled runs, one row per run."""
+
+    gbs: np.ndarray  # (batch, m, 2): the sender's (r, s) per copy
+    controllers: np.ndarray  # (batch, m, n): X outcomes per copy
+    r_sums: np.ndarray  # (batch, m): controller sums mod d
+    aux: np.ndarray  # (batch,): 0 heralds success
+    fidelity: np.ndarray  # (batch,)
+    probability: np.ndarray  # (batch,): probability of the realized branch
+
+
+def _draw_count(spec: ChannelSpec) -> int:
+    """Uniforms one sampled run reads: per copy the sender's and the n
+    controllers' measurements, then the aux measurement."""
+    return spec.m * (spec.n + 1) + 1
+
+
+def _digit_marginal(amps: np.ndarray, d: int, l: int) -> np.ndarray:
+    """Per row of amps (rows, d^m), the weight on each value of digit l."""
+    density = amps.real**2 + amps.imag**2
+    return density.reshape(len(amps), d**l, d, -1).sum(axis=(1, 3))
+
+
+def _born(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """state._sample's draw along the last axis: the first index whose
+    cumulative weight exceeds u times the total, which is searchsorted
+    "right" (u < 1 keeps the target below the total, so one exists)."""
+    cumulative = probs.cumsum(axis=-1)
+    return (cumulative > u[..., None] * cumulative[..., -1:]).argmax(axis=-1)
+
+
+@lru_cache(maxsize=CHANNEL_CACHE_SIZE)
+def _sampler_constants(spec: ChannelSpec) -> tuple[np.ndarray, ...]:
+    """The sampler's spec-only tables, built once per spec, read-only.
+
+    cross    -- cross[t, s] = |c_(t+s)|^2 / d^2, so that P(r, s) is
+                (p @ cross)[s] for the input digit's marginal p, any r
+    outcomes -- the s of each sender outcome r d + s
+    sender   -- sender[u, j] = omega^(-u j) c_j / d: the sender's and the
+                controllers' factor on digit j when r + rho = u
+    controller -- a controller's outcome weights, 1/d each
+    rotation -- (gamma, gamma+) over the receiver indices: each aux
+                outcome's amplitude factor
+    extraction -- rotation^2 transposed: the aux outcomes' weights
+    """
+    d = spec.d
+    coeffs = np.asarray(spec.coeffs)
+    j = np.arange(d)
+    gamma, gamma_plus, _ = _receiver_constants(spec)
+    tables = (
+        np.abs(coeffs[(j[:, None] + j) % d]) ** 2 / d**2,
+        np.tile(j, d),
+        np.exp(-2j * np.pi * j[:, None] * j / d) * coeffs / d,
+        np.full(d, 1.0 / d),
+        np.stack((gamma, gamma_plus)),
+        np.stack((gamma, gamma_plus), axis=1) ** 2,
+    )
+    return tuple(map(_read_only, tables))
+
+
+def _sample_runs(input_state: StateVector, spec: ChannelSpec, uniforms) -> _Samples:
+    """Sampled runs in closed form, one per row of uniforms.
+
+    Row i of uniforms (batch, _draw_count(spec)) holds the random()
+    values one run reads, in the copy loop's order: per copy the sender,
+    then its n controllers; the aux last.  Every draw is state._sample's
+    rule (_born), so the outcomes are the copy loop's.
+
+    The register is the (batch, d^m) array of input and receiver digits:
+    copy l's sender measurement moves input digit l to the receiver.
+    Per copy, in closed form:
+      * the sender's outcome has P(r, s) = d^-2 sum_t p_l(t) |c_(t+s)|^2,
+        with p_l the register's digit-l marginal (uniform in r);
+      * she leaves omega^(-(j-s) r) c_j psi_(j-s) / d on digit j of the
+        GHZ state the controllers and the receiver share, which is
+        omega^(-r j) c_j psi_(j-s) / d up to a global phase;
+      * each controller's X outcome x has probability exactly 1/d and
+        multiplies digit j by omega^(-x j), so the draws need no state
+        and the phases fold into omega^(-(r + rho) j) with rho their sum
+        mod d: one row of the sender table, then a roll by s.
+    The register is never renormalized: a draw reads its weights
+    relative to their total, and the squared norm after the sender's
+    projections is the product of their probabilities, so the aux
+    outcome's weight is the probability of the whole branch up to the
+    controllers' d^(-m n).  Then the extraction's 2x2 rotations give the
+    aux weights, and the receiver is scored against the input pulled
+    back through the correction (_pullback), as _run scores it.
+    """
+    d, m, n = spec.d, spec.m, spec.n
+    # The receiver with the aux qubit, or the sender's d^2 outcome weights.
+    _check_size(max(2 * d**m, d * d))
+    cross, outcomes, sender_rows, controller, rotation, extraction = (
+        _sampler_constants(spec)
+    )
+    batch = len(uniforms)
+    u = uniforms[:, :-1].reshape(batch, m, n + 1)
+    controllers = _born(controller, u[..., 1:])
+    rho = controllers.sum(axis=-1) % d
+    gbs = np.empty((batch, m, 2), dtype=int)
+
+    amps = input_state.amps[None]  # one row until the first draw
+    for l in range(m):
+        sender = _digit_marginal(amps, d, l) @ cross
+        r, s = np.divmod(_born(sender[:, outcomes], u[:, l, 0]), d)
+        gbs[:, l, 0], gbs[:, l, 1] = r, s
+        amps = _shift_axis(amps, d, m, l, s, sender_rows[(r + rho[:, l]) % d])
+
+    weights = (amps.real**2 + amps.imag**2) @ extraction
+    aux = _born(weights, uniforms[:, -1])
+    weight = weights[np.arange(batch), aux]
+    amps *= rotation[aux]
+    # Success scores against the input pulled back through (r + rho, s),
+    # failure (a diagnostic only) against the input itself.
+    shifts = gbs.copy()
+    shifts[..., 0] += rho
+    refs = _pullback(input_state, spec, shifts)
+    refs[aux == 1] = input_state.amps
+    overlap = np.einsum("bj,bj->b", np.conjugate(refs, out=refs), amps)
+    fidelity = np.minimum(1.0, np.abs(overlap) ** 2 / weight)
+    probability = weight * float(d) ** (-m * n)
+    return _Samples(gbs, controllers, rho, aux, fidelity, probability)
 
 
 def _branch_count(spec: ChannelSpec) -> int:

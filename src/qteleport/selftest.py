@@ -2,8 +2,9 @@
 
 A fast, dependency-free subset of the full pytest suite: algebraic
 identities of the named states and unitaries, the exact branch oracle
-against the closed-form success probability, path equivalence, and the
-decoy statistics.
+against the closed-form success probability, path equivalence, the
+sampler against the copy loop and the success rate, and the decoy
+statistics.
 """
 
 from __future__ import annotations
@@ -11,13 +12,17 @@ from __future__ import annotations
 import numpy as np
 
 from . import primitives as prim
+from ._streams import child_uniforms
 from .decoy import analytic_detection_rate, detection_campaign
 from .protocol import (
     ForcedBranch,
     InputStateSpec,
+    _draw_count,
+    _sample_runs,
     enumerate_branches,
     run_protocol,
     run_structured,
+    theoretical_success_probability,
 )
 from .state import apply, fidelity, is_unitary
 
@@ -127,6 +132,26 @@ def _paths_agree() -> bool:
     )
 
 
+def _sampling_matches_copy_loop() -> bool:
+    """Seeded sampler runs give the copy loop's outcomes, and a campaign's
+    success rate lies within 5 sigma of (min|c_j|^2)^m."""
+    spec = prim.ChannelSpec(3, 1, 2, tuple(np.sqrt((1.2, 0.9, 0.9))))
+    inp = InputStateSpec.random(3, 2, 8)
+    for seed in range(4):
+        a = run_protocol(inp, spec, seed=seed)
+        b = run_structured(inp, spec, seed=seed)
+        if (a.gbs, a.controllers, a.aux) != (b.gbs, b.controllers, b.aux):
+            return False
+        if abs(a.fidelity - b.fidelity) > 1e-10:
+            return False
+    trials = 4000
+    runs = _sample_runs(inp.state(), spec, child_uniforms(9, 0, trials, _draw_count(spec)))
+    p = theoretical_success_probability(spec)
+    success = runs.aux == 0
+    sigma = np.sqrt(p * (1 - p) / trials)
+    return abs(success.mean() - p) < 5 * sigma and runs.fidelity[success].min() > 1 - 1e-9
+
+
 def _decoy_statistics() -> bool:
     report, _ = detection_campaign(2, "none", 500, seed=1)
     if report.detections != 0:
@@ -147,6 +172,7 @@ CHECKS = [
     ("correction_tensor_factorization", _correction_factorizes),
     ("branch_oracle_matches_formula", _oracle_matches_formula),
     ("structured_dense_equivalence", _paths_agree),
+    ("sampling_matches_copy_loop", _sampling_matches_copy_loop),
     ("decoy_detection_statistics", _decoy_statistics),
 ]
 

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 import qteleport
-from qteleport import selftest
+from qteleport import config, selftest
 from qteleport.campaign import run_campaign, to_csv_text, to_json_text, write_output
 from qteleport.cli import main
 from qteleport.config import ConfigError, load_config, random_coeffs, resolve_beta, resolve_coeffs
+from qteleport.state import SizeGuardError
 
 
 BASE = {
@@ -87,6 +88,9 @@ def test_parse_error_reports_position():
         ({"m": True}, "m"),
         ({"beta": {"basis": True}}, "beta.basis"),
         ({"kind": "sweep", "sweep": {"d": [2], "m": [True], "n": [0]}}, "sweep.m"),
+        ({"coeffs": [float("nan"), 1.0]}, "coeffs"),
+        ({"beta": [float("nan"), 0.0]}, "beta"),
+        ({"beta": [[0.6, float("nan")], 0.8]}, "beta"),
     ],
 )
 def test_constraint_errors_name_the_field(patch, match):
@@ -301,6 +305,45 @@ def test_cli_guard_exit_code(capsys):
     code = main(["enumerate", "--d", "4", "--m", "2", "--n", "8"])
     assert code == 2
     assert "guard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (["montecarlo", "--beta", "nan,0"], "beta"),
+        (["montecarlo", "--coeffs", "nan,1"], "coeffs"),
+        (["enumerate", "--coeffs", "1,inf"], "coeffs"),
+        (["montecarlo", "--d", "x"], "d"),
+        (["montecarlo", "--m", "1.5"], "m"),
+        (["decoy", "--trials", "ten"], "trials"),
+        (["sweep", "--d", "2,x"], "sweep.d"),
+        (["sweep", "--n", "0,"], "sweep.n"),
+    ],
+)
+def test_cli_bad_values_name_the_field(args, field, capsys):
+    # One line and exit 1, like a bad config field: no argparse usage
+    # text, no NaN in the output and no numpy warning on the way.
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+
+
+def test_input_size_guard_precedes_building_the_input(monkeypatch, capsys):
+    def unreachable(*args):
+        raise AssertionError("the input was built before the size guard ran")
+
+    monkeypatch.setenv("QTELEPORT_MAX_AMPLITUDES", "8")
+    monkeypatch.setattr(config, "resolve_beta", unreachable)
+    doc = {"kind": "montecarlo", "d": 2, "m": 4, "trials": 1}
+    with pytest.raises(SizeGuardError, match="2\\^4 amplitudes"):
+        load_config(doc)
+    assert main(["montecarlo", "--d", "2", "--m", "4", "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: an input of 2^4 amplitudes") and err.count("\n") == 1
+    # A huge m is refused without computing d**m.
+    with pytest.raises(SizeGuardError):
+        load_config(dict(doc, m=10**12))
 
 
 def test_cli_selftest(capsys):
