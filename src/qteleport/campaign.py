@@ -6,6 +6,15 @@ clock timing is kept on the in-memory record only, never serialized.
 An undefined value (no success to average, or the fidelity of a branch
 of zero probability) is None: null in JSON, an empty field in CSV, so
 the JSON stays strict.
+
+A runner returns its aggregate and its rows as columns: one sequence of
+Python scalars per output column.  ResultRecord keeps the columns, and
+its rows are a read-only view that builds a row dict only when one is
+read.  One writer serializes every kind: the CSV rows go to csv.writer
+straight from the columns; the JSON document is config and aggregate
+through json.dumps(indent=2), then the rows through one row template
+built per record, with each column's values encoded once.  The text is
+what json.dumps(indent=2) gives for the whole document.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ import json
 import os
 import tempfile
 import time
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import product
 
@@ -41,15 +51,45 @@ from .protocol import (
 SAMPLE_CHUNK_AMPLITUDES = 2**14
 
 
+class _Rows(Sequence):
+    """Read-only view of columns as row dicts, built when a row is read."""
+
+    def __init__(self, data: dict[str, Sequence]):
+        self._data = data
+
+    def __len__(self) -> int:
+        return len(next(iter(self._data.values())))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return {name: values[index] for name, values in self._data.items()}
+
+    def __iter__(self) -> Iterator[dict]:
+        names = list(self._data)
+        return (dict(zip(names, row)) for row in zip(*self._data.values()))
+
+
 @dataclass
 class ResultRecord:
-    """One campaign's outcome: config echo, aggregate stats, row data."""
+    """One campaign's outcome: config echo, aggregate stats, row data.
+
+    data maps each output column, in order, to its values: one Python
+    scalar (int, float, str or None) per row.
+    """
 
     config: dict
     aggregate: dict
-    rows: list[dict]
-    columns: list[str]
+    data: dict[str, Sequence]
     elapsed_seconds: float  # diagnostic only; never serialized
+
+    @property
+    def columns(self) -> list[str]:
+        return list(self.data)
+
+    @property
+    def rows(self) -> Sequence[dict]:
+        return _Rows(self.data)
 
 
 def _complex_pairs(values) -> list[list[float]]:
@@ -83,44 +123,27 @@ def _fmt_controllers(controllers) -> str:
     return "|".join(",".join(str(x) for x in copy) for copy in controllers)
 
 
-def _sample_rows(start: int, sample) -> list[dict]:
-    """One row per sampled run of a chunk whose first trial is start."""
-    return [
-        {
-            "trial": trial,
-            "gbs": _fmt_gbs(gbs),
-            "controllers": _fmt_controllers(controllers),
-            "r_sums": ";".join(str(v) for v in r_sums),
-            "aux": aux,
-            "success": int(aux == 0),
-            "fidelity": fidelity,
-            "probability": probability,
-        }
-        for trial, gbs, controllers, r_sums, aux, fidelity, probability in zip(
-            range(start, start + len(sample.aux)),
-            sample.gbs.tolist(),
-            sample.controllers.tolist(),
-            sample.r_sums.tolist(),
-            sample.aux.tolist(),
-            sample.fidelity.tolist(),
-            sample.probability.tolist(),
-        )
-    ]
+def _columns(names: tuple[str, ...], rows) -> dict[str, list]:
+    """Row tuples transposed into one list per named column."""
+    return dict(zip(names, map(list, zip(*rows))))
 
 
-def _run_enumerate(cfg: ExperimentConfig) -> tuple[dict, list[dict], list[str]]:
+def _run_enumerate(cfg: ExperimentConfig) -> tuple[dict, dict]:
     report = enumerate_branches(cfg.input_spec(), cfg.channel_spec())
-    rows = [
-        {
-            "branch": i,
-            "gbs": _fmt_gbs(b.gbs),
-            "controllers": _fmt_controllers(b.controllers),
-            "aux": b.aux,
-            "probability": b.probability,
-            "fidelity": None if np.isnan(b.fidelity) else b.fidelity,
-        }
-        for i, b in enumerate(report.branches)
-    ]
+    data = _columns(
+        ("branch", "gbs", "controllers", "aux", "probability", "fidelity"),
+        (
+            (
+                i,
+                _fmt_gbs(b.gbs),
+                _fmt_controllers(b.controllers),
+                b.aux,
+                b.probability,
+                None if np.isnan(b.fidelity) else b.fidelity,
+            )
+            for i, b in enumerate(report.branches)
+        ),
+    )
     aggregate = {
         "branch_count": len(report.branches),
         "total_probability": report.total_probability,
@@ -128,11 +151,10 @@ def _run_enumerate(cfg: ExperimentConfig) -> tuple[dict, list[dict], list[str]]:
         "theoretical_success_probability": report.theoretical,
         "abs_error": abs(report.success_probability - report.theoretical),
     }
-    columns = ["branch", "gbs", "controllers", "aux", "probability", "fidelity"]
-    return aggregate, rows, columns
+    return aggregate, data
 
 
-def _run_montecarlo(cfg: ExperimentConfig) -> tuple[dict, list[dict], list[str]]:
+def _run_montecarlo(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Sampled runs, trial i on child i of SeedSequence(seed).spawn(trials).
 
     The closed-form sampler runs the trials in chunks, each fed by its
@@ -145,14 +167,22 @@ def _run_montecarlo(cfg: ExperimentConfig) -> tuple[dict, list[dict], list[str]]
     input_state = cfg.input_spec().state()
     width = max(chan.d**chan.m, chan.d * chan.d)
     chunk = max(1, SAMPLE_CHUNK_AMPLITUDES // width)
-    rows = []
+    names = ("gbs", "controllers", "r_sums", "aux", "success", "fidelity", "probability")
+    data = {"trial": range(cfg.trials)} | {name: [] for name in names}
     success_fidelities = []
     for start in range(0, cfg.trials, chunk):
         stop = min(start + chunk, cfg.trials)
         uniforms = child_uniforms(cfg.seed, start, stop, _draw_count(chan))
         sample = _sample_runs(input_state, chan, uniforms)
-        success_fidelities.append(sample.fidelity[sample.aux == 0])
-        rows.extend(_sample_rows(start, sample))
+        success = sample.aux == 0
+        success_fidelities.append(sample.fidelity[success])
+        data["gbs"] += map(_fmt_gbs, sample.gbs.tolist())
+        data["controllers"] += map(_fmt_controllers, sample.controllers.tolist())
+        data["r_sums"] += (";".join(map(str, v)) for v in sample.r_sums.tolist())
+        data["aux"] += sample.aux.tolist()
+        data["success"] += success.astype(int).tolist()
+        data["fidelity"] += sample.fidelity.tolist()
+        data["probability"] += sample.probability.tolist()
     fidelities = np.concatenate(success_fidelities)
     successes = len(fidelities)
     p = theoretical_success_probability(chan)
@@ -167,25 +197,19 @@ def _run_montecarlo(cfg: ExperimentConfig) -> tuple[dict, list[dict], list[str]]
             float(np.cumsum(fidelities)[-1]) / successes if successes else None
         ),
     }
-    columns = [
-        "trial", "gbs", "controllers", "r_sums", "aux",
-        "success", "fidelity", "probability",
-    ]
-    return aggregate, rows, columns
+    return aggregate, data
 
 
-def _run_decoy(cfg: ExperimentConfig) -> tuple[dict, list[dict], list[str]]:
+def _run_decoy(cfg: ExperimentConfig) -> tuple[dict, dict]:
+    """The campaign's round columns, as rows: no DecoyRound is built."""
     report, rounds = detection_campaign(cfg.d, cfg.eve, cfg.trials, cfg.seed)
-    rows = [
-        {
-            "round": i,
-            "prep_basis": r.prep_basis,
-            "prep_value": r.prep_value,
-            "eve_action": r.eve_action,
-            "detected": int(r.detected),
-        }
-        for i, r in enumerate(rounds)
-    ]
+    data = {
+        "round": range(report.rounds),
+        "prep_basis": np.array(["Z", "X"])[rounds.basis].tolist(),
+        "prep_value": rounds.value.tolist(),
+        "eve_action": [cfg.eve] * report.rounds,
+        "detected": rounds.detected.astype(int).tolist(),
+    }
     aggregate = {
         "rounds": report.rounds,
         "detections": report.detections,
@@ -193,11 +217,10 @@ def _run_decoy(cfg: ExperimentConfig) -> tuple[dict, list[dict], list[str]]:
         "expected_rate": report.expected_rate,
         "z_score": report.z_score,
     }
-    columns = ["round", "prep_basis", "prep_value", "eve_action", "detected"]
-    return aggregate, rows, columns
+    return aggregate, data
 
 
-def _run_sweep(cfg: ExperimentConfig) -> tuple[dict, list[dict], list[str]]:
+def _run_sweep(cfg: ExperimentConfig) -> tuple[dict, dict]:
     grid = list(product(cfg.sweep["d"], cfg.sweep["m"], cfg.sweep["n"]))
     rows = []
     max_err = 0.0
@@ -209,23 +232,19 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple[dict, list[dict], list[str]]:
         err = abs(report.success_probability - report.theoretical)
         max_err = max(max_err, err)
         rows.append(
-            {
-                "index": i,
-                "d": d,
-                "m": m,
-                "n": n,
-                "coeffs": ";".join(repr(abs(c)) for c in chan.coeffs),
-                "success_probability": report.success_probability,
-                "theoretical": report.theoretical,
-                "abs_error": err,
-            }
+            (
+                i, d, m, n,
+                ";".join(repr(abs(c)) for c in chan.coeffs),
+                report.success_probability,
+                report.theoretical,
+                err,
+            )
         )
     aggregate = {"specs": cfg.trials, "max_abs_error": max_err}
-    columns = [
-        "index", "d", "m", "n", "coeffs",
-        "success_probability", "theoretical", "abs_error",
-    ]
-    return aggregate, rows, columns
+    names = (
+        "index", "d", "m", "n", "coeffs", "success_probability", "theoretical", "abs_error",
+    )
+    return aggregate, _columns(names, rows)
 
 
 _RUNNERS = {
@@ -239,36 +258,54 @@ _RUNNERS = {
 def run_campaign(cfg: ExperimentConfig) -> ResultRecord:
     """Dispatch a validated config to its runner."""
     start = time.perf_counter()
-    aggregate, rows, columns = _RUNNERS[cfg.kind](cfg)
+    aggregate, data = _RUNNERS[cfg.kind](cfg)
     return ResultRecord(
         config=_config_echo(cfg),
         aggregate=aggregate,
-        rows=rows,
-        columns=columns,
+        data=data,
         elapsed_seconds=time.perf_counter() - start,
     )
 
 
+def _json_column(values: Sequence) -> tuple[str, Sequence]:
+    """(conversion, values) that put one column into the row template:
+    ints as %d, floats by repr with None as null, and strings by
+    json.dumps once per distinct value."""
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return "%d", values
+    if kinds <= {float, type(None)}:
+        return "%s", ["null" if v is None else repr(v) for v in values]
+    text = {v: json.dumps(v) for v in set(values)}
+    return "%s", list(map(text.__getitem__, values))
+
+
 def to_json_text(record: ResultRecord) -> str:
-    doc = {
-        "config": record.config,
-        "aggregate": record.aggregate,
-        "rows": record.rows,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The document {"config", "aggregate", "rows"} as json.dumps(indent=2)
+    writes it, plus a newline; the rows go through one template."""
+    head = json.dumps({"config": record.config, "aggregate": record.aggregate}, indent=2)
+    head = head.removesuffix("\n}")
+    conversions, columns = zip(*map(_json_column, record.data.values()))
+    template = "    {\n%s\n    }" % ",\n".join(
+        f"      {json.dumps(name).replace('%', '%%')}: {conversion}"
+        for name, conversion in zip(record.data, conversions)
+    )
+    rows = ",\n".join(map(template.__mod__, zip(*columns)))
+    rows = f"[\n{rows}\n  ]" if rows else "[]"
+    return f'{head},\n  "rows": {rows}\n}}\n'
 
 
 def to_csv_text(record: ResultRecord) -> str:
     """Rows only, RFC 4180 quoting, fixed documented header.
 
-    Floats are written in shortest round-trip form so the CSV carries
-    exactly the numeric values of the JSON emission.
+    csv.writer writes floats by repr, the shortest round-trip form, so
+    the CSV carries exactly the numeric values of the JSON emission, and
+    None as an empty field.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
     writer.writerow(record.columns)
-    for row in record.rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in (row[c] for c in record.columns)])
+    writer.writerows(zip(*record.data.values()))
     return buf.getvalue()
 
 

@@ -128,16 +128,25 @@ def resolve_beta(value, d: int, m: int) -> np.ndarray:
     return beta
 
 
-def _check_input_size(d: int, m: int) -> None:
-    """The amplitude guard on the d^m-amplitude input, before any of it
-    is built.  An m at least the guard's bit length exceeds it for every
-    d >= 2, so d**m is computed only for smaller m."""
+def _check_amplitudes(what: str, need: int | None) -> None:
+    """The amplitude guard on a campaign's widest array, need amplitudes
+    (None: too many to compute), before any of it is built."""
     limit = max_amplitudes()
-    if m >= limit.bit_length() or d**m > limit:
+    if need is None or need > limit:
+        needs = "" if need is None else f" needs {need} amplitudes and"
         raise SizeGuardError(
-            f"an input of {d}^{m} amplitudes exceeds the size guard of {limit} "
+            f"{what}{needs} exceeds the size guard of {limit} "
             f"(override with {MAX_AMPLITUDES_ENV})"
         )
+
+
+def _check_input_size(d: int, m: int) -> None:
+    """The guard on the sampler's and the oracle's widest array: the
+    input with the aux qubit (2 d^m amplitudes) or the sender's d^2
+    outcome weights.  An m at least the guard's bit length exceeds it for
+    every d >= 2, so d**m is computed only for smaller m."""
+    small = m < max_amplitudes().bit_length()
+    _check_amplitudes(f"an input of {d}^{m} amplitudes", max(2 * d**m, d * d) if small else None)
 
 
 def _is_int(value) -> bool:
@@ -222,6 +231,8 @@ def load_config(source) -> ExperimentConfig:
         if eve not in EVE_ACTIONS:
             raise ConfigError(f"eve: expected one of {EVE_ACTIONS}, got {eve!r}")
         cfg.eve = eve
+        # The d x d X basis and the campaign's Born tables.
+        _check_amplitudes(f"a decoy of dimension {cfg.d}", cfg.d * cfg.d)
         return cfg
 
     cfg.coeffs = resolve_coeffs(doc.get("coeffs"), cfg.d)

@@ -68,6 +68,7 @@ from .state import (
     SizeGuardError,
     StateVector,
     _check_size,
+    _sample_rows,
     branch_outcomes,
     make_state,
     measure_in_basis,
@@ -490,14 +491,6 @@ def _digit_marginal(amps: np.ndarray, d: int, l: int) -> np.ndarray:
     return density.reshape(len(amps), d**l, d, -1).sum(axis=(1, 3))
 
 
-def _born(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """state._sample's draw along the last axis: the first index whose
-    cumulative weight exceeds u times the total, which is searchsorted
-    "right" (u < 1 keeps the target below the total, so one exists)."""
-    cumulative = probs.cumsum(axis=-1)
-    return (cumulative > u[..., None] * cumulative[..., -1:]).argmax(axis=-1)
-
-
 @lru_cache(maxsize=CHANNEL_CACHE_SIZE)
 def _sampler_constants(spec: ChannelSpec) -> tuple[np.ndarray, ...]:
     """The sampler's spec-only tables, built once per spec, read-only.
@@ -533,7 +526,7 @@ def _sample_runs(input_state: StateVector, spec: ChannelSpec, uniforms) -> _Samp
     Row i of uniforms (batch, _draw_count(spec)) holds the random()
     values one run reads, in the copy loop's order: per copy the sender,
     then its n controllers; the aux last.  Every draw is state._sample's
-    rule (_born), so the outcomes are the copy loop's.
+    rule (_sample_rows), so the outcomes are the copy loop's.
 
     The register is the (batch, d^m) array of input and receiver digits:
     copy l's sender measurement moves input digit l to the receiver.
@@ -563,19 +556,20 @@ def _sample_runs(input_state: StateVector, spec: ChannelSpec, uniforms) -> _Samp
     )
     batch = len(uniforms)
     u = uniforms[:, :-1].reshape(batch, m, n + 1)
-    controllers = _born(controller, u[..., 1:])
+    controllers = _sample_rows(controller.cumsum(), u[..., 1:])
     rho = controllers.sum(axis=-1) % d
     gbs = np.empty((batch, m, 2), dtype=int)
 
     amps = input_state.amps[None]  # one row until the first draw
     for l in range(m):
         sender = _digit_marginal(amps, d, l) @ cross
-        r, s = np.divmod(_born(sender[:, outcomes], u[:, l, 0]), d)
+        drawn = _sample_rows(sender[:, outcomes].cumsum(axis=-1), u[:, l, 0])
+        r, s = np.divmod(drawn, d)
         gbs[:, l, 0], gbs[:, l, 1] = r, s
         amps = _shift_axis(amps, d, m, l, s, sender_rows[(r + rho[:, l]) % d])
 
     weights = (amps.real**2 + amps.imag**2) @ extraction
-    aux = _born(weights, uniforms[:, -1])
+    aux = _sample_rows(weights.cumsum(axis=-1), uniforms[:, -1])
     weight = weights[np.arange(batch), aux]
     amps *= rotation[aux]
     # Success scores against the input pulled back through (r + rho, s),

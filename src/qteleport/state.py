@@ -256,6 +256,14 @@ def _sample(probs: np.ndarray, rng: np.random.Generator) -> int:
     )
 
 
+def _sample_rows(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """_sample's draw along the last axis of cumulative weights, one
+    uniform per row: the count of weights up to u times the row's total
+    (searchsorted "right"), capped at the last index."""
+    below = (cumulative <= u[..., None] * cumulative[..., -1:]).sum(axis=-1)
+    return np.minimum(below, cumulative.shape[-1] - 1)
+
+
 def measure_in_basis(
     state: StateVector,
     targets,

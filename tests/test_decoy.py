@@ -1,8 +1,13 @@
 """Decoy-qudit eavesdropping detection statistics."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qteleport import decoy
 from qteleport.decoy import (
     EVE_ACTIONS,
     DecoyRound,
@@ -132,3 +137,97 @@ def test_z_score_edge_rates_and_shared_helper():
     assert decoy._z_score(10, 10, 1.0) == 0.0
     assert decoy._z_score(9, 10, 1.0) == float("inf")
     assert decoy._z_score(6, 10, 0.5) == (0.6 - 0.5) / np.sqrt(0.025)
+
+
+def _loop_rounds(d, action, rounds, seed):
+    """The reference: one _flat_round per round on the campaign's generator."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    return [decoy._flat_round(d, action, rng) for _ in range(rounds)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    d=st.integers(2, 9),
+    action=st.sampled_from(EVE_ACTIONS),
+    rounds=st.integers(1, 61),
+    seed=st.integers(0, 2**64),
+    chunk_rounds=st.integers(1, 9),
+)
+def test_array_campaign_equals_the_round_loop(d, action, rounds, seed, chunk_rounds):
+    # A small chunk runs the campaign across several chunks, some of them
+    # (the last, for an odd round count) with an odd number of rounds.
+    with mock.patch.object(decoy, "DECOY_CHUNK_ENTRIES", 2 * chunk_rounds * d):
+        report, played = detection_campaign(d, action, rounds, seed)
+    reference = _loop_rounds(d, action, rounds, seed)
+    assert list(played) == reference
+    assert report.detections == sum(r.detected for r in reference)
+
+
+@pytest.mark.parametrize("action", EVE_ACTIONS)
+def test_array_campaign_equals_the_round_loop_in_one_large_chunk(action):
+    _, played = detection_campaign(7, action, 5001, seed=12)
+    assert played == _loop_rounds(7, action, 5001, 12)
+
+
+def test_a_rejected_draw_reruns_the_campaign_with_the_loop(monkeypatch):
+    d, action, rounds, seed = 5, "random_basis_resend", 40, 6
+    reference = _loop_rounds(d, action, rounds, seed)
+    monkeypatch.setattr(decoy, "DECOY_CHUNK_ENTRIES", 2 * 6 * d)  # 12 rounds a chunk
+    value_checks = []
+
+    def reject_in_second_chunk(low, bound):
+        # Pretend integers(d) rejected a value draw of the second chunk.
+        if bound == d:
+            value_checks.append(low.size)
+        return len(value_checks) == 2
+
+    loop_rounds = []
+
+    def counted_round(*args):
+        loop_rounds.append(args)
+        return flat_round(*args)
+
+    flat_round = decoy._flat_round
+    monkeypatch.setattr(decoy, "_rejects", reject_in_second_chunk)
+    monkeypatch.setattr(decoy, "_flat_round", counted_round)
+    report, played = detection_campaign(d, action, rounds, seed)
+    assert value_checks == [12, 12]  # the kernel stopped at the rejection
+    assert len(loop_rounds) == rounds  # and the loop replayed every round
+    assert list(played) == reference
+    assert report.detections == sum(r.detected for r in reference)
+
+
+def test_lemire_rejection_threshold():
+    # numpy's integers(d) redraws when (u * d) mod 2^32 < 2^32 mod d.
+    u = np.array([0, 1, 2**32 - 1], dtype=np.uint64)
+    values, rejected = decoy._integers(u, 5)
+    assert values.tolist() == [0, 0, 4] and rejected  # u = 0 leaves 0 < 1
+    assert not decoy._integers(u[1:], 5)[1]
+    assert not decoy._integers(np.arange(2**12, dtype=np.uint64), 4)[1]
+    # Only the low 32 bits of a word are a draw.
+    assert decoy._integers(u + (7 << 32), 5)[0].tolist() == [0, 0, 4]
+
+
+def test_pair_layouts():
+    # Words a pair of rounds reads: the generator's counter after 1,000
+    # rounds read 500, 750 and 875 four-word blocks.
+    assert {a: decoy._pair_layout(a)[0] for a in EVE_ACTIONS} == {
+        "none": 4, "measure_Z_resend": 6, "measure_X_resend": 6, "random_basis_resend": 7,
+    }
+    words, layout = decoy._pair_layout("random_basis_resend")
+    # Round 2's basis is the high half of the word round 1's adversary
+    # basis began.
+    assert layout["eve_basis"][0].tolist()[0] == layout["basis"][0].tolist()[1] == 1
+    assert layout["basis"][1].tolist() == [0, 32]
+
+
+def test_rounds_view_reads_like_a_list():
+    _, played = detection_campaign(3, "measure_X_resend", 50, seed=2)
+    rounds = list(played)
+    assert played[-1] == rounds[-1] and played[7] == rounds[7]
+    assert played[3:9:2] == rounds[3:9:2]
+    with pytest.raises(IndexError):
+        played[50]
+    assert played == rounds and rounds == played and played != rounds[:-1]
+    with pytest.raises(ValueError):
+        played.detected[0] = True

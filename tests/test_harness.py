@@ -221,6 +221,73 @@ def test_write_output_atomic(tmp_path):
     assert leftovers == []
 
 
+def _reference_json(record):
+    """The document as json.dumps writes it whole."""
+    doc = {"config": record.config, "aggregate": record.aggregate, "rows": list(record.rows)}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _reference_csv(record):
+    """One csv.writer row per row dict, floats by repr."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
+    writer.writerow(record.columns)
+    for row in record.rows:
+        writer.writerow(
+            [repr(v) if isinstance(v, float) else v for v in (row[c] for c in record.columns)]
+        )
+    return buf.getvalue()
+
+
+WRITER_DOCS = {
+    "enumerate": dict(BASE),
+    # A uniform channel always succeeds: every aux = 1 branch has p = 0.
+    "enumerate_zero_probability": {"kind": "enumerate", "d": 2, "n": 1, "beta": {"basis": 0}},
+    "montecarlo": dict(BASE, kind="montecarlo", trials=60, m=2, n=2, beta="random:3"),
+    # One trial at success probability 0.04: no success to average.
+    "montecarlo_no_success": {
+        "kind": "montecarlo", "d": 2, "coeffs": [1.4, 0.2], "trials": 1, "seed": 1,
+    },
+    "decoy": {"kind": "decoy", "d": 7, "eve": "measure_X_resend", "trials": 201, "seed": 8},
+    "sweep": {"kind": "sweep", "trials": 5, "seed": 4, "sweep": {"d": [2, 3], "m": [1], "n": [1]}},
+}
+
+
+@pytest.mark.parametrize("name", WRITER_DOCS)
+def test_writer_matches_whole_document_encoders(name):
+    record = run_campaign(load_config(dict(WRITER_DOCS[name])))
+    text = to_json_text(record)
+    assert text == _reference_json(record)
+    assert to_csv_text(record) == _reference_csv(record)
+    json.loads(text, parse_constant=_reject_constant)
+    if name == "enumerate_zero_probability":
+        assert '"fidelity": null' in text and ",\r\n" in to_csv_text(record)
+    if name == "montecarlo_no_success":
+        assert '"mean_success_fidelity": null' in text
+
+
+def test_rows_are_a_read_only_view_of_the_columns():
+    record = run_campaign(load_config(dict(WRITER_DOCS["decoy"])))
+    rows = list(record.rows)
+    assert len(record.rows) == len(rows) == 201
+    assert record.rows[-1] == rows[-1] == {
+        name: values[-1] for name, values in record.data.items()
+    }
+    assert record.rows[5:9] == rows[5:9]
+    assert list(rows[0]) == record.columns
+    with pytest.raises(IndexError):
+        record.rows[201]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_write_output_stdout_and_file_bytes_agree(fmt, tmp_path, capsys):
+    record = run_campaign(load_config(dict(WRITER_DOCS["montecarlo"])))
+    path = tmp_path / f"out.{fmt}"
+    write_output(record, None, fmt)
+    write_output(record, str(path), fmt)
+    assert capsys.readouterr().out.encode() == path.read_bytes()
+
+
 def test_timing_never_serialized():
     record = run_campaign(load_config(dict(BASE)))
     assert record.elapsed_seconds > 0.0
@@ -344,6 +411,53 @@ def test_input_size_guard_precedes_building_the_input(monkeypatch, capsys):
     # A huge m is refused without computing d**m.
     with pytest.raises(SizeGuardError):
         load_config(dict(doc, m=10**12))
+
+
+def test_input_size_guard_covers_the_aux_qubit(monkeypatch, capsys):
+    # 2^4 amplitudes fit a guard of 16, the register with its aux qubit
+    # (2 x 2^4) does not: refused before the input is built.
+    def unreachable(*args):
+        raise AssertionError("the input was built before the size guard ran")
+
+    monkeypatch.setenv("QTELEPORT_MAX_AMPLITUDES", "16")
+    monkeypatch.setattr(config, "resolve_beta", unreachable)
+    for kind in ("montecarlo", "enumerate"):
+        assert main([kind, "--d", "2", "--m", "4", "--trials", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: an input of 2^4 amplitudes needs 32 amplitudes")
+        assert err.count("\n") == 1
+    # The sender's d^2 outcome weights count too: d = 5, m = 1.
+    with pytest.raises(SizeGuardError, match="needs 25 amplitudes"):
+        load_config({"kind": "montecarlo", "d": 5, "m": 1, "trials": 1})
+
+
+def test_decoy_size_guard_precedes_any_allocation(monkeypatch, capsys):
+    from qteleport import campaign
+
+    def unreachable(*args):
+        raise AssertionError("the decoy campaign ran before the size guard")
+
+    monkeypatch.setattr(campaign, "detection_campaign", unreachable)
+    # d = 10^5 needs a 10^10-entry basis: refused at the default guard.
+    assert main(["decoy", "--d", "100000", "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a decoy of dimension 100000 needs 10000000000 amplitudes")
+    assert err.count("\n") == 1
+
+
+def test_decoy_size_guard_setting():
+    src = os.path.dirname(os.path.dirname(qteleport.__file__))
+    env = dict(os.environ, QTELEPORT_MAX_AMPLITUDES="16", PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qteleport.cli", "decoy", "--d", "5", "--trials", "2"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: a decoy of dimension 5 needs 25 amplitudes and exceeds the size guard "
+        "of 16 (override with QTELEPORT_MAX_AMPLITUDES)\n"
+    )
 
 
 def test_cli_selftest(capsys):
