@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from .decoy import EVE_ACTIONS
 from .primitives import ChannelSpec
-from .protocol import InputStateSpec
+from .protocol import InputStateSpec, _check_branches
 from .state import MAX_AMPLITUDES_ENV, SizeGuardError, max_amplitudes
 
 KINDS = ("enumerate", "montecarlo", "decoy", "sweep")
@@ -209,17 +210,23 @@ def load_config(source) -> ExperimentConfig:
         sweep = doc.get("sweep")
         if not isinstance(sweep, dict):
             raise ConfigError('sweep: kind "sweep" requires a "sweep" object')
-        for key in ("d", "m", "n"):
+        for key, minimum in (("d", 2), ("m", 1), ("n", 0)):
             values = sweep.get(key)
             if (
                 not isinstance(values, list)
                 or not values
-                or not all(_is_int(v) and v >= (2 if key == "d" else 0) for v in values)
+                or not all(_is_int(v) and v >= minimum for v in values)
             ):
-                raise ConfigError(f"sweep.{key}: expected a non-empty list of integers")
-        if any(v < 1 for v in sweep["m"]):
-            raise ConfigError("sweep.m: copy counts must be >= 1")
+                raise ConfigError(
+                    f"sweep.{key}: expected a non-empty list of integers >= {minimum}"
+                )
         cfg.sweep = {k: list(sweep[k]) for k in ("d", "m", "n")}
+        # Every point the sweep will enumerate (trial i runs point i mod
+        # the grid size) passes the guards before the first one runs.
+        grid = list(product(cfg.sweep["d"], cfg.sweep["m"], cfg.sweep["n"]))
+        for d, m, n in grid[:trials]:
+            _check_branches(d, m, n)
+            _check_input_size(d, m)
         return cfg
 
     cfg.d = _expect_int(doc, "d", 2, 2)

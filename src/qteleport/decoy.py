@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .state import StateVector, _sample, _sample_rows, make_state
-from .primitives import _read_only, x_basis_matrix
+from .primitives import DIMENSION_CACHE_SIZE, _read_only, x_basis_matrix
 
 EVE_ACTIONS = ("none", "measure_Z_resend", "measure_X_resend", "random_basis_resend")
 
@@ -69,12 +69,12 @@ def _draw_prep(d: int, rng: np.random.Generator) -> tuple[str, int]:
 
 
 # Cached, so a round allocates no d x d matrix.
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DIMENSION_CACHE_SIZE)
 def _z_kets(d: int) -> np.ndarray:
     return _read_only(np.eye(d, dtype=complex))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DIMENSION_CACHE_SIZE)
 def _x_bras(d: int) -> np.ndarray:
     return _read_only(x_basis_matrix(d).conj())
 
@@ -218,7 +218,7 @@ def _pair_layout(eve_action: str) -> tuple[int, dict]:
     return words, {name: np.array(at, np.uint64).T for name, at in draws.items()}
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=DIMENSION_CACHE_SIZE)
 def _born_tables(d: int) -> np.ndarray:
     """Cumulative Born weights, [ket basis, ket value, measured basis, :],
     for every Z/X eigenket measured in Z or X, by _measure's arithmetic."""

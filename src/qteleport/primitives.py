@@ -25,6 +25,9 @@ COEFF_NORM_TOL = 1e-10
 # labelled copies (m <= 26 under the default amplitude guard) must never
 # be evicted.
 CHANNEL_CACHE_SIZE = 256
+# Matrices keyed by the dimension d (or one spec's dense reference): a
+# process sweeping d must not keep one per d, and a run needs one or two.
+DIMENSION_CACHE_SIZE = 8
 
 
 def _omega_powers(d: int, k: int) -> np.ndarray:
@@ -105,7 +108,7 @@ def _read_only(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DIMENSION_CACHE_SIZE)
 def gbs_basis_matrix(d: int) -> np.ndarray:
     """GBS basis stacked into rows, for measurement calls (read-only)."""
     return _read_only(np.vstack([v.amps for v in gbs_basis(d)]))
@@ -129,7 +132,7 @@ def x_basis_vector(d: int, r: int) -> StateVector:
     return make_state((d,), _omega_powers(d, r) / np.sqrt(d))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DIMENSION_CACHE_SIZE)
 def x_basis_matrix(d: int) -> np.ndarray:
     """X-basis kets stacked into rows (outcome r on row r; read-only)."""
     return _read_only(np.vstack([x_basis_vector(d, r).amps for r in range(d)]))
@@ -182,7 +185,7 @@ def _receiver_constants(spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray, np.n
     return tuple(map(_read_only, (gamma, np.sqrt(1.0 - gamma**2), phase_rows)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DIMENSION_CACHE_SIZE)
 def u_max_m(spec: ChannelSpec) -> np.ndarray:
     """Receiver's collective extraction unitary on m qudits + one aux qubit.
 

@@ -35,14 +35,11 @@ copies are attached:
   * run_structured(forced=) -- each copy just before it is measured, so
                                the full register never exists
 
-plus an exact oracle, enumerate_branches, that walks every measurement
-branch and reports exact probabilities and fidelities.  The oracle walks
-the sender's branches depth first, attaching each copy by the same rule
-as the copy loop, so only one root-to-leaf path of states is alive.  Per
-sender branch it extracts, projects the controllers onto the X basis one
-axis at a time (a d x d contraction each), and reads every controller
-and aux leaf's probability and fidelity as arrays.  BranchRecords are
-built only when a caller reads report.branches.
+plus an exact oracle, enumerate_branches, that lists every branch with
+its exact probability and fidelity.  A copy's controllers reach the
+receiver only through the sum of their X outcomes, so the oracle
+projects every (sender outcome, sum) group at once, as arrays, and
+gathers the leaves from the groups.
 """
 
 from __future__ import annotations
@@ -57,6 +54,7 @@ import numpy as np
 
 from .primitives import (
     CHANNEL_CACHE_SIZE,
+    DIMENSION_CACHE_SIZE,
     ChannelSpec,
     _read_only,
     _receiver_constants,
@@ -69,19 +67,21 @@ from .state import (
     StateVector,
     _check_size,
     _sample_rows,
-    branch_outcomes,
     make_state,
     measure_in_basis,
     tensor,
 )
 
 # Not used here: the reference matrices, the dense apply and fidelity
-# stay importable from this module because perfbench/tracer.py wraps
-# them under these names.
+# and the branch listing stay importable from this module because
+# perfbench/tracer.py wraps them under these names.
 from .primitives import correction_unitary, u_max_m  # noqa: F401
-from .state import apply, fidelity  # noqa: F401
+from .state import apply, branch_outcomes, fidelity  # noqa: F401
 
 ENUMERATION_GUARD = 10**6
+# The oracle's arrays hold at most this many entries or the leaf count:
+# d <= 4, m <= 2 runs in one chunk, and the enumeration guard bounds memory.
+ORACLE_CHUNK_AMPLITUDES = 2**16
 
 
 class EnumerationGuardError(SizeGuardError):
@@ -175,13 +175,11 @@ class _Branches(Sequence):
     """Read-only view of an enumeration's leaves, in (gbs, controllers,
     aux) product order.  A BranchRecord is built only when a leaf is read.
 
-    gbs         -- one sender-outcome tuple per sender branch
     probability -- per-leaf branch probability
     fidelity    -- per-leaf output fidelity, NaN where the branch is empty
     """
 
-    def __init__(self, gbs, d: int, m: int, n: int, probability, fidelity):
-        self._gbs = gbs
+    def __init__(self, d: int, m: int, n: int, probability, fidelity):
         self._d, self._m, self._n = d, m, n
         self._per_sender = 2 * d ** (m * n)
         self.probability = _read_only(probability)
@@ -206,22 +204,22 @@ class _Branches(Sequence):
     def _record(self, i: int) -> BranchRecord:
         sender, leaf = divmod(i, self._per_sender)
         ctrl, aux = divmod(leaf, 2)
-        digits = _controller_digits(ctrl, self._d, self._m, self._n)
         return BranchRecord(
-            self._gbs[sender],
-            tuple(map(tuple, digits.tolist())),
+            tuple(map(tuple, _digits(sender, self._d, self._m, 2).tolist())),
+            tuple(map(tuple, _digits(ctrl, self._d, self._m, self._n).tolist())),
             aux,
             float(self.probability[i]),
             float(self.fidelity[i]),
         )
 
 
-def _controller_digits(ctrl, d: int, m: int, n: int) -> np.ndarray:
-    """Controller outcomes of controller-leaf index ctrl (int or array):
-    its base-d digits, shape (..., m, n), copy-major, controller-minor."""
-    place = d ** np.arange(m * n - 1, -1, -1)
-    ctrl = np.asarray(ctrl)
-    return (ctrl[..., None] // place % d).reshape(ctrl.shape + (m, n))
+def _digits(index, d: int, m: int, k: int) -> np.ndarray:
+    """The base-d digits of index (int or array), shape (..., m, k):
+    copy-major, k per copy.  A controller-leaf index gives its per-copy
+    controller outcomes (k = n), a sender index its per-copy (r, s)."""
+    place = d ** np.arange(m * k - 1, -1, -1)
+    index = np.asarray(index)
+    return (index[..., None] // place % d).reshape(index.shape + (m, k))
 
 
 @dataclass(frozen=True)
@@ -256,8 +254,7 @@ def _extract(state: StateVector, spec: ChannelSpec) -> StateVector:
     (the receiver qudits a_{n+1}_l read in copy order): it sends
     psi_J |J>|0> to gamma_J psi_J |J>|0> + gamma+_J psi_J |J>|1>, with
     gamma+ = sqrt(1 - gamma^2).  Any other subsystems still attached
-    (the controllers, during enumeration) only broadcast.  The aux qubit
-    is appended last.
+    only broadcast.  The aux qubit is appended last.
     """
     _check_size(2 * state.amps.size)
     receivers = [state.index_of(f"a_{spec.n + 1}_{l}") for l in range(1, spec.m + 1)]
@@ -280,7 +277,7 @@ def _omega_table(d: int, m: int) -> np.ndarray:
     return reduce(np.kron, [single] * m)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DIMENSION_CACHE_SIZE)
 def _roll_sources(d: int) -> np.ndarray:
     """[s, j] = (j - s) mod d: the digit a roll by s moves to digit j."""
     j = np.arange(d)
@@ -588,127 +585,130 @@ def _branch_count(spec: ChannelSpec) -> int:
     return spec.d ** (2 * spec.m) * spec.d ** (spec.n * spec.m) * 2
 
 
-def _sender_branches(state, spec, gbs_mat, l=1, gbs=(), probability=1.0):
-    """Depth-first walk of the sender's outcomes, copy by copy.
-
-    Yields (gbs outcomes, probability, post state) per sender branch in
-    lexicographic order.  Copy l is attached just before its GBS
-    measurement, so only one root-to-leaf path of states is alive.
-    """
-    if l > spec.m:
-        yield gbs, probability, state
-        return
-    state = _attach_copy(state, spec, l)
-    pair = [state.index_of(f"chi_{l}"), state.index_of(f"a_0_{l}")]
-    for out in branch_outcomes(state, pair, gbs_mat):
-        if out.post_state is None:
-            continue  # unreachable: every sender outcome has p > 0
-        yield from _sender_branches(
-            out.post_state,
-            spec,
-            gbs_mat,
-            l + 1,
-            gbs + ((out.value // spec.d, out.value % spec.d),),
-            probability * out.probability,
-        )
-
-
-def _enumerate(
-    input_spec: InputStateSpec,
-    spec: ChannelSpec,
-    correction_controllers: set[int] | None = None,
-) -> tuple[_Branches, float, float]:
-    """Walk every measurement branch exactly.
-
-    Stage 1 walks the sender's GBS outcomes depth first (see
-    _sender_branches).  Stage 2, per sender branch: extraction commutes
-    with the controllers' measurements, so it runs first; then each
-    controller axis is projected onto the X basis by one d x d
-    contraction with x_basis_matrix, which leaves one receiver vector
-    per (controllers, aux) leaf.  Every leaf's probability and fidelity
-    are computed as arrays, scored as a sampled run scores them: success
-    against the input pulled back through the leaf's correction (the
-    same _pullback, through the sender's (r, s); the controllers' rho
-    picks the row of _omega_table), failure against the input itself.
-    Memory is one path of states plus two floats per leaf; records are
-    built on demand by _Branches.
-
-    correction_controllers restricts which controllers' outcomes enter
-    the receiver's correction (None = all); the branch probabilities are
-    unaffected, only the applied correction and hence the fidelity.
-    Returns the leaves, the success probability and the total
-    probability, both summed in leaf order.
-    """
-    _validate_pair(input_spec, spec)
-    count = _branch_count(spec)
-    if count > ENUMERATION_GUARD:
+def _check_branches(d: int, m: int, n: int) -> None:
+    """The enumeration guard on the 2 d^(m (n + 2)) leaves.  Every d >= 2
+    exceeds it once the exponent reaches its bit length: no power then."""
+    exponent = m * (n + 2)
+    small = exponent < ENUMERATION_GUARD.bit_length()
+    if not small or 2 * d**exponent > ENUMERATION_GUARD:
+        count = 2 * d**exponent if small else f"2 * {d}^{exponent}"
         raise EnumerationGuardError(
             f"{count} branches exceed the enumeration guard of {ENUMERATION_GUARD}"
         )
-    d, m, n = spec.d, spec.m, spec.n
-    if correction_controllers is None:
-        correction_controllers = set(range(n))
 
-    # Controller-outcome bookkeeping, shared by every sender branch: the
-    # per-copy sums of the cooperating controllers' outcomes index the
-    # reference rows.
+
+def _copy_tensor(spec: ChannelSpec) -> np.ndarray:
+    """T[k, g, rho, j]: one channel copy, its sender projected onto GBS
+    outcome g and its controllers onto X outcomes summing to rho, as a
+    map from input digit k to receiver digit j.
+
+    Controller q's X outcome x puts omega^(-x j)/sqrt(d) on the GHZ
+    digit j, so the copy's controllers act only through rho = sum x mod
+    d: the outcomes (rho, 0, ..., 0) stand for every outcome with that
+    sum.  With n = 0 there is only rho = 0.
+    """
+    d, n = spec.d, spec.n
+    x_bra = x_basis_matrix(d).conj()
+    bras = reduce(np.kron, [x_bra[:1]] * (n - 1), x_bra) if n else np.ones((1, 1))
+    # (sender, controllers, receiver) -> (sender, rho, receiver)
+    copy = bras @ channel_state(spec).amps.reshape(d, d**n, d)
+    gbs_bra = gbs_basis_matrix(d).conj().reshape(d * d, d, d)  # [g, k, sender]
+    return np.einsum("gka,axj->kgxj", gbs_bra, copy)
+
+
+def _joint_amplitudes(input_amps: np.ndarray, tensors) -> np.ndarray:
+    """The input after each copy's tensor T[k, g, rho, j], one copy at a
+    time: the unnormalized amplitude of every (sender outcomes, rho
+    vector, receiver digits), each axis copy-major."""
+    amps = input_amps
+    for t in tensors:
+        # (copies to come, copies done) -> (copies to come, copies done, g rho j)
+        amps = amps.reshape(len(t), -1).T @ t.reshape(len(t), -1)
+    shape = [size for t in tensors for size in t.shape[1:]]
+    order = [axis for part in range(3) for axis in range(part, len(shape), 3)]
+    sizes = [np.prod(shape[part::3], dtype=int) for part in range(3)]
+    return amps.reshape(shape).transpose(order).reshape(sizes)
+
+
+def _enumerate(
+    input_spec: InputStateSpec, spec: ChannelSpec, withheld=()
+) -> tuple[_Branches, float, float]:
+    """Every measurement branch exactly, as arrays.
+
+    A leaf's receiver depends on its controllers only through their sums
+    rho (see _copy_tensor).  Stage 1 applies each copy's tensor to the
+    input: the unnormalized amplitude of every (sender outcomes, rho
+    vector, receiver).  Stage 2 scores each (sender, rho, aux) group as a
+    sampled run is scored: aux weights from the extraction's rotations,
+    success against the input pulled back through the correction (one
+    _pullback call, times _omega_table's row for the sums the receiver
+    knows), failure against the input.  Then the leaves are gathered.
+    Chunks of sender outcomes (the leading copies' fixed) keep every
+    array within max(leaf count, ORACLE_CHUNK_AMPLITUDES) entries.
+
+    The correction misses the withheld controllers' outcomes, which
+    changes only success fidelities.  Returns the leaves and the success
+    and total probabilities, summed over the groups (a group's leaves
+    share its probability) in extended precision: the leaves' exact sums
+    to within a rounding.
+    """
+    _validate_pair(input_spec, spec)
+    d, m, n = spec.d, spec.m, spec.n
+    _check_branches(d, m, n)
+    _check_size(max(2 * d**m, d * d))
+
+    # Per controller leaf: the rho vector of all its controllers, which
+    # sets the receiver's state, and of the withheld ones, which the
+    # correction misses.
     n_ctrl = d ** (m * n)
-    digits = _controller_digits(np.arange(n_ctrl), d, m, n)
-    cooperating = sorted(correction_controllers)
-    r_sum_rows = digits[:, :, cooperating].sum(axis=2) % d
-    r_sum_index = r_sum_rows @ (d ** np.arange(m - 1, -1, -1))
+    digits = _digits(np.arange(n_ctrl), d, m, n)
+    place = d ** np.arange(m - 1, -1, -1)
+    state_sum = digits.sum(axis=2) % d @ place
+    offsets, offset_of = np.unique(
+        digits[:, :, sorted(withheld)].sum(axis=2) % d @ place, return_inverse=True
+    )
+    group_of = state_sum * len(offsets) + offset_of
 
     input_state = input_spec.state()
-    omega_table = _omega_table(d, m)
-    input_bra = input_state.amps.conj()
-    x_bra = x_basis_matrix(d).conj()
-    ctrl_labels = [f"a_{q}_{l}" for l in range(1, m + 1) for q in range(1, n + 1)]
-    receiver_labels = [f"a_{n + 1}_{l}" for l in range(1, m + 1)]
+    _, _, _, _, rotation, extraction = _sampler_constants(spec)
+    omega = _omega_table(d, m)
+    per_copy = _copy_tensor(spec)
+    sums = per_copy.shape[2] ** m  # rho vectors: d^m, or 1 with no controllers
+    senders = d ** (2 * m)
+    budget = max(_branch_count(spec), ORACLE_CHUNK_AMPLITUDES)
+    free = max(q for q in range(m + 1) if d ** (2 * q) * sums * d**m <= budget)
+    chunk = d ** (2 * free)
 
-    gbs_list = []
-    probabilities = []
-    fidelities = []
-    for gbs_outcomes, prob, state in _sender_branches(
-        input_state, spec, gbs_basis_matrix(d)
-    ):
-        extracted = _extract(state, spec)
-        # Controllers first, then aux and receivers.  Each step contracts
-        # the leading controller axis with the X bra and moves its
-        # outcome last, so the outcomes end up copy-major at the back.
-        order = [extracted.index_of(x) for x in ctrl_labels + ["aux"] + receiver_labels]
-        amps = extracted.amps.reshape(extracted.dims).transpose(order)
-        for _ in ctrl_labels:
-            amps = amps.reshape(d, -1).T @ x_bra.T
-        coeffs = amps.reshape(2, d**m, n_ctrl)  # (aux, receiver, controllers)
-        probs = np.einsum("ark,ark->ka", coeffs, coeffs.conj()).real
+    probability = np.empty((senders, n_ctrl, 2))
+    fidelity = np.empty((senders, n_ctrl, 2))
+    success = total = np.longdouble(0.0)
+    for lo in range(0, senders, chunk):
+        gbs = _digits(np.arange(lo, lo + chunk), d, m, 2)  # (chunk, m, 2)
+        fixed = [per_copy[:, [r * d + s]] for r, s in gbs[0, : m - free].tolist()]
+        amps = _joint_amplitudes(input_state.amps, fixed + [per_copy] * free)
 
-        # Success leaves overlap the input pulled back through their
-        # correction, failure leaves the uncorrected input.
-        refs = omega_table * _pullback(input_state, spec, gbs_outcomes)
-        overlaps = np.stack(
-            (
-                np.einsum("kr,rk->k", refs[r_sum_index].conj(), coeffs[0]),
-                input_bra @ coeffs[1],
-            ),
-            axis=1,
-        )
-        empty = probs < 1e-18
-        fid = np.minimum(1.0, np.abs(overlaps) ** 2 / np.where(empty, 1.0, probs))
-        fid[empty] = np.nan
+        weights = (amps.real**2 + amps.imag**2) @ extraction  # (chunk, rho, aux)
+        # Empty: below 1e-18 given the sender's outcome.
+        sender = weights.sum(axis=(1, 2)) * (n_ctrl / sums)
+        empty = weights < 1e-18 * sender[:, None, None]
+        divisor = np.where(empty, 1.0, weights)[:, :, None]
+        # The row for the known sums rho - w is omega^((rho - w) j) times
+        # the pulled-back input: the state's row, then the offset's.
+        pulled = _pullback(input_state, spec, gbs).conj() * rotation[0]
+        hit = (amps * pulled[:, None] * omega[:sums].conj()) @ omega[offsets].T
+        miss = (amps * rotation[1]) @ input_state.amps.conj()
+        scores = np.stack(np.broadcast_arrays(hit, miss[..., None]), axis=-1)
+        scores = np.minimum(1.0, np.abs(scores) ** 2 / divisor)
+        scores[np.broadcast_to(empty[:, :, None], scores.shape)] = np.nan
 
-        gbs_list.append(gbs_outcomes)
-        probabilities.append(prob * probs.reshape(-1))
-        fidelities.append(fid.reshape(-1))
+        np.take(weights, state_sum, axis=1, out=probability[lo : lo + chunk])
+        np.take(scores.reshape(chunk, -1, 2), group_of, axis=1, out=fidelity[lo : lo + chunk])
+        success += np.sum(weights[..., 0][~empty[..., 0]], dtype=np.longdouble)
+        total += np.sum(weights, dtype=np.longdouble)
 
-    probability = np.concatenate(probabilities)
-    fidelity = np.concatenate(fidelities)
-    # Sequential sums in leaf order, as branch-by-branch addition gives;
-    # success counts the non-empty aux-0 leaves (even positions).
-    success = probability[0::2][~np.isnan(fidelity[0::2])]
-    success_probability = float(np.cumsum(success)[-1]) if success.size else 0.0
-    total = float(np.cumsum(probability)[-1])
-    branches = _Branches(tuple(gbs_list), d, m, n, probability, fidelity)
-    return branches, success_probability, total
+    branches = _Branches(d, m, n, probability.reshape(-1), fidelity.reshape(-1))
+    per_group = n_ctrl // sums
+    return branches, float(success * per_group), float(total * per_group)
 
 
 def enumerate_branches(
@@ -738,10 +738,7 @@ def fidelity_without_control(
     withheld = set(withheld)
     if not withheld <= set(range(spec.n)):
         raise ValueError(f"withheld controllers {withheld} out of range")
-    cooperating = set(range(spec.n)) - withheld
-    branches, success_probability, _ = _enumerate(
-        input_spec, spec, correction_controllers=cooperating
-    )
+    branches, success_probability, _ = _enumerate(input_spec, spec, withheld)
     if success_probability <= 0.0:
         raise ValueError("no success branch has positive probability")
     # Success leaves sit at even positions (aux = 0).

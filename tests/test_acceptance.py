@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 import qteleport as qt
-from qteleport.campaign import run_campaign, to_csv_text, to_json_text
+from qteleport._streams import child_uniforms
+from qteleport.campaign import SAMPLE_CHUNK_AMPLITUDES, run_campaign, to_csv_text, to_json_text
 from qteleport.config import load_config, random_coeffs
+from qteleport.protocol import _draw_count, _sample_runs
 
 
 def _line(index: int, name: str, ok: bool, detail: str) -> None:
@@ -92,15 +94,24 @@ def test_criterion_4_monte_carlo_consistency():
     trials = 100_000
     p = qt.theoretical_success_probability(chan)
     start = time.perf_counter()
-    root = np.random.SeedSequence(404)
-    successes = 0
-    worst_fid = 1.0
-    for child in root.spawn(trials):
-        t = qt.run_structured(inp, chan, seed=child)
-        if t.success:
-            successes += 1
-            worst_fid = min(worst_fid, t.fidelity)
+    # Trial i runs on child i of SeedSequence(404), through the batched
+    # sampler in the montecarlo campaign's chunks.
+    chunk = SAMPLE_CHUNK_AMPLITUDES // max(d**m, d * d)
+    batches = [
+        _sample_runs(
+            inp.state(), chan, child_uniforms(404, lo, min(lo + chunk, trials), _draw_count(chan))
+        )
+        for lo in range(0, trials, chunk)
+    ]
+    aux = np.concatenate([b.aux for b in batches])
+    fidelity = np.concatenate([b.fidelity for b in batches])
+    successes = int(np.sum(aux == 0))
+    worst_fid = float(np.min(fidelity[aux == 0], initial=1.0))
     elapsed = time.perf_counter() - start
+    # The batch's rows are the per-trial runs: the first 1,000 children.
+    for child, a, f in zip(np.random.SeedSequence(404).spawn(1000), aux, fidelity):
+        t = qt.run_structured(inp, chan, seed=child)
+        assert (t.aux, t.fidelity) == (a, f)
     rate = successes / trials
     sigma = np.sqrt(p * (1 - p) / trials)
     ok = abs(rate - p) < 3 * sigma and worst_fid >= 1.0 - 1e-9 and elapsed < 120.0

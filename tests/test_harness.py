@@ -125,6 +125,43 @@ def test_sweep_config_requires_grid():
     assert cfg.sweep == {"d": [2, 3], "m": [1], "n": [0, 1]}
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ({"d": [1], "m": [1], "n": [0]}, "sweep.d: expected a non-empty list of integers >= 2"),
+        ({"d": [2], "m": [0], "n": [0]}, "sweep.m: expected a non-empty list of integers >= 1"),
+        ({"d": [2], "m": [1], "n": [-1]}, "sweep.n: expected a non-empty list of integers >= 0"),
+    ],
+)
+def test_sweep_grid_messages_name_the_minimum(grid, message):
+    with pytest.raises(ConfigError) as info:
+        load_config({"kind": "sweep", "sweep": grid})
+    assert str(info.value) == message
+
+
+def test_sweep_guards_run_before_any_enumeration(monkeypatch, capsys):
+    from qteleport import campaign
+
+    def unreachable(*args):
+        raise AssertionError("a sweep point was enumerated before the guards ran")
+
+    monkeypatch.setattr(campaign, "enumerate_branches", unreachable)
+    # Point (2, 2, 3) fits, point (5, 2, 3) does not: nothing runs.
+    assert main(["sweep", "--d", "2,5", "--m", "2", "--n", "3", "--trials", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: 19531250 branches exceed the enumeration guard of 1000000\n"
+    # One trial visits only (2, 2, 3), so the config passes.
+    load_config({"kind": "sweep", "trials": 1, "sweep": {"d": [2, 5], "m": [2], "n": [3]}})
+    # A huge exponent is refused without computing the power.
+    with pytest.raises(SizeGuardError, match="2 \\* 2\\^2000000000004 branches"):
+        load_config({"kind": "sweep", "sweep": {"d": [2], "m": [2], "n": [10**12]}})
+    # The amplitude guard covers every visited point as well.
+    monkeypatch.setenv("QTELEPORT_MAX_AMPLITUDES", "16")
+    assert main(["sweep", "--d", "2", "--m", "1,4", "--n", "0", "--trials", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: an input of 2^4 amplitudes needs 32 amplitudes")
+
+
 def test_decoy_config_eve_validation():
     cfg = load_config({"kind": "decoy", "d": 3, "eve": "measure_X_resend"})
     assert cfg.eve == "measure_X_resend"

@@ -291,3 +291,18 @@ def test_cached_matrices_are_read_only():
 def test_channel_state_cache_is_bounded():
     maxsize = channel_state.cache_parameters()["maxsize"]
     assert maxsize is not None and maxsize >= 128
+
+
+def test_dimension_caches_are_bounded():
+    from qteleport.decoy import _born_tables, _x_bras, _z_kets
+    from qteleport.protocol import _roll_sources
+
+    by_dimension = (gbs_basis_matrix, x_basis_matrix, _roll_sources, _z_kets, _x_bras, _born_tables)
+    for d in range(2, 22):
+        for cached in by_dimension:
+            cached(d)
+        u_max_m(ChannelSpec(d, 0, 1, (1.0,) * d))
+    for cached in by_dimension + (u_max_m,):
+        maxsize = cached.cache_parameters()["maxsize"]
+        assert maxsize is not None
+        assert cached.cache_info().currsize <= maxsize
