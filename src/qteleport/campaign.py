@@ -93,7 +93,7 @@ class ResultRecord:
 
 
 def _complex_pairs(values) -> list[list[float]]:
-    return [[float(np.real(v)), float(np.imag(v))] for v in values]
+    return np.ascontiguousarray(values, dtype=complex).view(float).reshape(-1, 2).tolist()
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
@@ -157,23 +157,26 @@ def _run_enumerate(cfg: ExperimentConfig) -> tuple[dict, dict]:
 def _run_montecarlo(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Sampled runs, trial i on child i of SeedSequence(seed).spawn(trials).
 
-    The closed-form sampler runs the trials in chunks, each fed by its
+    The closed-form sampler runs the trials in chunks, fed by their
     children's Philox streams computed at once (_streams), so a row
     equals run_structured(seed=child) for its child.  A chunk's widest
-    array, the register or the sender's d^2 outcome weights, holds at
-    most SAMPLE_CHUNK_AMPLITUDES entries.
+    array, the receiver or the sender's d^2 outcome weights, holds at
+    most SAMPLE_CHUNK_AMPLITUDES entries; a block of whole chunks, about
+    as many uniforms, shares one _streams call.
     """
     chan = cfg.channel_spec()
     input_state = cfg.input_spec().state()
     width = max(chan.d**chan.m, chan.d * chan.d)
+    draws = _draw_count(chan)
     chunk = max(1, SAMPLE_CHUNK_AMPLITUDES // width)
+    block = chunk * max(1, SAMPLE_CHUNK_AMPLITUDES // (chunk * draws))
     names = ("gbs", "controllers", "r_sums", "aux", "success", "fidelity", "probability")
     data = {"trial": range(cfg.trials)} | {name: [] for name in names}
     success_fidelities = []
     for start in range(0, cfg.trials, chunk):
-        stop = min(start + chunk, cfg.trials)
-        uniforms = child_uniforms(cfg.seed, start, stop, _draw_count(chan))
-        sample = _sample_runs(input_state, chan, uniforms)
+        if start % block == 0:
+            uniforms = child_uniforms(cfg.seed, start, min(start + block, cfg.trials), draws)
+        sample = _sample_runs(input_state, chan, uniforms[start % block :][:chunk])
         success = sample.aux == 0
         success_fidelities.append(sample.fidelity[success])
         data["gbs"] += map(_fmt_gbs, sample.gbs.tolist())

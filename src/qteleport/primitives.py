@@ -221,7 +221,7 @@ def u_max(spec: ChannelSpec) -> np.ndarray:
 def correction_unitary(d: int, rho: int, sigma: int) -> np.ndarray:
     """Receiver's phase-and-shift correction; indices reduced mod d.
 
-    Reference matrix: the protocol applies it as a phase and a roll.
+    Reference matrix: the protocol pulls the input back through it by a gather.
     """
     return u_uv(d, rho % d, sigma % d)
 

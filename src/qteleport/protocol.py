@@ -13,19 +13,23 @@ U_max^m is a direct sum of d^m 2x2 rotations, so it scales each receiver
 amplitude into the two aux sectors.  The correction C is never applied:
 |<input|C psi>|^2 = |<C^dagger input|psi>|^2, so sampled runs and the
 oracle both score the receiver against the input pulled back through
-the correction (_pullback: per copy one roll plus a phase).  The
-spec-only constants (gamma, gamma+, phase rows) are built once per spec.
+the correction (_pullback).  The sender's outcomes leave the receiver a
+fixed map of the input: receiver digit J comes from input digit J - S,
+scaled by one row per copy.  _gather applies that map for a batch of
+runs, so the receiver and the pulled-back input are one gather of the
+input.  The spec-only constants (gamma, gamma+, phase rows) are built
+once per spec.
 u_max_m and correction_unitary remain the reference matrices the tests
 check these closed forms against.
 
-Sampling runs in closed form, with no state engine: _sample_runs takes
-a batch of runs as one (batch, d^m) array of input and receiver digits.
-Per copy it draws the sender's outcome from the digit's marginal, rolls
-and phases that digit, and draws the controllers' outcomes, which are
-uniform.  The montecarlo campaign runs it in chunks of trials fed by
-_streams; run_structured(seed=...) runs it as a batch of one.  Every
-draw reads one uniform by the state engine's rule, so a seed gives the
-outcomes the engine's copy loop gives.
+Sampling runs in closed form, with no state engine: _sample_runs draws
+a batch of runs at once.  Per copy it draws the sender's outcome from
+the digit's marginal of the input's density, then contracts that digit
+away, and the controllers' outcomes, which are uniform; then it gathers
+the receiver once.  The montecarlo campaign runs it in chunks of trials
+fed by _streams; run_structured(seed=...) runs it as a batch of one.
+Every draw reads one uniform by the state engine's rule, so a seed gives
+the outcomes the engine's copy loop gives.
 
 The copy loop (_run) on the state engine is the reference the sampler is
 tested against.  Its entry points differ only in when the channel
@@ -54,7 +58,6 @@ import numpy as np
 
 from .primitives import (
     CHANNEL_CACHE_SIZE,
-    DIMENSION_CACHE_SIZE,
     ChannelSpec,
     _read_only,
     _receiver_constants,
@@ -277,25 +280,28 @@ def _omega_table(d: int, m: int) -> np.ndarray:
     return reduce(np.kron, [single] * m)
 
 
-@lru_cache(maxsize=DIMENSION_CACHE_SIZE)
-def _roll_sources(d: int) -> np.ndarray:
-    """[s, j] = (j - s) mod d: the digit a roll by s moves to digit j."""
+def _gather(amps: np.ndarray, d: int, shifts, tables) -> np.ndarray:
+    """The map the sender's outcomes leave, applied to amps, per table.
+
+    shifts has shape (batch, m, 2): per run and copy a row index u and a
+    shift s.  Receiver digit J_l comes from digit J_l - s_l, so table
+    k's map sends amps to prod_l tables[k][u_l, J_l] amps[J - S]: the
+    source index and the row products grow by Kronecker products from
+    the last copy backwards (the long axis stays the inner one), then
+    amps is gathered once for every table.  Returns (tables, batch, d^m).
+    """
+    batch, m = shifts.shape[:2]
+    tables = np.stack(tables)
     j = np.arange(d)
-    return _read_only((j - j[:, None]) % d)
-
-
-def _shift_axis(amps, d: int, m: int, l: int, shift, row) -> np.ndarray:
-    """Roll and scale copy axis l of amps (rows, d^m), rows 1 or batch:
-    output row b's digit j is row[b, j] times amps's digit j - shift[b].
-    Returns (batch, d^m); a single input row serves every shift."""
-    view = amps.reshape(len(amps), d**l, d, -1)
-    out = view[
-        np.arange(len(amps))[:, None, None],
-        np.arange(d**l)[:, None],
-        _roll_sources(d)[shift][:, None, :],
-    ]
-    out *= row[:, None, :, None]
-    return out.reshape(len(shift), d**m)
+    index = np.zeros((batch, 1), dtype=np.intp)
+    rows = np.ones((len(tables), batch, 1))
+    for l in range(m - 1, -1, -1):
+        u, s = shifts[:, l, 0] % d, shifts[:, l, 1]
+        digit = (j - s[:, None]) % d * d ** (m - 1 - l)
+        index = (digit[:, :, None] + index[:, None]).reshape(batch, d ** (m - l))
+        rows = (tables[:, u, :, None] * rows[:, :, None]).reshape(-1, batch, d ** (m - l))
+    rows *= amps[index]
+    return rows
 
 
 def _pullback(input_state: StateVector, spec: ChannelSpec, shifts) -> np.ndarray:
@@ -303,22 +309,16 @@ def _pullback(input_state: StateVector, spec: ChannelSpec, shifts) -> np.ndarray
 
     The correction on copy l, U_{u, d-s} diag(e^{-i phi}), maps psi_k to
     omega^{u(k+s)} e^{-i phi_(k+s)} psi_(k+s); its adjoint maps x_j to
-    omega^(-u j) e^{i phi_j} x_(j-s), a roll by s and a phase row.  So
+    omega^(-u j) e^{i phi_j} x_(j-s), a shift by s and a phase row.  So
     |<row|psi>|^2 is the fidelity of the corrected receiver psi.  A
     sampled run pulls back through (r + rho, s); the oracle through
     (r, s), and _omega_table supplies every rho's omega^(-rho j).
-    shifts has shape (..., m, 2), and the result (..., d^m): a batch
-    pulls back through one row of shifts per run.
+    shifts has shape (..., m, 2), the result (..., d^m): one _gather.
     """
-    d, m = spec.d, spec.m
     _, _, phase_rows = _receiver_constants(spec)
     shifts = np.asarray(shifts)
-    batch = shifts.reshape(-1, m, 2)
-    amps = input_state.amps[None]
-    for l in range(m):
-        u, s = batch[:, l, 0], batch[:, l, 1]
-        amps = _shift_axis(amps, d, m, l, s, phase_rows[u % d])
-    return amps.reshape(shifts.shape[:-2] + (d**m,))
+    (pulled,) = _gather(input_state.amps, spec.d, shifts.reshape(-1, spec.m, 2), (phase_rows,))
+    return pulled.reshape(shifts.shape[:-2] + (spec.d**spec.m,))
 
 
 def _validate_pair(input_spec: InputStateSpec, spec: ChannelSpec) -> None:
@@ -482,18 +482,13 @@ def _draw_count(spec: ChannelSpec) -> int:
     return spec.m * (spec.n + 1) + 1
 
 
-def _digit_marginal(amps: np.ndarray, d: int, l: int) -> np.ndarray:
-    """Per row of amps (rows, d^m), the weight on each value of digit l."""
-    density = amps.real**2 + amps.imag**2
-    return density.reshape(len(amps), d**l, d, -1).sum(axis=(1, 3))
-
-
 @lru_cache(maxsize=CHANNEL_CACHE_SIZE)
 def _sampler_constants(spec: ChannelSpec) -> tuple[np.ndarray, ...]:
     """The sampler's spec-only tables, built once per spec, read-only.
 
-    cross    -- cross[t, s] = |c_(t+s)|^2 / d^2, so that P(r, s) is
-                (p @ cross)[s] for the input digit's marginal p, any r
+    cross    -- cross[t, s] = a_(t+s) = |c_(t+s)|^2 / d^2, symmetric:
+                P(r, s) is (p @ cross)[s] for a digit's marginal p, any
+                r, and row s contracts the digit once s is drawn
     outcomes -- the s of each sender outcome r d + s
     sender   -- sender[u, j] = omega^(-u j) c_j / d: the sender's and the
                 controllers' factor on digit j when r + rho = u
@@ -525,25 +520,24 @@ def _sample_runs(input_state: StateVector, spec: ChannelSpec, uniforms) -> _Samp
     then its n controllers; the aux last.  Every draw is state._sample's
     rule (_sample_rows), so the outcomes are the copy loop's.
 
-    The register is the (batch, d^m) array of input and receiver digits:
-    copy l's sender measurement moves input digit l to the receiver.
+    Copy l's sender measurement moves input digit l to the receiver.
     Per copy, in closed form:
-      * the sender's outcome has P(r, s) = d^-2 sum_t p_l(t) |c_(t+s)|^2,
-        with p_l the register's digit-l marginal (uniform in r);
-      * she leaves omega^(-(j-s) r) c_j psi_(j-s) / d on digit j of the
-        GHZ state the controllers and the receiver share, which is
-        omega^(-r j) c_j psi_(j-s) / d up to a global phase;
+      * the sender's outcome has P(r, s) = sum_t p_l(t) a_(t+s), with
+        a_j = |c_j|^2 / d^2 and p_l the digit-l marginal of the input's
+        density weighted by the copies before (uniform in r);
+      * she leaves omega^(-r j) c_j psi_(j-s) / d on digit j of the GHZ
+        state the controllers and the receiver share, up to a global phase;
       * each controller's X outcome x has probability exactly 1/d and
         multiplies digit j by omega^(-x j), so the draws need no state
-        and the phases fold into omega^(-(r + rho) j) with rho their sum
-        mod d: one row of the sender table, then a roll by s.
-    The register is never renormalized: a draw reads its weights
-    relative to their total, and the squared norm after the sender's
-    projections is the product of their probabilities, so the aux
-    outcome's weight is the probability of the whole branch up to the
-    controllers' d^(-m n).  Then the extraction's 2x2 rotations give the
-    aux weights, and the receiver is scored against the input pulled
-    back through the correction (_pullback), as _run scores it.
+        and the phases fold into omega^(-(r + rho) j), with rho their
+        sum mod d: one row of the sender table.
+    So the draws read only the density, kept in the input's frame as
+    rest (batch, d, d^(m-l-1)): its digit-l marginal is rest.sum(-1),
+    and after the draw digit l is contracted away with a_(t+s).  One
+    _gather then gives the receiver (sender rows) and the input pulled
+    back through (r + rho, s) (phase rows).  Nothing is renormalized: a
+    draw reads its weights relative to their total, so the aux weight is
+    the branch probability up to the controllers' d^(-m n).
     """
     d, m, n = spec.d, spec.m, spec.n
     # The receiver with the aux qubit, or the sender's d^2 outcome weights.
@@ -551,31 +545,32 @@ def _sample_runs(input_state: StateVector, spec: ChannelSpec, uniforms) -> _Samp
     cross, outcomes, sender_rows, controller, rotation, extraction = (
         _sampler_constants(spec)
     )
+    _, _, phase_rows = _receiver_constants(spec)
     batch = len(uniforms)
     u = uniforms[:, :-1].reshape(batch, m, n + 1)
     controllers = _sample_rows(controller.cumsum(), u[..., 1:])
     rho = controllers.sum(axis=-1) % d
     gbs = np.empty((batch, m, 2), dtype=int)
 
-    amps = input_state.amps[None]  # one row until the first draw
+    amps = input_state.amps
+    rest = (amps.real**2 + amps.imag**2)[None]  # one row until the first draw
     for l in range(m):
-        sender = _digit_marginal(amps, d, l) @ cross
-        drawn = _sample_rows(sender[:, outcomes].cumsum(axis=-1), u[:, l, 0])
-        r, s = np.divmod(drawn, d)
-        gbs[:, l, 0], gbs[:, l, 1] = r, s
-        amps = _shift_axis(amps, d, m, l, s, sender_rows[(r + rho[:, l]) % d])
+        rest = rest.reshape(len(rest), d, d ** (m - l - 1))
+        sender = (rest.sum(axis=-1) @ cross)[:, outcomes]
+        drawn = _sample_rows(sender.cumsum(axis=-1), u[:, l, 0])
+        gbs[:, l, 0], gbs[:, l, 1] = np.divmod(drawn, d)
+        rest = cross[gbs[:, l, 1]][:, None] @ rest
 
-    weights = (amps.real**2 + amps.imag**2) @ extraction
+    shifts = np.stack((gbs[..., 0] + rho, gbs[..., 1]), axis=-1)
+    receiver, refs = _gather(amps, d, shifts, (sender_rows, phase_rows))
+    weights = (receiver.real**2 + receiver.imag**2) @ extraction
     aux = _sample_rows(weights.cumsum(axis=-1), uniforms[:, -1])
     weight = weights[np.arange(batch), aux]
-    amps *= rotation[aux]
-    # Success scores against the input pulled back through (r + rho, s),
-    # failure (a diagnostic only) against the input itself.
-    shifts = gbs.copy()
-    shifts[..., 0] += rho
-    refs = _pullback(input_state, spec, shifts)
-    refs[aux == 1] = input_state.amps
-    overlap = np.einsum("bj,bj->b", np.conjugate(refs, out=refs), amps)
+    receiver *= rotation[aux]
+    # Success scores against the pulled-back input, failure (a
+    # diagnostic only) against the input itself.
+    refs[aux == 1] = amps
+    overlap = np.einsum("bj,bj->b", np.conjugate(refs, out=refs), receiver)
     fidelity = np.minimum(1.0, np.abs(overlap) ** 2 / weight)
     probability = weight * float(d) ** (-m * n)
     return _Samples(gbs, controllers, rho, aux, fidelity, probability)

@@ -133,13 +133,15 @@ def _paths_agree() -> bool:
 
 
 def _sampling_matches_copy_loop() -> bool:
-    """Seeded sampler runs give the copy loop's outcomes, and a campaign's
-    success rate lies within 5 sigma of (min|c_j|^2)^m."""
+    """Seeded sampler runs give the copy loop's outcomes, also at m = 3
+    with complex phases, and a campaign's success rate lies within 5
+    sigma of (min|c_j|^2)^m."""
     spec = prim.ChannelSpec(3, 1, 2, tuple(np.sqrt((1.2, 0.9, 0.9))))
     inp = InputStateSpec.random(3, 2, 8)
-    for seed in range(4):
-        a = run_protocol(inp, spec, seed=seed)
-        b = run_structured(inp, spec, seed=seed)
+    phased = prim.ChannelSpec(2, 0, 3, tuple(np.sqrt((1.6, 0.4)) * np.exp((0.4j, 2.1j))))
+    for seed in range(8):
+        case = (inp, spec) if seed < 4 else (InputStateSpec.random(2, 3, seed), phased)
+        a, b = run_protocol(*case, seed=seed), run_structured(*case, seed=seed)
         if (a.gbs, a.controllers, a.aux) != (b.gbs, b.controllers, b.aux):
             return False
         if abs(a.fidelity - b.fidelity) > 1e-10:

@@ -54,11 +54,10 @@ def test_criterion_1_success_probability_formula(formula_sweep):
 
 def test_criterion_2_unit_fidelity_on_success(formula_sweep):
     reports, _ = formula_sweep
+    # Success leaves (aux = 0) sit at even positions of the branch arrays.
     worst = min(
-        b.fidelity
+        r.branches.fidelity[0::2][r.branches.probability[0::2] > 1e-12].min()
         for _, r in reports
-        for b in r.branches
-        if b.aux == 0 and b.probability > 1e-12
     )
     _line(
         2,

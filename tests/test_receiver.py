@@ -2,7 +2,7 @@
 
 The protocol applies the extraction U_max^m as d^m independent 2x2
 rotations and never applies the correction: it scores the receiver
-against the input pulled back through the correction (a roll plus a
+against the input pulled back through the correction (a shift plus a
 phase per copy).  These properties check the extraction, forced runs of
 both entry points and the enumeration's reference rows against the
 dense operators u_max_m and correction_unitary applied with the state
@@ -295,9 +295,8 @@ def test_channel_state_cache_is_bounded():
 
 def test_dimension_caches_are_bounded():
     from qteleport.decoy import _born_tables, _x_bras, _z_kets
-    from qteleport.protocol import _roll_sources
 
-    by_dimension = (gbs_basis_matrix, x_basis_matrix, _roll_sources, _z_kets, _x_bras, _born_tables)
+    by_dimension = (gbs_basis_matrix, x_basis_matrix, _z_kets, _x_bras, _born_tables)
     for d in range(2, 22):
         for cached in by_dimension:
             cached(d)

@@ -9,6 +9,8 @@ from each child's generator, with fidelity and probability equal to
 rounding.
 """
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,10 +20,11 @@ from qteleport import campaign
 from qteleport._streams import child_uniforms
 from qteleport.campaign import run_campaign
 from qteleport.config import load_config, random_coeffs
-from qteleport.primitives import ChannelSpec
+from qteleport.primitives import ChannelSpec, multi_correction_unitary
 from qteleport.protocol import (
     InputStateSpec,
     _draw_count,
+    _pullback,
     _rng_from_seed,
     _run,
     _sample_runs,
@@ -176,3 +179,75 @@ def test_sampler_applies_the_amplitude_guard(monkeypatch):
     monkeypatch.setenv("QTELEPORT_MAX_AMPLITUDES", "24")
     with pytest.raises(SizeGuardError):
         run_structured(InputStateSpec.random(5, 1, 2), single, seed=1)
+
+
+def test_campaign_streams_come_a_block_of_whole_chunks_at_a_time(monkeypatch):
+    # d^m = 9 and 3 draws per trial: chunks of 64 // 9 = 7 trials, and
+    # blocks of 3 chunks (63 uniforms), so 50 trials cross both.
+    monkeypatch.setattr(campaign, "SAMPLE_CHUNK_AMPLITUDES", 64)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return child_uniforms(*args)
+
+    monkeypatch.setattr(campaign, "child_uniforms", counted)
+    spec = _channel(3, 2, 0, True, 9)
+    record = run_campaign(_config(spec, 31, 50))
+    assert calls == [(31, 0, 21, 3), (31, 21, 42, 3), (31, 42, 50, 3)]
+    inp = InputStateSpec.random(3, 2, 31)
+    for row, child in zip(record.rows, np.random.SeedSequence(31).spawn(50)):
+        _assert_row_matches(row, run_structured(inp, spec, seed=child))
+
+
+SAMPLED_SHAPES = [
+    (d, m, n) for d in range(2, 6) for m in range(1, 5) for n in range(3) if d**m <= 256
+]
+
+
+@st.composite
+def sampled_cases(draw):
+    """(spec, input): d in 2..5, m in 1..4 with d^m <= 256, n in 0..2,
+    skewed weights with complex phases, and a random input."""
+    d, m, n = draw(st.sampled_from(SAMPLED_SHAPES))
+    weights = np.array(draw(st.lists(st.floats(0.2, 2.0), min_size=d, max_size=d)))
+    phases = np.array(draw(st.lists(st.floats(-np.pi, np.pi), min_size=d, max_size=d)))
+    coeffs = np.sqrt(weights * d / weights.sum()) * np.exp(1j * phases)
+    inp = InputStateSpec.random(d, m, draw(st.integers(0, 2**32 - 1)))
+    return ChannelSpec(d, n, m, tuple(coeffs)), inp
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=sampled_cases(), seed=st.integers(0, 2**32 - 1))
+def test_sampled_rows_equal_the_copy_loop(case, seed):
+    # The copy loop attaching each copy just before it is measured: the
+    # loop run_protocol runs, without the full register.
+    spec, inp = case
+    register = inp.state()
+    sample = _sample_runs(register, spec, child_uniforms(seed, 0, 3, _draw_count(spec)))
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(3)):
+        t = _run(register, register, spec, child, None)
+        assert sample.gbs[i].tolist() == [list(g) for g in t.gbs]
+        assert sample.controllers[i].tolist() == [list(c) for c in t.controllers]
+        assert sample.r_sums[i].tolist() == list(t.r_sums)
+        assert sample.aux[i] == t.aux
+        assert sample.fidelity[i] == pytest.approx(t.fidelity, rel=REL_TOL)
+        assert sample.probability[i] == pytest.approx(t.probability, rel=REL_TOL)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=sampled_cases(), seed=st.integers(0, 2**32 - 1))
+def test_pullback_equals_the_dense_adjoint_correction(case, seed):
+    spec, inp = case
+    d, m = spec.d, spec.m
+    # Indices past d too: a sampled run pulls back through r + rho.
+    shifts = np.random.default_rng(seed).integers(0, 2 * d, (4, m, 2))
+    pulled = _pullback(inp.state(), spec, shifts)
+    assert pulled.shape == (4, d**m)
+    phase_fix = reduce(np.kron, [np.diag(np.exp(-1j * np.angle(spec.coeffs)))] * m)
+    for row, (u, s) in zip(pulled, shifts.transpose(0, 2, 1)):
+        # Copy l's correction U_{u, d-s} diag(e^{-i phi}) is the dense
+        # reference's factor times omega^(u s).
+        correction = np.exp(2j * np.pi * (u @ s) / d) * multi_correction_unitary(d, u, s)
+        expected = (correction @ phase_fix).conj().T @ inp.beta
+        assert np.max(np.abs(row - expected)) < 1e-12
