@@ -7,26 +7,24 @@ An undefined value (no success to average, or the fidelity of a branch
 of zero probability) is None: null in JSON, an empty field in CSV, so
 the JSON stays strict.
 
-A runner returns its aggregate and its rows as columns: one sequence of
-Python scalars per output column.  ResultRecord keeps the columns, and
-its rows are a read-only view that builds a row dict only when one is
-read.  One writer serializes every kind: the CSV rows go to csv.writer
-straight from the columns; the JSON document is config and aggregate
-through json.dumps(indent=2), then the rows through one row template
-built per record, with each column's values encoded once.  The text is
-what json.dumps(indent=2) gives for the whole document.
+A runner returns its aggregate and its rows as columns: arrays, text
+columns as codes into a vocabulary (_Column), ranges, or a sweep's short
+lists; indexing one gives a Python scalar.  One writer streams every
+kind: the head, then ROW_CHUNK rows at a time, each chunk one join of
+strings taken from per-column vocabularies.  The text is what
+json.dumps(indent=2) gives for the whole document, or csv.writer.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
+import sys
 import tempfile
 import time
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -37,6 +35,7 @@ from .decoy import _z_score, detection_campaign
 from .primitives import ChannelSpec
 from .protocol import (
     InputStateSpec,
+    _digits,
     _draw_count,
     _sample_runs,
     enumerate_branches,
@@ -49,6 +48,46 @@ from .protocol import (
 # bounded however many trials run.  The sampler holds a few such arrays
 # at once; at 2^16 they raised the peak RSS of a d=2 m=10 campaign by 8%.
 SAMPLE_CHUNK_AMPLITUDES = 2**14
+
+
+ROW_CHUNK = 4096  # rows per written chunk: as fast as 1024, 16384 is slower and larger
+
+_CSV_SPECIAL = frozenset(',"\r\n')  # csv.writer quotes a field holding one
+
+
+class _Column(Sequence):
+    """One output column.  Without a vocabulary the codes are the values
+    (NaN reads as None); else row i is vocab[codes[i, j]] joined by sep."""
+
+    def __init__(self, codes: np.ndarray, vocab: list[str] | None = None, sep: str = ""):
+        self.codes, self.vocab, self.sep = codes, vocab, sep
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        code = self.codes[index]
+        if self.vocab is None:
+            value = code.item()
+            return None if value != value else value
+        return self.sep.join([self.vocab[c] for c in code.tolist()])
+
+
+def _text_column(digits: np.ndarray, d: int, inner: str, sep: str) -> _Column:
+    """Row i: its groups digits[i, j] (base-d digits joined by inner) joined
+    by sep.  The vocabulary holds the groups that occur."""
+    rows, k, w = digits.shape
+    groups = digits.reshape(rows * k, w)
+    keys = np.zeros(rows * k, np.intp)
+    for digit in groups.T:  # renumbered densely per digit, so no key overflows
+        keys = keys * d + digit
+        keys = (np.cumsum(np.bincount(keys) > 0) - 1)[keys]
+    first = np.empty(keys.max() + 1, np.intp)
+    first[keys] = np.arange(keys.size)  # a row holding each group
+    codes = keys.astype(np.min_scalar_type(len(first))).reshape(rows, k)
+    return _Column(codes, [inner.join(map(str, g)) for g in groups[first].tolist()], sep)
 
 
 class _Rows(Sequence):
@@ -65,17 +104,13 @@ class _Rows(Sequence):
             return [self[i] for i in range(*index.indices(len(self)))]
         return {name: values[index] for name, values in self._data.items()}
 
-    def __iter__(self) -> Iterator[dict]:
-        names = list(self._data)
-        return (dict(zip(names, row)) for row in zip(*self._data.values()))
-
 
 @dataclass
 class ResultRecord:
     """One campaign's outcome: config echo, aggregate stats, row data.
 
-    data maps each output column, in order, to its values: one Python
-    scalar (int, float, str or None) per row.
+    data maps each output column, in order, to a sequence of Python
+    scalars (int, float, str or None), one per row.
     """
 
     config: dict
@@ -115,35 +150,24 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     return echo
 
 
-def _fmt_gbs(gbs) -> str:
-    return ";".join(f"{r}:{s}" for r, s in gbs)
-
-
-def _fmt_controllers(controllers) -> str:
-    return "|".join(",".join(str(x) for x in copy) for copy in controllers)
-
-
-def _columns(names: tuple[str, ...], rows) -> dict[str, list]:
-    """Row tuples transposed into one list per named column."""
-    return dict(zip(names, map(list, zip(*rows))))
-
-
 def _run_enumerate(cfg: ExperimentConfig) -> tuple[dict, dict]:
+    """The leaves' arrays, with gbs and controllers decoded from the leaf
+    index in (gbs, controllers, aux) product order: no BranchRecord."""
     report = enumerate_branches(cfg.input_spec(), cfg.channel_spec())
-    data = _columns(
-        ("branch", "gbs", "controllers", "aux", "probability", "fidelity"),
-        (
-            (
-                i,
-                _fmt_gbs(b.gbs),
-                _fmt_controllers(b.controllers),
-                b.aux,
-                b.probability,
-                None if np.isnan(b.fidelity) else b.fidelity,
-            )
-            for i, b in enumerate(report.branches)
-        ),
-    )
+    d, m, n, leaves = cfg.d, cfg.m, cfg.n, len(report.branches)
+    gbs = _text_column(_digits(np.arange(d ** (2 * m)), d, m, 2), d, ":", ";")
+    controllers = _text_column(_digits(np.arange(d ** (m * n)), d, m, n), d, ",", "|")
+    # Each sender outcome's leaves, each controller outcome's aux 0 and 1.
+    controllers.codes = np.tile(np.repeat(controllers.codes, 2, axis=0), (len(gbs), 1))
+    gbs.codes = np.repeat(gbs.codes, leaves // len(gbs), axis=0)
+    data = {
+        "branch": range(leaves),
+        "gbs": gbs,
+        "controllers": controllers,
+        "aux": np.tile(np.arange(2, dtype=np.uint8), leaves // 2),
+        "probability": report.branches.probability,
+        "fidelity": report.branches.fidelity,
+    }
     aggregate = {
         "branch_count": len(report.branches),
         "total_probability": report.total_probability,
@@ -170,23 +194,27 @@ def _run_montecarlo(cfg: ExperimentConfig) -> tuple[dict, dict]:
     draws = _draw_count(chan)
     chunk = max(1, SAMPLE_CHUNK_AMPLITUDES // width)
     block = chunk * max(1, SAMPLE_CHUNK_AMPLITUDES // (chunk * draws))
-    names = ("gbs", "controllers", "r_sums", "aux", "success", "fidelity", "probability")
-    data = {"trial": range(cfg.trials)} | {name: [] for name in names}
-    success_fidelities = []
+    digit = np.min_scalar_type(chan.d - 1)
+    dtypes = (digit, digit, digit, np.uint8, float, float)
+    samples = []
     for start in range(0, cfg.trials, chunk):
         if start % block == 0:
             uniforms = child_uniforms(cfg.seed, start, min(start + block, cfg.trials), draws)
         sample = _sample_runs(input_state, chan, uniforms[start % block :][:chunk])
-        success = sample.aux == 0
-        success_fidelities.append(sample.fidelity[success])
-        data["gbs"] += map(_fmt_gbs, sample.gbs.tolist())
-        data["controllers"] += map(_fmt_controllers, sample.controllers.tolist())
-        data["r_sums"] += (";".join(map(str, v)) for v in sample.r_sums.tolist())
-        data["aux"] += sample.aux.tolist()
-        data["success"] += success.astype(int).tolist()
-        data["fidelity"] += sample.fidelity.tolist()
-        data["probability"] += sample.probability.tolist()
-    fidelities = np.concatenate(success_fidelities)
+        samples.append([a.astype(t, copy=False) for a, t in zip(sample, dtypes)])
+    gbs, controllers, r_sums, aux, fidelity, probability = map(np.concatenate, zip(*samples))
+    success = aux == 0
+    data = {
+        "trial": range(cfg.trials),
+        "gbs": _text_column(gbs, chan.d, ":", ";"),
+        "controllers": _text_column(controllers, chan.d, ",", "|"),
+        "r_sums": _text_column(r_sums[..., None], chan.d, "", ";"),
+        "aux": aux,
+        "success": success.view(np.uint8),
+        "fidelity": fidelity,
+        "probability": probability,
+    }
+    fidelities = fidelity[success]
     successes = len(fidelities)
     p = theoretical_success_probability(chan)
     aggregate = {
@@ -204,23 +232,17 @@ def _run_montecarlo(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 
 def _run_decoy(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    """The campaign's round columns, as rows: no DecoyRound is built."""
+    """The campaign's round columns: no DecoyRound is built."""
     report, rounds = detection_campaign(cfg.d, cfg.eve, cfg.trials, cfg.seed)
     data = {
         "round": range(report.rounds),
-        "prep_basis": np.array(["Z", "X"])[rounds.basis].tolist(),
-        "prep_value": rounds.value.tolist(),
-        "eve_action": [cfg.eve] * report.rounds,
-        "detected": rounds.detected.astype(int).tolist(),
+        "prep_basis": _Column(rounds.basis[:, None], ["Z", "X"]),
+        "prep_value": rounds.value,
+        "eve_action": _Column(np.zeros((report.rounds, 1), np.uint8), [cfg.eve]),
+        "detected": rounds.detected.view(np.uint8),
     }
-    aggregate = {
-        "rounds": report.rounds,
-        "detections": report.detections,
-        "rate": report.rate,
-        "expected_rate": report.expected_rate,
-        "z_score": report.z_score,
-    }
-    return aggregate, data
+    names = ("rounds", "detections", "rate", "expected_rate", "z_score")
+    return {name: getattr(report, name) for name in names}, data
 
 
 def _run_sweep(cfg: ExperimentConfig) -> tuple[dict, dict]:
@@ -234,20 +256,11 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple[dict, dict]:
         report = enumerate_branches(inp, chan)
         err = abs(report.success_probability - report.theoretical)
         max_err = max(max_err, err)
-        rows.append(
-            (
-                i, d, m, n,
-                ";".join(repr(abs(c)) for c in chan.coeffs),
-                report.success_probability,
-                report.theoretical,
-                err,
-            )
-        )
+        coeffs = ";".join(repr(abs(c)) for c in chan.coeffs)
+        rows.append((i, d, m, n, coeffs, report.success_probability, report.theoretical, err))
     aggregate = {"specs": cfg.trials, "max_abs_error": max_err}
-    names = (
-        "index", "d", "m", "n", "coeffs", "success_probability", "theoretical", "abs_error",
-    )
-    return aggregate, _columns(names, rows)
+    names = ("index", "d", "m", "n", "coeffs", "success_probability", "theoretical", "abs_error")
+    return aggregate, dict(zip(names, map(list, zip(*rows))))
 
 
 _RUNNERS = {
@@ -265,71 +278,136 @@ def run_campaign(cfg: ExperimentConfig) -> ResultRecord:
     return ResultRecord(
         config=_config_echo(cfg),
         aggregate=aggregate,
-        data=data,
+        data={k: _Column(v) if isinstance(v, np.ndarray) else v for k, v in data.items()},
         elapsed_seconds=time.perf_counter() - start,
     )
 
 
-def _json_column(values: Sequence) -> tuple[str, Sequence]:
-    """(conversion, values) that put one column into the row template:
-    ints as %d, floats by repr with None as null, and strings by
-    json.dumps once per distinct value."""
-    kinds = set(map(type, values))
-    if kinds == {int}:
-        return "%d", values
-    if kinds <= {float, type(None)}:
-        return "%s", ["null" if v is None else repr(v) for v in values]
-    text = {v: json.dumps(v) for v in set(values)}
-    return "%s", list(map(text.__getitem__, values))
+def _scalar_text(value, fmt: str) -> str:
+    """A Python scalar as JSON, or as the field csv.writer writes."""
+    if value is None or value != value:
+        return "null" if fmt == "json" else ""
+    if not isinstance(value, str):
+        return repr(value)
+    if fmt == "json":
+        return json.dumps(value)
+    return '"%s"' % value.replace('"', '""') if _CSV_SPECIAL & set(value) else value
+
+
+def _take_scalars(values: np.ndarray, encode, lo: int, hi: int) -> list[str]:
+    """Rows lo..hi, each distinct value encoded once (floats keyed by bits)."""
+    chunk = values[lo:hi]
+    keys = chunk.view(np.uint64) if chunk.dtype.kind == "f" else chunk
+    distinct, codes = np.unique(keys, return_inverse=True)
+    texts = np.array([encode(v) for v in distinct.view(chunk.dtype).tolist()], dtype=object)
+    return texts[codes].tolist()
+
+
+def _field(column: Sequence, fmt: str, lead: str) -> list:
+    """A column's part of the row: literal strings, and takes whose
+    take(lo, hi) lists the texts of rows lo..hi.  lead, the literal
+    before the field, is folded into the texts a vocabulary gives.
+    Every piece of one text column needs CSV quoting or none does."""
+    encode = partial(_scalar_text, fmt=fmt)
+    if not isinstance(column, _Column):  # an index range, or a sweep's list
+        convert = str if isinstance(column, range) else encode
+        return [lead, lambda lo, hi: list(map(convert, column[lo:hi]))]
+    if column.vocab is None:
+        return [partial(_take_scalars, column.codes, lambda value: lead + encode(value))]
+    codes, texts, sep, quote = column.codes, column.vocab, column.sep, '"'
+    if fmt == "json":
+        texts, sep = [json.dumps(t)[1:-1] for t in texts], json.dumps(sep)[1:-1]
+    elif any(_CSV_SPECIAL & set(t) for t in texts + [sep] * (codes.shape[1] > 1)):
+        texts, sep = [t.replace('"', '""') for t in texts], sep.replace('"', '""')
+    else:
+        quote = ""
+    last = codes.shape[1] - 1
+    vocabs = [  # piece j: its separator (the field's opening for the first), its text, the close
+        np.array([(sep if j else lead + quote) + t + quote * (j == last) for t in texts], object)
+        for j in range(last + 1)
+    ]
+    return [lambda lo, hi, v=v, p=p: v[p[lo:hi]].tolist() for v, p in zip(vocabs, codes.T)]
+
+
+def _json_head(record: ResultRecord) -> Iterator[str]:
+    """The document up to its first row, as json.dumps(indent=2) writes
+    it.  The config's complex pairs go through one template: with an
+    indent, json.dumps runs its pure-Python encoder."""
+    config = dict(record.config)
+    pairs = {key: config.pop(key) for key in ("coeffs", "beta") if key in config}
+    yield json.dumps({"config": config}, indent=2).removesuffix("\n  }\n}")
+    for key, values in pairs.items():
+        yield f',\n    "{key}": [\n'
+        yield ",\n".join("      [\n        %r,\n        %r\n      ]" % tuple(v) for v in values)
+        yield "\n    ]"
+    aggregate = json.dumps({"aggregate": record.aggregate}, indent=2)
+    yield "\n  },\n" + aggregate[2:-2] + ',\n  "rows": ['
+
+
+def _chunks(record: ResultRecord, fmt: str) -> Iterator[str]:
+    """The document: the head, then ROW_CHUNK rows at a time.  A chunk
+    repeats the row, slice-assigns each take's texts into its slots and
+    joins the list once."""
+    row, takes = [], []
+    for i, (name, column) in enumerate(record.data.items()):
+        if fmt == "json":
+            lead = ("," if i else ",\n    {") + f"\n      {json.dumps(name)}: "
+        else:
+            lead = "," if i else ""
+        for entry in _field(column, fmt, lead):
+            if not isinstance(entry, str):
+                takes.append((len(row), entry))
+            row.append(entry)
+    row.append("\n    }" if fmt == "json" else "\r\n")
+
+    rows = len(record.rows)
+    if fmt == "json":
+        yield from _json_head(record)
+    else:
+        yield ",".join(_scalar_text(name, fmt) for name in record.data) + "\r\n"
+    for start in range(0, rows, ROW_CHUNK):
+        stop = min(start + ROW_CHUNK, rows)
+        flat = row * (stop - start)
+        for slot, take in takes:
+            flat[slot :: len(row)] = take(start, stop)
+        if start == 0 and fmt == "json":
+            flat[0] = flat[0][1:]  # no comma before the first row
+        yield "".join(flat)
+    if fmt == "json":
+        yield "\n  ]\n}\n"
 
 
 def to_json_text(record: ResultRecord) -> str:
     """The document {"config", "aggregate", "rows"} as json.dumps(indent=2)
-    writes it, plus a newline; the rows go through one template."""
-    head = json.dumps({"config": record.config, "aggregate": record.aggregate}, indent=2)
-    head = head.removesuffix("\n}")
-    conversions, columns = zip(*map(_json_column, record.data.values()))
-    template = "    {\n%s\n    }" % ",\n".join(
-        f"      {json.dumps(name).replace('%', '%%')}: {conversion}"
-        for name, conversion in zip(record.data, conversions)
-    )
-    rows = ",\n".join(map(template.__mod__, zip(*columns)))
-    rows = f"[\n{rows}\n  ]" if rows else "[]"
-    return f'{head},\n  "rows": {rows}\n}}\n'
+    writes it, plus a newline."""
+    return "".join(_chunks(record, "json"))
 
 
 def to_csv_text(record: ResultRecord) -> str:
-    """Rows only, RFC 4180 quoting, fixed documented header.
-
-    csv.writer writes floats by repr, the shortest round-trip form, so
-    the CSV carries exactly the numeric values of the JSON emission, and
-    None as an empty field.
-    """
-    buf = io.StringIO()
-    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
-    writer.writerow(record.columns)
-    writer.writerows(zip(*record.data.values()))
-    return buf.getvalue()
+    """Rows only, RFC 4180 quoting, fixed documented header, as csv.writer
+    writes them: floats by repr, exactly the JSON's values; None empty."""
+    return "".join(_chunks(record, "csv"))
 
 
-def write_output(record: ResultRecord, path: str | None, fmt: str) -> str:
-    """Serialize and write atomically (temp file then rename).
-
-    Returns the serialized text; writes to stdout when path is None.
-    """
-    text = to_json_text(record) if fmt == "json" else to_csv_text(record)
+def write_output(record: ResultRecord, path: str | None, fmt: str) -> None:
+    """Stream the document to stdout when path is None, else atomically:
+    into a temp file, given the mode open(path, "w") would get, then
+    renamed over path."""
+    chunks = _chunks(record, fmt)
     if path is None:
-        print(text, end="")
-        return text
+        sys.stdout.writelines(chunks)
+        return
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qteleport-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    return text

@@ -1,17 +1,23 @@
 """Experiment configs, campaign output, and the command-line interface."""
 
+import contextlib
 import csv
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qteleport
-from qteleport import config, selftest
+from qteleport import campaign, config, selftest
 from qteleport.campaign import run_campaign, to_csv_text, to_json_text, write_output
 from qteleport.cli import main
 from qteleport.config import ConfigError, load_config, random_coeffs, resolve_beta, resolve_coeffs
@@ -252,8 +258,8 @@ def test_write_output_atomic(tmp_path):
     doc = dict(BASE)
     record = run_campaign(load_config(doc))
     path = tmp_path / "sub" / "out.json"
-    text = write_output(record, str(path), "json")
-    assert path.read_text() == text
+    write_output(record, str(path), "json")
+    assert path.read_text() == to_json_text(record)
     leftovers = [p for p in path.parent.iterdir() if p.name != "out.json"]
     assert leftovers == []
 
@@ -323,6 +329,103 @@ def test_write_output_stdout_and_file_bytes_agree(fmt, tmp_path, capsys):
     write_output(record, None, fmt)
     write_output(record, str(path), fmt)
     assert capsys.readouterr().out.encode() == path.read_bytes()
+
+
+def _streamed(record, fmt):
+    """write_output's bytes to stdout and to a file."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        write_output(record, None, fmt)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, f"out.{fmt}")
+        write_output(record, path, fmt)
+        with open(path, "rb") as handle:
+            return stdout.getvalue().encode(), handle.read()
+
+
+def _assert_streams_match_references(record, chunk):
+    with mock.patch.object(campaign, "ROW_CHUNK", chunk):
+        for fmt, reference in (("json", _reference_json), ("csv", _reference_csv)):
+            expected = reference(record).encode()
+            assert _streamed(record, fmt) == (expected, expected)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+@pytest.mark.parametrize("name", WRITER_DOCS)
+def test_streamed_writer_matches_whole_document_encoders(name, chunk):
+    _assert_streams_match_references(run_campaign(load_config(dict(WRITER_DOCS[name]))), chunk)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(2, 3),
+    m=st.integers(2, 3),
+    n=st.integers(0, 2),
+    trials=st.integers(1, 30),
+    seed=st.integers(0, 2**32),
+    chunk=st.sampled_from([1, 2, 7]),
+)
+@example(d=2, m=2, n=0, trials=9, seed=1, chunk=2)  # controllers "|": no digits
+@example(d=3, m=2, n=2, trials=9, seed=1, chunk=7)  # controllers "x,x|x,x": CSV quotes
+def test_streamed_montecarlo_matches_whole_document_encoders(d, m, n, trials, seed, chunk):
+    doc = {
+        "kind": "montecarlo", "d": d, "m": m, "n": n, "trials": trials, "seed": seed,
+        "coeffs": f"random:{seed}", "beta": f"random:{seed + 1}",
+    }
+    record = run_campaign(load_config(doc))
+    _assert_streams_match_references(record, chunk)
+    if n >= 2:
+        assert '"' in to_csv_text(record).split("\r\n")[1]
+
+
+def test_write_output_file_gets_the_mode_open_would_give(tmp_path):
+    record = run_campaign(load_config(dict(BASE)))
+    umask = os.umask(0o022)
+    try:
+        write_output(record, str(tmp_path / "out.json"), "json")
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE((tmp_path / "out.json").stat().st_mode) == 0o644
+
+
+# The child's own peak RSS in bytes.  On Linux a started process's
+# ru_maxrss begins at its parent's mark (here the test runner's), so the
+# child reads its address space's mark, VmHWM, where the system has one.
+_PEAK_RSS_CHILD = """
+import resource, sys
+from qteleport.cli import main
+code = main(sys.argv[1:])
+try:
+    with open("/proc/self/status") as status:
+        kib = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+except (OSError, StopIteration):
+    kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(kib * 1024, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_long_montecarlo_output_is_written_in_bounded_memory(tmp_path):
+    """A run writing ~36 MiB of JSON raises its peak RSS over a 100-trial
+    run of the same shape by well under its output size (about a third
+    today): the rows are streamed, and the columns hold a few bytes per
+    trial."""
+    src = os.path.dirname(os.path.dirname(qteleport.__file__))
+    args = ["montecarlo", "--d", "2", "--m", "1", "--n", "2", "--seed", "3"]
+
+    def run(trials):
+        out = tmp_path / f"mc-{trials}.json"
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS_CHILD, *args, "--trials", str(trials), "--out", out],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stderr.split()[-1]), out.stat().st_size
+
+    tiny_rss, _ = run(100)
+    big_rss, size = run(200_000)
+    assert size > 30 * 2**20
+    assert big_rss - tiny_rss < size / 2, (tiny_rss, big_rss, size)
 
 
 def test_timing_never_serialized():
