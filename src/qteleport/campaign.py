@@ -32,7 +32,7 @@ import numpy as np
 from ._streams import child_uniforms
 from .config import ExperimentConfig, random_coeffs
 from .decoy import _z_score, detection_campaign
-from .primitives import ChannelSpec
+from .primitives import ChannelSpec, _View
 from .protocol import (
     InputStateSpec,
     _digits,
@@ -55,7 +55,7 @@ ROW_CHUNK = 4096  # rows per written chunk: as fast as 1024, 16384 is slower and
 _CSV_SPECIAL = frozenset(',"\r\n')  # csv.writer quotes a field holding one
 
 
-class _Column(Sequence):
+class _Column(_View):
     """One output column.  Without a vocabulary the codes are the values
     (NaN reads as None); else row i is vocab[codes[i, j]] joined by sep."""
 
@@ -65,10 +65,8 @@ class _Column(Sequence):
     def __len__(self) -> int:
         return len(self.codes)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        code = self.codes[index]
+    def _item(self, i: int):
+        code = self.codes[i]
         if self.vocab is None:
             value = code.item()
             return None if value != value else value
@@ -90,7 +88,7 @@ def _text_column(digits: np.ndarray, d: int, inner: str, sep: str) -> _Column:
     return _Column(codes, [inner.join(map(str, g)) for g in groups[first].tolist()], sep)
 
 
-class _Rows(Sequence):
+class _Rows(_View):
     """Read-only view of columns as row dicts, built when a row is read."""
 
     def __init__(self, data: dict[str, Sequence]):
@@ -99,10 +97,8 @@ class _Rows(Sequence):
     def __len__(self) -> int:
         return len(next(iter(self._data.values())))
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        return {name: values[index] for name, values in self._data.items()}
+    def _item(self, i: int) -> dict:
+        return {name: values[i] for name, values in self._data.items()}
 
 
 @dataclass

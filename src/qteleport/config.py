@@ -17,7 +17,7 @@ import numpy as np
 from .decoy import EVE_ACTIONS
 from .primitives import ChannelSpec
 from .protocol import InputStateSpec, _check_branches
-from .state import MAX_AMPLITUDES_ENV, SizeGuardError, max_amplitudes
+from .state import MAX_AMPLITUDES_ENV, SizeGuardError, _rng_from_seed, max_amplitudes
 
 KINDS = ("enumerate", "montecarlo", "decoy", "sweep")
 FORMATS = ("json", "csv")
@@ -61,8 +61,7 @@ def random_coeffs(d: int, seed: int) -> tuple[complex, ...]:
     Weights |c_j|^2 are drawn uniformly from [0.25, 1.75] and rescaled
     so that (1/d) * sum |c_j|^2 = 1.
     """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    weights = rng.uniform(0.25, 1.75, size=d)
+    weights = _rng_from_seed(seed).uniform(0.25, 1.75, size=d)
     weights *= d / weights.sum()
     return tuple(complex(v) for v in np.sqrt(weights))
 

@@ -13,28 +13,21 @@ adversary's basis for an action.  The public per-step API
 either way.
 
 detection_campaign computes the same rounds as arrays, straight from
-the generator's raw 64-bit words.  A round's draws come in a fixed
-pattern (_pair_layout): 32-bit integers() draws take word halves, low
-half first, and random() draws take whole words.  Chunks hold an even
-number of rounds, so no chunk starts with half a word pending.
-Outcomes are read from cumulative Born tables (_born_tables) built by
-_measure's arithmetic, and integers() by Lemire's multiply-shift.  If
-numpy would reject a draw and read another, the pattern breaks: the
-campaign then reruns with the _flat_round loop, the reference.  The
-rounds stay columns (_Rounds); a DecoyRound is built only when read.
+the generator's raw 64-bit words (its docstring gives the draw pattern).
+The rounds stay columns (_Rounds); a DecoyRound is built only when read.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .state import StateVector, _sample, _sample_rows, make_state
-from .primitives import DIMENSION_CACHE_SIZE, _read_only, x_basis_matrix
+from .state import StateVector, _rng_from_seed, _sample, _sample_rows, make_state
+from .primitives import DIMENSION_CACHE_SIZE, _read_only, _View, x_basis_matrix
 
 EVE_ACTIONS = ("none", "measure_Z_resend", "measure_X_resend", "random_basis_resend")
 
@@ -166,10 +159,6 @@ def _z_score(hits: int, trials: int, p: float) -> float:
     return float((hits / trials - p) / np.sqrt(p * (1.0 - p) / trials))
 
 
-def _campaign_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
 def _flat_round(d: int, eve_action: str, rng: np.random.Generator) -> DecoyRound:
     """One decoy round on a plain length-d ket, without StateVector objects."""
     prep_basis, prep_value = _draw_prep(d, rng)
@@ -247,7 +236,7 @@ def _campaign_columns(d: int, eve_action: str, rounds: int, seed: int):
     rounds the _flat_round loop draws, computed from the raw stream."""
     tables = _born_tables(d)
     words, layout = _pair_layout(eve_action)
-    bit_generator = _campaign_rng(seed).bit_generator
+    bit_generator = _rng_from_seed(seed).bit_generator
     basis = np.empty(rounds, np.uint8)
     value = np.empty(rounds, np.intp)
     detected = np.empty(rounds, bool)
@@ -280,7 +269,7 @@ def _campaign_columns(d: int, eve_action: str, rounds: int, seed: int):
 
 def _loop_columns(d: int, eve_action: str, rounds: int, seed: int):
     """_campaign_columns by the reference loop: one _flat_round per round."""
-    rng = _campaign_rng(seed)
+    rng = _rng_from_seed(seed)
     played = [_flat_round(d, eve_action, rng) for _ in range(rounds)]
     return (
         np.array([r.prep_basis == "X" for r in played], np.uint8),
@@ -289,7 +278,7 @@ def _loop_columns(d: int, eve_action: str, rounds: int, seed: int):
     )
 
 
-class _Rounds(Sequence):
+class _Rounds(_View):
     """Read-only view of a campaign's rounds, held as columns.  A
     DecoyRound is built only when a round is read; the view equals any
     sequence of the same rounds.
@@ -308,14 +297,6 @@ class _Rounds(Sequence):
     def __len__(self) -> int:
         return self.basis.size
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._round(i) for i in range(*index.indices(len(self)))]
-        return self._round(index)
-
-    def __iter__(self) -> Iterator[DecoyRound]:
-        return map(self._round, range(len(self)))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
             return NotImplemented
@@ -323,8 +304,7 @@ class _Rounds(Sequence):
 
     __hash__ = None
 
-    def _round(self, i: int) -> DecoyRound:
-        # Indexing the columns rejects an index out of range.
+    def _item(self, i: int) -> DecoyRound:
         return DecoyRound(
             "ZX"[self.basis[i]], int(self.value[i]), self.eve_action, bool(self.detected[i])
         )
@@ -335,8 +315,8 @@ def detection_campaign(
 ) -> tuple[DetectionReport, Sequence[DecoyRound]]:
     """Run independent decoy rounds and compare against the analytic rate.
 
-    The rounds are those a loop of _flat_round draws from
-    Generator(Philox(SeedSequence(seed))), computed as arrays from the
+    The rounds are those a loop of _flat_round draws from the seed's
+    Philox stream (state._rng_from_seed), computed as arrays from the
     generator's raw 64-bit words.  Each round draws in a fixed pattern
     (_pair_layout), so the words a round reads follow from its index:
       * none:                 one word for the basis (low half) and the

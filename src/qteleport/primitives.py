@@ -11,6 +11,8 @@ Conventions:
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -106,6 +108,22 @@ def _read_only(mat: np.ndarray) -> np.ndarray:
     """Freeze a cached array: every caller shares the one instance."""
     mat.setflags(write=False)
     return mat
+
+
+class _View(Sequence):
+    """Read-only sequence that builds item i (_item) only when it is
+    read; a view defines __len__ and _item."""
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._item(i) for i in range(*index.indices(len(self)))]
+        i, size = operator.index(index), len(self)
+        if not -size <= i < size:
+            raise IndexError(f"index {index} out of range for {size} items")
+        return self._item(i % size)
+
+    def __iter__(self):
+        return map(self._item, range(len(self)))
 
 
 @lru_cache(maxsize=DIMENSION_CACHE_SIZE)

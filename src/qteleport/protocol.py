@@ -22,34 +22,21 @@ once per spec.
 u_max_m and correction_unitary remain the reference matrices the tests
 check these closed forms against.
 
-Sampling runs in closed form, with no state engine: _sample_runs draws
-a batch of runs at once.  Per copy it draws the sender's outcome from
-the digit's marginal of the input's density, then contracts that digit
-away, and the controllers' outcomes, which are uniform; then it gathers
-the receiver once.  The montecarlo campaign runs it in chunks of trials
-fed by _streams; run_structured(seed=...) runs it as a batch of one.
-Every draw reads one uniform by the state engine's rule, so a seed gives
-the outcomes the engine's copy loop gives.
-
-The copy loop (_run) on the state engine is the reference the sampler is
-tested against.  Its entry points differ only in when the channel
-copies are attached:
-
-  * run_protocol            -- all copies up front, the full dense register
-  * run_structured(forced=) -- each copy just before it is measured, so
-                               the full register never exists
-
-plus an exact oracle, enumerate_branches, that lists every branch with
-its exact probability and fidelity.  A copy's controllers reach the
-receiver only through the sum of their X outcomes, so the oracle
+Runs are sampled or forced in closed form by _sample_runs, which draws
+a batch of runs at once: every run_structured call is a batch of one,
+and the montecarlo campaign runs it in chunks of trials fed by _streams.
+The copy loop (_run) on the state engine is the dense reference the
+closed form is tested against; run_protocol runs it on the full dense
+register.  The exact oracle, enumerate_branches, lists every branch
+with its exact probability and fidelity.  A copy's controllers reach
+the receiver only through the sum of their X outcomes, so the oracle
 projects every (sender outcome, sum) group at once, as arrays, and
 gathers the leaves from the groups.
 """
 
 from __future__ import annotations
 
-import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import NamedTuple
@@ -61,6 +48,7 @@ from .primitives import (
     ChannelSpec,
     _read_only,
     _receiver_constants,
+    _View,
     channel_state,
     gbs_basis_matrix,
     x_basis_matrix,
@@ -69,7 +57,8 @@ from .state import (
     SizeGuardError,
     StateVector,
     _check_size,
-    _sample_rows,
+    _draw,
+    _rng_from_seed,
     make_state,
     measure_in_basis,
     tensor,
@@ -121,7 +110,7 @@ class InputStateSpec:
     @classmethod
     def random(cls, d: int, m: int, seed: int) -> "InputStateSpec":
         """Haar-like random state: 2 d^m standard normals, normalized."""
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        rng = _rng_from_seed(seed)
         raw = rng.standard_normal(d**m) + 1j * rng.standard_normal(d**m)
         return cls(d, m, raw / np.linalg.norm(raw))
 
@@ -174,7 +163,7 @@ class BranchRecord:
     fidelity: float
 
 
-class _Branches(Sequence):
+class _Branches(_View):
     """Read-only view of an enumeration's leaves, in (gbs, controllers,
     aux) product order.  A BranchRecord is built only when a leaf is read.
 
@@ -191,20 +180,7 @@ class _Branches(Sequence):
     def __len__(self) -> int:
         return self.probability.size
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._record(i) for i in range(*index.indices(len(self)))]
-        i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(f"branch index {index} out of range for {len(self)} branches")
-        return self._record(i)
-
-    def __iter__(self) -> Iterator[BranchRecord]:
-        return map(self._record, range(len(self)))
-
-    def _record(self, i: int) -> BranchRecord:
+    def _item(self, i: int) -> BranchRecord:
         sender, leaf = divmod(i, self._per_sender)
         ctrl, aux = divmod(leaf, 2)
         return BranchRecord(
@@ -238,16 +214,6 @@ class BranchReport:
 def theoretical_success_probability(spec: ChannelSpec) -> float:
     """(min_j |c_j|^2)^m."""
     return spec.min_weight**spec.m
-
-
-def _rng_from_seed(seed) -> np.random.Generator:
-    """Counter-based generator from an int seed or a pre-split SeedSequence."""
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    return np.random.Generator(np.random.Philox(seed))
-
-
-_Z2 = _read_only(np.eye(2, dtype=complex))
 
 
 def _extract(state: StateVector, spec: ChannelSpec) -> StateVector:
@@ -329,23 +295,12 @@ def _validate_pair(input_spec: InputStateSpec, spec: ChannelSpec) -> None:
         )
 
 
-def _copy_labels(spec: ChannelSpec, l: int) -> tuple[str, ...]:
-    return tuple(f"a_{k}_{l}" for k in range(spec.n + 2))
-
-
 def _attach_copy(state: StateVector, spec: ChannelSpec, l: int) -> StateVector:
     """The register with channel copy l tensored in last, unless it holds it."""
     if f"a_0_{l}" in state.labels:
         return state
-    return tensor(state, channel_state(spec, labels=_copy_labels(spec, l)))
-
-
-def _full_register(input_state: StateVector, spec: ChannelSpec) -> StateVector:
-    """The input followed by all m channel copies, as one dense register."""
-    state = input_state
-    for l in range(1, spec.m + 1):
-        state = _attach_copy(state, spec, l)
-    return state
+    labels = tuple(f"a_{k}_{l}" for k in range(spec.n + 2))
+    return tensor(state, channel_state(spec, labels=labels))
 
 
 def run_protocol(
@@ -362,8 +317,10 @@ def run_protocol(
     input, and the probability of the realized branch.
     """
     _validate_pair(input_spec, spec)
-    input_state = input_spec.state()
-    return _run(_full_register(input_state, spec), input_state, spec, seed, forced)
+    state = input_state = input_spec.state()
+    for l in range(1, spec.m + 1):
+        state = _attach_copy(state, spec, l)
+    return _run(state, input_state, spec, seed, forced)
 
 
 def run_structured(
@@ -372,19 +329,16 @@ def run_structured(
     seed: int | None = None,
     forced: ForcedBranch | None = None,
 ) -> Transcript:
-    """Same observable contract as run_protocol, without the full register.
-
-    A seeded run is the closed-form sampler (_sample_runs) as a batch of
-    one, fed by the first _draw_count(spec) random() values of the seed's
-    Philox stream, the values the copy loop would read.  A forced run is
-    the copy loop attaching each channel copy just before it is measured.
-    """
+    """Same observable contract as run_protocol, in closed form: the
+    sampler (_sample_runs) as a batch of one.  A seeded run reads the
+    first _draw_count(spec) random() values of the seed's Philox stream,
+    the values the copy loop would read; a forced run reads the branch's
+    outcome indices."""
     _validate_pair(input_spec, spec)
-    input_state = input_spec.state()
-    if forced is not None or seed is None:
-        return _run(input_state, input_state, spec, seed, forced)
-    uniforms = _rng_from_seed(seed).random(_draw_count(spec))
-    sample = _sample_runs(input_state, spec, uniforms[None])
+    draws = _forced_draws(spec, seed, forced)
+    if draws is None:
+        draws = _rng_from_seed(seed).random(_draw_count(spec))
+    sample = _sample_runs(input_spec.state(), spec, draws[None])
     return Transcript(
         seed=seed if isinstance(seed, int) else None,
         gbs=tuple(map(tuple, sample.gbs[0].tolist())),
@@ -397,6 +351,33 @@ def run_structured(
     )
 
 
+def _forced_draws(
+    spec: ChannelSpec, seed: int | None, forced: ForcedBranch | None
+) -> np.ndarray | None:
+    """A forced branch as _sample_runs' draw row, checked against the
+    spec; None for a seeded run.  Exactly one of seed and forced is
+    required."""
+    if (forced is None) == (seed is None):
+        raise ValueError("exactly one of seed or forced is required")
+    if forced is None:
+        return None
+    d, m, n = spec.d, spec.m, spec.n
+    integral = (int, np.integer)
+    for name, copies, width in (("gbs", forced.gbs, 2), ("controllers", forced.controllers, n)):
+        if len(copies) != m:
+            raise ValueError(f"forced {name} has {len(copies)} copies, not {m}")
+        for l, outcomes in enumerate(copies):
+            if len(outcomes) != width:
+                raise ValueError(f"forced {name}[{l}] has {len(outcomes)} outcomes, not {width}")
+            if not all(isinstance(x, integral) and 0 <= x < d for x in outcomes):
+                raise ValueError(f"forced {name}[{l}] = {outcomes} is not in 0..{d - 1}")
+    if not (isinstance(forced.aux, integral) and forced.aux in (0, 1)):
+        raise ValueError(f"forced aux = {forced.aux!r} is not 0 or 1")
+    gbs = np.array(forced.gbs, dtype=int).reshape(m, 2)
+    controllers = np.array(forced.controllers, dtype=int).reshape(m, n)
+    return np.append(np.column_stack((gbs @ (d, 1), controllers)), forced.aux)
+
+
 def _run(
     state: StateVector,
     input_state: StateVector,
@@ -404,18 +385,22 @@ def _run(
     seed: int | None,
     forced: ForcedBranch | None,
 ) -> Transcript:
-    """The protocol on the state engine: the reference for the sampler.
+    """The protocol on the state engine: the dense reference for the
+    closed form.
 
     The register holds the input and any channel copies; copy l is
     tensored in just before its measurements unless the register
-    already holds it.  Then come the extraction and the aux measurement.
-    The receiver is scored, not corrected: on success against the input
-    pulled back through the correction, on failure (a diagnostic only:
-    the uncorrected leftover) against the input.
+    already holds it, so on the input alone the full register never
+    exists.  Every measurement reads one uniform of the seed's stream or
+    the next forced outcome, in _sample_runs' order.  Then come the
+    extraction and the aux measurement.  The receiver is scored, not
+    corrected: on success against the input pulled back through the
+    correction, on failure (a diagnostic only: the uncorrected leftover)
+    against the input.
     """
-    if (forced is None) == (seed is None):
-        raise ValueError("exactly one of seed or forced is required")
-    rng = _rng_from_seed(seed) if forced is None else None
+    draws = _forced_draws(spec, seed, forced)
+    rng = _rng_from_seed(seed) if draws is None else None
+    picks = iter([None] * _draw_count(spec) if draws is None else draws.tolist())
 
     d, m, n = spec.d, spec.m, spec.n
     gbs_mat = gbs_basis_matrix(d)
@@ -426,17 +411,14 @@ def _run(
     for l in range(1, m + 1):
         state = _attach_copy(state, spec, l)
         pair = [state.index_of(f"chi_{l}"), state.index_of(f"a_0_{l}")]
-        forced_k = None if forced is None else forced.gbs[l - 1][0] * d + forced.gbs[l - 1][1]
-        out = measure_in_basis(state, pair, gbs_mat, rng, forced_k)
+        out = measure_in_basis(state, pair, gbs_mat, rng, next(picks))
         state = out.post_state
         probability *= out.probability
         gbs_outcomes.append((out.value // d, out.value % d))
         copy_ctrl = []
         for q in range(1, n + 1):
-            forced_x = None if forced is None else forced.controllers[l - 1][q - 1]
-            out = measure_in_basis(
-                state, [state.index_of(f"a_{q}_{l}")], x_mat, rng, forced_x
-            )
+            target = [state.index_of(f"a_{q}_{l}")]
+            out = measure_in_basis(state, target, x_mat, rng, next(picks))
             state = out.post_state
             probability *= out.probability
             copy_ctrl.append(out.value)
@@ -444,9 +426,7 @@ def _run(
 
     # Only the receiver's qudits remain, in copy order; the aux joins last.
     r_sums = tuple(sum(c) % d for c in ctrl_outcomes)
-    out = measure_in_basis(
-        _extract(state, spec), [m], _Z2, rng, None if forced is None else forced.aux
-    )
+    out = measure_in_basis(_extract(state, spec), [m], np.eye(2), rng, next(picks))
     probability *= out.probability
     if out.value == 0:
         shifts = [(r + rho, s) for (r, s), rho in zip(gbs_outcomes, r_sums)]
@@ -512,13 +492,17 @@ def _sampler_constants(spec: ChannelSpec) -> tuple[np.ndarray, ...]:
     return tuple(map(_read_only, tables))
 
 
-def _sample_runs(input_state: StateVector, spec: ChannelSpec, uniforms) -> _Samples:
-    """Sampled runs in closed form, one per row of uniforms.
+def _sample_runs(input_state: StateVector, spec: ChannelSpec, draws) -> _Samples:
+    """Runs in closed form, with no state engine: one per row of draws.
 
-    Row i of uniforms (batch, _draw_count(spec)) holds the random()
-    values one run reads, in the copy loop's order: per copy the sender,
-    then its n controllers; the aux last.  Every draw is state._sample's
-    rule (_sample_rows), so the outcomes are the copy loop's.
+    Row i of draws (batch, _draw_count(spec)) holds one run's draws in
+    the copy loop's order: per copy the sender's, then its n
+    controllers'; the aux last.  Uniforms (float) are sampled by
+    state._sample_rows, the state engine's rule, so a seed's stream
+    gives the copy loop's outcomes.  Outcome indices (int) force the
+    branch: the sender's r d + s, each controller's x, the aux.  A
+    forced outcome holding less than state.FORCED_OUTCOME_FLOOR of its
+    row's weight raises ValueError, as measure_in_basis does.
 
     Copy l's sender measurement moves input digit l to the receiver.
     Per copy, in closed form:
@@ -533,11 +517,12 @@ def _sample_runs(input_state: StateVector, spec: ChannelSpec, uniforms) -> _Samp
         sum mod d: one row of the sender table.
     So the draws read only the density, kept in the input's frame as
     rest (batch, d, d^(m-l-1)): its digit-l marginal is rest.sum(-1),
-    and after the draw digit l is contracted away with a_(t+s).  One
-    _gather then gives the receiver (sender rows) and the input pulled
-    back through (r + rho, s) (phase rows).  Nothing is renormalized: a
-    draw reads its weights relative to their total, so the aux weight is
-    the branch probability up to the controllers' d^(-m n).
+    and after the draw digit l is contracted away with a_(t+s), so the
+    array shrinks by d per copy.  One _gather then gives the receiver
+    (sender rows) and the input pulled back through (r + rho, s) (phase
+    rows).  Nothing is renormalized: a draw reads its weights relative
+    to their total, so the aux weight is the branch probability up to
+    the controllers' d^(-m n).
     """
     d, m, n = spec.d, spec.m, spec.n
     # The receiver with the aux qubit, or the sender's d^2 outcome weights.
@@ -546,9 +531,9 @@ def _sample_runs(input_state: StateVector, spec: ChannelSpec, uniforms) -> _Samp
         _sampler_constants(spec)
     )
     _, _, phase_rows = _receiver_constants(spec)
-    batch = len(uniforms)
-    u = uniforms[:, :-1].reshape(batch, m, n + 1)
-    controllers = _sample_rows(controller.cumsum(), u[..., 1:])
+    batch = len(draws)
+    per_copy = draws[:, :-1].reshape(batch, m, n + 1)
+    controllers = _draw(controller, per_copy[..., 1:])
     rho = controllers.sum(axis=-1) % d
     gbs = np.empty((batch, m, 2), dtype=int)
 
@@ -557,14 +542,13 @@ def _sample_runs(input_state: StateVector, spec: ChannelSpec, uniforms) -> _Samp
     for l in range(m):
         rest = rest.reshape(len(rest), d, d ** (m - l - 1))
         sender = (rest.sum(axis=-1) @ cross)[:, outcomes]
-        drawn = _sample_rows(sender.cumsum(axis=-1), u[:, l, 0])
-        gbs[:, l, 0], gbs[:, l, 1] = np.divmod(drawn, d)
+        gbs[:, l, 0], gbs[:, l, 1] = np.divmod(_draw(sender, per_copy[:, l, 0]), d)
         rest = cross[gbs[:, l, 1]][:, None] @ rest
 
     shifts = np.stack((gbs[..., 0] + rho, gbs[..., 1]), axis=-1)
     receiver, refs = _gather(amps, d, shifts, (sender_rows, phase_rows))
     weights = (receiver.real**2 + receiver.imag**2) @ extraction
-    aux = _sample_rows(weights.cumsum(axis=-1), uniforms[:, -1])
+    aux = _draw(weights, draws[:, -1])
     weight = weights[np.arange(batch), aux]
     receiver *= rotation[aux]
     # Success scores against the pulled-back input, failure (a

@@ -2,9 +2,9 @@
 
 A fast, dependency-free subset of the full pytest suite: algebraic
 identities of the named states and unitaries, the exact branch oracle
-against the closed-form success probability, path equivalence, the
-sampler against the copy loop and the success rate, and the decoy
-statistics.
+against the closed-form success probability, forced closed-form runs
+against the dense engine, the seeded sampler against the copy loop and
+the success rate, and the decoy statistics.
 """
 
 from __future__ import annotations
@@ -121,15 +121,23 @@ def _oracle_matches_formula() -> bool:
 
 
 def _paths_agree() -> bool:
-    spec = prim.ChannelSpec(3, 1, 1, (np.sqrt(1.5), np.sqrt(1.0), np.sqrt(0.5)))
-    inp = InputStateSpec.random(3, 1, 5)
-    forced = ForcedBranch(gbs=((1, 2),), controllers=((2,),), aux=0)
-    a = run_protocol(inp, spec, forced=forced)
-    b = run_structured(inp, spec, forced=forced)
-    return (
-        abs(a.probability - b.probability) < 1e-10
-        and abs(a.fidelity - b.fidelity) < 1e-10
+    """Forced runs in closed form against the dense engine: a success
+    and a failure branch, and a branch at m = 2, n = 2."""
+    skewed = prim.ChannelSpec(3, 1, 1, (np.sqrt(1.5), np.sqrt(1.0), np.sqrt(0.5)))
+    wide = prim.ChannelSpec(2, 2, 2, (np.sqrt(1.6), np.sqrt(0.4)))
+    cases = [
+        (InputStateSpec.random(3, 1, 5), skewed, ForcedBranch(((1, 2),), ((2,),), aux))
+        for aux in (0, 1)
+    ]
+    cases.append(
+        (InputStateSpec.random(2, 2, 6), wide, ForcedBranch(((1, 0), (1, 1)), ((1, 0), (1, 1)), 0))
     )
+    for inp, spec, forced in cases:
+        a = run_protocol(inp, spec, forced=forced)
+        b = run_structured(inp, spec, forced=forced)
+        if abs(a.probability - b.probability) > 1e-10 or abs(a.fidelity - b.fidelity) > 1e-10:
+            return False
+    return True
 
 
 def _sampling_matches_copy_loop() -> bool:

@@ -182,17 +182,8 @@ def _remaining(state: StateVector, targets: list[int]):
     return dims, labels
 
 
-# Read-only bases already validated this session, keyed by object
-# identity (the keyed arrays are retained, so ids stay live).  Writable
-# arrays are revalidated on every call.  Bounded FIFO.
-_VALIDATED_BASES: dict[int, np.ndarray] = {}
-
-
 def _basis_matrix(basis, block: int) -> np.ndarray:
     """Stack basis kets into rows and validate orthonormal completeness."""
-    frozen = isinstance(basis, np.ndarray) and not basis.flags.writeable
-    if frozen and _VALIDATED_BASES.get(id(basis)) is basis and basis.shape == (block, block):
-        return basis
     if isinstance(basis, np.ndarray) and basis.ndim == 2:
         mat = basis if basis.dtype == complex else basis.astype(complex)
     else:
@@ -208,10 +199,6 @@ def _basis_matrix(basis, block: int) -> np.ndarray:
     gram = mat @ mat.conj().T
     if float(np.max(np.abs(gram - np.eye(block)))) > ORTHONORMALITY_TOL:
         raise ValueError("basis is not orthonormal within tolerance")
-    if mat is basis and frozen:
-        if len(_VALIDATED_BASES) > 64:
-            _VALIDATED_BASES.pop(next(iter(_VALIDATED_BASES)))
-        _VALIDATED_BASES[id(basis)] = basis
     return mat
 
 
@@ -247,21 +234,40 @@ def branch_outcomes(state: StateVector, targets, basis) -> list[MeasurementOutco
     return outcomes
 
 
-def _sample(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Born draw: one uniform from rng picks an index by cumulative weight."""
-    cumulative = np.cumsum(probs)
-    return min(
-        int(np.searchsorted(cumulative, rng.random() * cumulative[-1], "right")),
-        probs.size - 1,
-    )
+def _rng_from_seed(seed) -> np.random.Generator:
+    """The Philox stream of an int seed or a SeedSequence; an int seeds
+    through SeedSequence(seed)."""
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def _sample_rows(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """_sample's draw along the last axis of cumulative weights, one
-    uniform per row: the count of weights up to u times the row's total
-    (searchsorted "right"), capped at the last index."""
+    """The Born draw along the last axis of cumulative weights, one
+    uniform per row: the count of weights up to u times the row's total,
+    capped at the last index."""
     below = (cumulative <= u[..., None] * cumulative[..., -1:]).sum(axis=-1)
     return np.minimum(below, cumulative.shape[-1] - 1)
+
+
+def _sample(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """Born draw: _sample_rows on one row, from one uniform of rng."""
+    return int(_sample_rows(np.cumsum(probs), np.asarray(rng.random())))
+
+
+def _draw(weights: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """The outcome each draw picks along the last axis of weights: a
+    uniform (float) by _sample_rows, or a forced outcome index (int),
+    which must hold at least FORCED_OUTCOME_FLOOR of its row's weight."""
+    if draws.dtype.kind == "f":
+        return _sample_rows(weights.cumsum(axis=-1), draws)
+    weights = np.broadcast_to(weights, draws.shape + weights.shape[-1:])
+    share = np.take_along_axis(weights, draws[..., None], -1)[..., 0] / weights.sum(-1)
+    if (share < FORCED_OUTCOME_FLOOR).any():
+        worst = np.argmin(share)
+        raise ValueError(
+            f"forced outcome {draws.flat[worst]} has negligible probability "
+            f"{share.flat[worst]:.3e}"
+        )
+    return draws
 
 
 def measure_in_basis(
@@ -281,12 +287,7 @@ def measure_in_basis(
     if forced_outcome is not None:
         if forced_outcome < 0 or forced_outcome >= probs.size:
             raise ValueError(f"forced outcome {forced_outcome} out of range")
-        idx = int(forced_outcome)
-        if probs[idx] < FORCED_OUTCOME_FLOOR:
-            raise ValueError(
-                f"forced outcome {forced_outcome} has negligible probability "
-                f"{probs[idx]:.3e}"
-            )
+        idx = int(_draw(probs, np.asarray(forced_outcome, dtype=np.intp)))
     else:
         if rng is None:
             raise ValueError("either rng or forced_outcome is required")

@@ -248,11 +248,56 @@ def test_structured_path_survives_dense_size_guard():
 def test_run_requires_exactly_one_of_seed_and_forced():
     spec = _spec(2, 0, 1, (1.0, 1.0))
     inp = InputStateSpec.basis(2, 1, 0)
-    with pytest.raises(ValueError, match="exactly one"):
-        run_protocol(inp, spec)
     forced = ForcedBranch(gbs=((0, 0),), controllers=((),), aux=0)
-    with pytest.raises(ValueError, match="exactly one"):
-        run_protocol(inp, spec, seed=1, forced=forced)
+    for run in (run_protocol, run_structured):
+        with pytest.raises(ValueError, match="exactly one"):
+            run(inp, spec)
+        with pytest.raises(ValueError, match="exactly one"):
+            run(inp, spec, seed=1, forced=forced)
+
+
+@pytest.mark.parametrize("run", [run_protocol, run_structured])
+@pytest.mark.parametrize(
+    "gbs, controllers, aux, field",
+    [
+        (((0, 4),), ((0,),), 0, "gbs"),  # s past d - 1
+        (((1, -1),), ((0,),), 0, "gbs"),  # negative s
+        (((0, 1.5),), ((0,),), 0, "gbs"),  # not an integer
+        ((), ((0,),), 0, "gbs"),  # too few copies
+        (((0, 0), (1, 1)), ((0,), (0,)), 0, "gbs"),  # too many copies
+        (((0, 0, 1),), ((0,),), 0, "gbs"),  # not an (r, s) pair
+        (((0, 0),), (), 0, "controllers"),  # too few copies
+        (((0, 0),), ((0, 1),), 0, "controllers"),  # too many controllers
+        (((0, 0),), ((3,),), 0, "controllers"),  # x past d - 1
+        (((0, 0),), ((0,),), 2, "aux"),
+        (((0, 0),), ((0,),), 1.0, "aux"),  # not an integer
+    ],
+)
+def test_forced_branch_is_checked_against_the_spec(run, gbs, controllers, aux, field):
+    spec = _spec(3, 1, 1, (1.5, 1.0, 0.5))
+    inp = InputStateSpec.random(3, 1, 4)
+    with pytest.raises(ValueError, match=f"forced {field}"):
+        run(inp, spec, forced=ForcedBranch(gbs, controllers, aux))
+
+
+@pytest.mark.parametrize("d, m, n", [(2, 2, 1), (3, 1, 2)])
+@pytest.mark.parametrize("skewed", [True, False])
+def test_every_oracle_leaf_replays_on_both_runners(d, m, n, skewed):
+    # The uniform channel's aux = 1 leaves are empty: forcing one raises.
+    spec = _spec(d, n, m, np.linspace(1.5, 0.5, d) if skewed else np.ones(d))
+    inp = InputStateSpec.random(d, m, 7)
+    for leaf in enumerate_branches(inp, spec).branches:
+        forced = ForcedBranch(leaf.gbs, leaf.controllers, leaf.aux)
+        assert (leaf.probability == 0.0) == (not skewed and leaf.aux == 1)
+        for run in (run_protocol, run_structured):
+            if leaf.probability == 0.0:
+                with pytest.raises(ValueError, match="negligible"):
+                    run(inp, spec, forced=forced)
+                continue
+            t = run(inp, spec, forced=forced)
+            assert (t.gbs, t.controllers, t.aux) == (leaf.gbs, leaf.controllers, leaf.aux)
+            assert abs(t.probability - leaf.probability) < 1e-12
+            assert abs(t.fidelity - leaf.fidelity) < 1e-12
 
 
 def test_mismatched_input_and_channel_rejected():

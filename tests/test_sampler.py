@@ -22,6 +22,7 @@ from qteleport.campaign import run_campaign
 from qteleport.config import load_config, random_coeffs
 from qteleport.primitives import ChannelSpec, multi_correction_unitary
 from qteleport.protocol import (
+    ForcedBranch,
     InputStateSpec,
     _draw_count,
     _pullback,
@@ -179,6 +180,20 @@ def test_sampler_applies_the_amplitude_guard(monkeypatch):
     monkeypatch.setenv("QTELEPORT_MAX_AMPLITUDES", "24")
     with pytest.raises(SizeGuardError):
         run_structured(InputStateSpec.random(5, 1, 2), single, seed=1)
+
+
+def test_forced_structured_runs_build_no_full_register(monkeypatch):
+    # d=2 m=2 n=3: the copy loop's register reaches 4 * 32 amplitudes
+    # with the first copy attached; the closed form's widest array, the
+    # receiver with the aux qubit, holds 2 * 2^2.
+    spec = _channel(2, 2, 3, True, 3)
+    inp = InputStateSpec.random(2, 2, 3)
+    forced = ForcedBranch(((1, 0), (0, 1)), ((1, 0, 1), (0, 0, 1)), 0)
+    monkeypatch.setenv("QTELEPORT_MAX_AMPLITUDES", "64")
+    with pytest.raises(SizeGuardError):
+        run_protocol(inp, spec, forced=forced)
+    t = run_structured(inp, spec, forced=forced)
+    assert t.success and t.fidelity > 1 - 1e-9
 
 
 def test_campaign_streams_come_a_block_of_whole_chunks_at_a_time(monkeypatch):
