@@ -88,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("enumerate", "exhaustive branch enumeration with exact probabilities"),
         ("montecarlo", "sampled protocol runs vs the closed-form success rate"),
         ("decoy", "decoy-photon eavesdropping detection statistics"),
-        ("sweep", "branch enumeration over a (d, m, n) grid of random channels"),
+        ("sweep", "exact success probability (the oracle's stage 1: no leaves built) "
+                  "over a (d, m, n) grid of random channels"),
     ):
         p = sub.add_parser(kind, help=helptext)
         _add_common(p)

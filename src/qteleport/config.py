@@ -81,10 +81,10 @@ def _as_complex_list(value, fieldname: str) -> list[complex]:
 
 
 def _parse_seed_directive(value: str, fieldname: str) -> int:
-    try:
-        return int(value.split(":", 1)[1])
-    except (IndexError, ValueError):
-        raise ConfigError(f"{fieldname}: malformed directive {value!r}") from None
+    seed = value.removeprefix("random:")  # the schema's form: ASCII digits only
+    if not (seed.isascii() and seed.isdigit()):
+        raise ConfigError(f"{fieldname}: malformed directive {value!r}")
+    return int(seed)
 
 
 def resolve_coeffs(value, d: int) -> tuple[complex, ...]:
@@ -120,7 +120,8 @@ def resolve_beta(value, d: int, m: int) -> np.ndarray:
     beta = np.asarray(_as_complex_list(value, "beta"))
     if beta.size != size:
         raise ConfigError(f"beta: length must be d^m = {size}, got {beta.size}")
-    norm = float(np.linalg.norm(beta))
+    with np.errstate(over="ignore"):  # an overflow fails the norm check
+        norm = float(np.linalg.norm(beta))
     if abs(norm - 1.0) > 1e-10:
         raise ConfigError(
             f"beta: amplitudes must satisfy sum|beta|^2 = 1, got {norm**2!r}"

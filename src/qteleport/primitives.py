@@ -64,13 +64,14 @@ class ChannelSpec:
             raise ValueError(f"need {self.d} coefficients, got {len(coeffs)}")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError(f"coefficients must be finite, got {coeffs!r}")
-        mods2 = np.abs(np.asarray(coeffs)) ** 2
+        with np.errstate(over="ignore"):  # an overflow fails the norm check
+            mods2 = np.abs(np.asarray(coeffs)) ** 2
+            total = float(mods2.sum()) / self.d
         if np.any(mods2 < 1e-12):
             raise ValueError(
                 "zero channel coefficient: the receiver's extraction unitary "
                 "does not exist and the success probability would be 0"
             )
-        total = float(mods2.sum()) / self.d
         if abs(total - 1.0) > COEFF_NORM_TOL:
             raise ValueError(
                 f"coefficients violate (1/d)*sum|c_j|^2 = 1: got {total!r}"

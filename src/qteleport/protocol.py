@@ -609,21 +609,62 @@ def _joint_amplitudes(input_amps: np.ndarray, tensors) -> np.ndarray:
     return amps.reshape(shape).transpose(order).reshape(sizes)
 
 
+def _stage_one(input_spec: InputStateSpec, spec: ChannelSpec):
+    """Stage 1 of the oracle: the guards, then every (sender, rho, aux)
+    group's weight.  Returns the input state, the controller leaves per
+    rho vector, and a generator of (lo, gbs, amps, weights, empty,
+    success) per chunk of sender outcomes (the leading copies' fixed):
+    first index, outcomes (chunk, m, 2), amplitudes (chunk, rho, j),
+    weights (chunk, rho, aux), the groups below 1e-18 given the sender's
+    outcome, and the success weight in extended precision."""
+    _validate_pair(input_spec, spec)
+    d, m, n = spec.d, spec.m, spec.n
+    _check_branches(d, m, n)
+    _check_size(max(2 * d**m, d * d))
+
+    input_state = input_spec.state()
+    extraction = _sampler_constants(spec)[5]
+    per_copy = _copy_tensor(spec)
+    sums = per_copy.shape[2] ** m  # rho vectors: d^m, or 1 with no controllers
+    per_group = d ** (m * n) // sums
+    budget = max(_branch_count(spec), ORACLE_CHUNK_AMPLITUDES)
+    free = max(q for q in range(m + 1) if d ** (2 * q) * sums * d**m <= budget)
+    chunk = d ** (2 * free)
+
+    def chunks():
+        for lo in range(0, d ** (2 * m), chunk):
+            gbs = _digits(np.arange(lo, lo + chunk), d, m, 2)
+            fixed = [per_copy[:, [r * d + s]] for r, s in gbs[0, : m - free].tolist()]
+            amps = _joint_amplitudes(input_state.amps, fixed + [per_copy] * free)
+            weights = (amps.real**2 + amps.imag**2) @ extraction
+            empty = weights < 1e-18 * (weights.sum(axis=(1, 2)) * per_group)[:, None, None]
+            success = np.sum(weights[..., 0][~empty[..., 0]], dtype=np.longdouble)
+            yield lo, gbs, amps, weights, empty, success
+
+    return input_state, per_group, chunks()
+
+
+def _success_probability(input_spec: InputStateSpec, spec: ChannelSpec) -> float:
+    """The oracle's success probability from stage 1 alone, no leaf built:
+    enumerate_branches' sums, in the same order, so the same float."""
+    _, per_group, chunks = _stage_one(input_spec, spec)
+    return float(sum((part for *_, part in chunks), np.longdouble(0.0)) * per_group)
+
+
 def _enumerate(
     input_spec: InputStateSpec, spec: ChannelSpec, withheld=()
 ) -> tuple[_Branches, float, float]:
     """Every measurement branch exactly, as arrays.
 
     A leaf's receiver depends on its controllers only through their sums
-    rho (see _copy_tensor).  Stage 1 applies each copy's tensor to the
-    input: the unnormalized amplitude of every (sender outcomes, rho
-    vector, receiver).  Stage 2 scores each (sender, rho, aux) group as a
-    sampled run is scored: aux weights from the extraction's rotations,
-    success against the input pulled back through the correction (one
-    _pullback call, times _omega_table's row for the sums the receiver
-    knows), failure against the input.  Then the leaves are gathered.
-    Chunks of sender outcomes (the leading copies' fixed) keep every
-    array within max(leaf count, ORACLE_CHUNK_AMPLITUDES) entries.
+    rho (see _copy_tensor).  Stage 1 (_stage_one) applies each copy's
+    tensor to the input and weighs every (sender, rho, aux) group: that
+    alone gives the success probability, which is all the sweep runs
+    (_success_probability).  Stage 2 scores each group as a sampled run
+    is scored: success against the input pulled back through the
+    correction (one _pullback call, times _omega_table's row for the
+    sums the receiver knows), failure against the input.  Then the
+    leaves are gathered.
 
     The correction misses the withheld controllers' outcomes, which
     changes only success fidelities.  Returns the leaves and the success
@@ -631,10 +672,8 @@ def _enumerate(
     share its probability) in extended precision: the leaves' exact sums
     to within a rounding.
     """
-    _validate_pair(input_spec, spec)
+    input_state, per_group, chunks = _stage_one(input_spec, spec)
     d, m, n = spec.d, spec.m, spec.n
-    _check_branches(d, m, n)
-    _check_size(max(2 * d**m, d * d))
 
     # Per controller leaf: the rho vector of all its controllers, which
     # sets the receiver's state, and of the withheld ones, which the
@@ -648,45 +687,28 @@ def _enumerate(
     )
     group_of = state_sum * len(offsets) + offset_of
 
-    input_state = input_spec.state()
-    _, _, _, _, rotation, extraction = _sampler_constants(spec)
+    rotation = _sampler_constants(spec)[4]
     omega = _omega_table(d, m)
-    per_copy = _copy_tensor(spec)
-    sums = per_copy.shape[2] ** m  # rho vectors: d^m, or 1 with no controllers
-    senders = d ** (2 * m)
-    budget = max(_branch_count(spec), ORACLE_CHUNK_AMPLITUDES)
-    free = max(q for q in range(m + 1) if d ** (2 * q) * sums * d**m <= budget)
-    chunk = d ** (2 * free)
-
-    probability = np.empty((senders, n_ctrl, 2))
-    fidelity = np.empty((senders, n_ctrl, 2))
+    probability, fidelity = np.empty((2, d ** (2 * m), n_ctrl, 2))
     success = total = np.longdouble(0.0)
-    for lo in range(0, senders, chunk):
-        gbs = _digits(np.arange(lo, lo + chunk), d, m, 2)  # (chunk, m, 2)
-        fixed = [per_copy[:, [r * d + s]] for r, s in gbs[0, : m - free].tolist()]
-        amps = _joint_amplitudes(input_state.amps, fixed + [per_copy] * free)
-
-        weights = (amps.real**2 + amps.imag**2) @ extraction  # (chunk, rho, aux)
-        # Empty: below 1e-18 given the sender's outcome.
-        sender = weights.sum(axis=(1, 2)) * (n_ctrl / sums)
-        empty = weights < 1e-18 * sender[:, None, None]
+    for lo, gbs, amps, weights, empty, part in chunks:
+        hi = lo + len(gbs)
         divisor = np.where(empty, 1.0, weights)[:, :, None]
         # The row for the known sums rho - w is omega^((rho - w) j) times
         # the pulled-back input: the state's row, then the offset's.
         pulled = _pullback(input_state, spec, gbs).conj() * rotation[0]
-        hit = (amps * pulled[:, None] * omega[:sums].conj()) @ omega[offsets].T
+        hit = (amps * pulled[:, None] * omega[: amps.shape[1]].conj()) @ omega[offsets].T
         miss = (amps * rotation[1]) @ input_state.amps.conj()
         scores = np.stack(np.broadcast_arrays(hit, miss[..., None]), axis=-1)
         scores = np.minimum(1.0, np.abs(scores) ** 2 / divisor)
         scores[np.broadcast_to(empty[:, :, None], scores.shape)] = np.nan
 
-        np.take(weights, state_sum, axis=1, out=probability[lo : lo + chunk])
-        np.take(scores.reshape(chunk, -1, 2), group_of, axis=1, out=fidelity[lo : lo + chunk])
-        success += np.sum(weights[..., 0][~empty[..., 0]], dtype=np.longdouble)
+        np.take(weights, state_sum, axis=1, out=probability[lo:hi])
+        np.take(scores.reshape(len(gbs), -1, 2), group_of, axis=1, out=fidelity[lo:hi])
+        success += part
         total += np.sum(weights, dtype=np.longdouble)
 
     branches = _Branches(d, m, n, probability.reshape(-1), fidelity.reshape(-1))
-    per_group = n_ctrl // sums
     return branches, float(success * per_group), float(total * per_group)
 
 

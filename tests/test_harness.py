@@ -152,6 +152,7 @@ def test_sweep_guards_run_before_any_enumeration(monkeypatch, capsys):
         raise AssertionError("a sweep point was enumerated before the guards ran")
 
     monkeypatch.setattr(campaign, "enumerate_branches", unreachable)
+    monkeypatch.setattr(campaign, "_success_probability", unreachable)
     # Point (2, 2, 3) fits, point (5, 2, 3) does not: nothing runs.
     assert main(["sweep", "--d", "2,5", "--m", "2", "--n", "3", "--trials", "2"]) == 2
     err = capsys.readouterr().err
@@ -219,6 +220,23 @@ def test_sweep_campaign_covers_grid():
     )
     assert record.aggregate["max_abs_error"] < 1e-9
     assert {(r["d"], r["n"]) for r in record.rows} == {(2, 0), (2, 1), (3, 0), (3, 1)}
+
+
+def test_sweep_runs_only_the_oracles_stage_one(monkeypatch):
+    # Stage 2 scores the leaves, starting from the pulled-back input; the
+    # sweep reports only success probabilities, so it never gets there.
+    from qteleport import protocol
+
+    def unreachable(*args):
+        raise AssertionError("the sweep scored leaves it does not write")
+
+    grid = {"d": [2, 3], "m": [1, 2], "n": [0, 1]}
+    doc = {"kind": "sweep", "trials": 8, "seed": 3, "sweep": grid}
+    expected = run_campaign(load_config(doc))
+    monkeypatch.setattr(protocol, "_pullback", unreachable)
+    record = run_campaign(load_config(doc))
+    assert to_json_text(record) == to_json_text(expected)
+    assert record.aggregate["max_abs_error"] < 1e-9
 
 
 def test_reruns_are_byte_identical():
@@ -534,6 +552,39 @@ def test_cli_bad_values_name_the_field(args, field, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--coeffs", "coeffs: coefficients violate (1/d)*sum|c_j|^2 = 1: got inf"),
+        ("--beta", "beta: amplitudes must satisfy sum|beta|^2 = 1, got inf"),
+    ],
+)
+def test_overflowing_values_give_one_error_line(flag, message, capsys):
+    # Squaring 1e308 overflows: the norm check rejects it, with no numpy
+    # warning before the error line.
+    argv = ["montecarlo", "--d", "2", "--m", "1", "--n", "0", flag, "1e308,1e308"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("value", ["random: 5", "random:+5", "random:1_0", "random:-3", "random:"])
+@pytest.mark.parametrize("field", ["coeffs", "beta"])
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_seed_directive_takes_only_the_schemas_digits(source, field, value, tmp_path, capsys):
+    # The schema's pattern is ^random:[0-9]+$: anything else is malformed.
+    argv = ["montecarlo", "--d", "2", "--m", "1", "--n", "0", "--trials", "1"]
+    if source == "config":
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({field: value}))
+        argv += ["--config", str(path)]
+    else:
+        argv += [f"--{field}", value]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {field}: malformed directive {value!r}\n"
 
 
 def test_input_size_guard_precedes_building_the_input(monkeypatch, capsys):

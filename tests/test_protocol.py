@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qteleport.config import random_coeffs
 from qteleport.protocol import (
@@ -13,6 +15,7 @@ from qteleport.protocol import (
     ForcedBranch,
     InputStateSpec,
     _branch_count,
+    _success_probability,
     enumerate_branches,
     fidelity_without_control,
     run_protocol,
@@ -312,6 +315,50 @@ def test_enumeration_guard():
     with pytest.raises(EnumerationGuardError, match="enumeration guard"):
         enumerate_branches(InputStateSpec.basis(4, 2, 0), spec)
     assert ENUMERATION_GUARD == 10**6
+    with pytest.raises(EnumerationGuardError, match="enumeration guard"):
+        _success_probability(InputStateSpec.basis(4, 2, 0), spec)
+
+
+@pytest.mark.parametrize("d, m, n", list(product((2, 3, 4), (1, 2), (0, 1, 2))))
+def test_stage_one_success_equals_the_full_oracle_on_the_sweep_grid(d, m, n):
+    # The sweep's stage-1 success probability is the full oracle's float,
+    # bit for bit: the same sums over the same chunks in the same order.
+    for seed in (1, 2):
+        spec = ChannelSpec(d, n, m, random_coeffs(d, 100 * seed + d))
+        inp = InputStateSpec.random(d, m, 100 * seed + m)
+        report = enumerate_branches(inp, spec)
+        assert _success_probability(inp, spec) == report.success_probability
+
+
+GUARDED_SHAPES = [
+    (d, m, n)
+    for d, m, n in product((2, 3, 4, 5), (1, 2, 3), (0, 1, 2, 3, 4))
+    if 2 * d ** (m * (n + 2)) <= ENUMERATION_GUARD
+]
+
+
+@st.composite
+def _oracle_cases(draw):
+    """(input, channel) within the enumeration guard: complex-phase
+    coefficients and a random complex input."""
+    d, m, n = draw(st.sampled_from(GUARDED_SHAPES))
+    weights = np.array(draw(st.lists(st.floats(0.2, 2.0), min_size=d, max_size=d)))
+    phases = np.array(draw(st.lists(st.floats(-np.pi, np.pi), min_size=d, max_size=d)))
+    coeffs = np.sqrt(weights * d / weights.sum()) * np.exp(1j * phases)
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * d**m, max_size=2 * d**m))
+    beta = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
+    norm = np.linalg.norm(beta)
+    beta = beta / norm if norm > 1e-3 else np.eye(d**m)[0]
+    return InputStateSpec(d, m, beta), ChannelSpec(d, n, m, tuple(coeffs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_oracle_cases())
+def test_stage_one_success_equals_the_full_oracle(case):
+    inp, spec = case
+    report = enumerate_branches(inp, spec)
+    assert _success_probability(inp, spec) == report.success_probability
+    assert abs(report.success_probability - report.theoretical) < 1e-12
 
 
 def test_fidelity_without_control_full_cooperation_is_unit():
