@@ -13,8 +13,7 @@ import argparse
 import sys
 
 from .campaign import run_campaign, write_output
-from .config import ConfigError, load_config, read_config
-from .selftest import run_selftest
+from .config import ConfigError, load_config, parse_directive_index, read_config
 from .state import SizeGuardError
 
 EXIT_OK = 0
@@ -44,10 +43,7 @@ def _beta_flag(text: str) -> object:
     if text.startswith("random:"):
         return text
     if text.startswith("basis:"):
-        try:
-            return {"basis": int(text.split(":", 1)[1])}
-        except ValueError:
-            raise ConfigError(f"beta: malformed directive {text!r}") from None
+        return {"basis": parse_directive_index(text, "beta")}
     return _parse_complex_list(text, "beta")
 
 
@@ -151,6 +147,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "selftest":
+        from .selftest import run_selftest  # campaigns never load the criteria
         results = run_selftest()
         failed = 0
         for name, ok, error in results:
@@ -162,7 +159,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(_build_doc(args))
         record = run_campaign(cfg)
-        write_output(record, args.out if args.out is not None else cfg.out, cfg.fmt)
+        write_output(record, cfg.out, cfg.fmt)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -80,11 +80,11 @@ def _as_complex_list(value, fieldname: str) -> list[complex]:
     return out
 
 
-def _parse_seed_directive(value: str, fieldname: str) -> int:
-    seed = value.removeprefix("random:")  # the schema's form: ASCII digits only
-    if not (seed.isascii() and seed.isdigit()):
+def parse_directive_index(value: str, fieldname: str) -> int:
+    index = value.partition(":")[2]  # the schema's form: ASCII digits only
+    if not (index.isascii() and index.isdigit()):
         raise ConfigError(f"{fieldname}: malformed directive {value!r}")
-    return int(seed)
+    return int(index)
 
 
 def resolve_coeffs(value, d: int) -> tuple[complex, ...]:
@@ -92,7 +92,7 @@ def resolve_coeffs(value, d: int) -> tuple[complex, ...]:
     if value == "uniform" or value is None:
         return (complex(1.0),) * d
     if isinstance(value, str) and value.startswith("random:"):
-        return random_coeffs(d, _parse_seed_directive(value, "coeffs"))
+        return random_coeffs(d, parse_directive_index(value, "coeffs"))
     if isinstance(value, str):
         raise ConfigError(f"coeffs: unknown directive {value!r}")
     coeffs = _as_complex_list(value, "coeffs")
@@ -114,7 +114,7 @@ def resolve_beta(value, d: int, m: int) -> np.ndarray:
             raise ConfigError(f"beta.basis: index {k!r} out of range for d^m = {size}")
         return InputStateSpec.basis(d, m, k).beta
     if isinstance(value, str) and value.startswith("random:"):
-        return InputStateSpec.random(d, m, _parse_seed_directive(value, "beta")).beta
+        return InputStateSpec.random(d, m, parse_directive_index(value, "beta")).beta
     if isinstance(value, str):
         raise ConfigError(f"beta: unknown directive {value!r}")
     beta = np.asarray(_as_complex_list(value, "beta"))

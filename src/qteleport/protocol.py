@@ -96,7 +96,8 @@ class InputStateSpec:
             )
         if not np.all(np.isfinite(beta)):
             raise ValueError("beta amplitudes must be finite")
-        norm = np.linalg.norm(beta)
+        with np.errstate(over="ignore"):  # an overflow fails the norm check
+            norm = float(np.linalg.norm(beta))
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"beta violates sum|beta|^2 = 1: norm = {norm!r}")
         object.__setattr__(self, "beta", beta)

@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -496,6 +497,16 @@ def test_cli_config_file_with_inline_override(tmp_path):
     assert doc["aggregate"]["trials"] == 30  # inline flag wins
 
 
+def test_cli_out_flag_overrides_the_config_files_out(tmp_path):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"d": 2, "trials": 3, "out": str(tmp_path / "file.json")}))
+    assert main(["decoy", "--config", str(path), "--out", str(tmp_path / "flag.json")]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json", "flag.json"]
+    assert json.loads((tmp_path / "flag.json").read_text())["aggregate"]["rounds"] == 3
+    assert main(["decoy", "--config", str(path)]) == 0  # without the flag, the file's out
+    assert json.loads((tmp_path / "file.json").read_text())["aggregate"]["rounds"] == 3
+
+
 def test_cli_inline_flag_mends_an_invalid_config_field(tmp_path, capsys):
     # Valid only once --coeffs replaces the file's two coefficients.
     path = tmp_path / "exp.json"
@@ -587,6 +598,15 @@ def test_seed_directive_takes_only_the_schemas_digits(source, field, value, tmp_
     assert err == f"error: {field}: malformed directive {value!r}\n"
 
 
+@pytest.mark.parametrize("value", ["basis: 1", "basis:+1", "basis:1_0", "basis:-1", "basis:"])
+def test_basis_directive_takes_only_digits(value, capsys):
+    # int() would take " 1", "+1" and "1_0", the last as index 10 of 16.
+    assert main(["enumerate", "--d", "2", "--m", "4", "--n", "0", "--beta", value]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: beta: malformed directive {value!r}\n"
+
+
 def test_input_size_guard_precedes_building_the_input(monkeypatch, capsys):
     def unreachable(*args):
         raise AssertionError("the input was built before the size guard ran")
@@ -671,6 +691,22 @@ def test_cli_selftest_reports_why_a_check_failed(monkeypatch, capsys):
         "FAIL exploding: RuntimeError: basis drifted",
         "1/2 checks passed",
     ]
+
+
+def test_selftest_runs_each_acceptance_criterion_once():
+    acceptance = (Path(__file__).parent / "test_acceptance.py").read_text()
+    names = [name for name, _ in selftest.CHECKS]
+    assert [name.split("_")[1] for name in names] == [str(i) for i in range(1, 10)]
+    assert all(f"def test_{name}(" in acceptance for name in names)
+
+
+def test_cli_selftest_fail_line_carries_the_detail(monkeypatch, capsys):
+    missed = selftest.Measurement({"fidelity": 0.75}, "mean success fidelity 0.75", 0.25)
+    monkeypatch.setattr(selftest, "control_necessity", lambda: missed)
+    assert main(["selftest"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL criterion_8_control_necessity: mean success fidelity 0.75 (0.250s)" in lines
+    assert lines[-1] == "8/9 checks passed"
 
 
 def test_cli_sweep_grid_flags(tmp_path):
