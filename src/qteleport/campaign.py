@@ -11,7 +11,7 @@ A runner returns its aggregate and its rows as columns: arrays, text
 columns as codes into a vocabulary (_Column), ranges, or a sweep's short
 lists; indexing one gives a Python scalar.  One writer streams every
 kind: the head, then ROW_CHUNK rows at a time, each chunk one join of
-strings taken from per-column vocabularies.  The text is what
+vocabulary takes, one per run of small columns.  The text is what
 json.dumps(indent=2) gives for the whole document, or csv.writer.
 """
 
@@ -22,7 +22,7 @@ import os
 import sys
 import tempfile
 import time
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -51,7 +51,8 @@ from .protocol import (
 SAMPLE_CHUNK_AMPLITUDES = 2**14
 
 
-ROW_CHUNK = 4096  # rows per written chunk: as fast as 1024, 16384 is slower and larger
+ROW_CHUNK = 1000  # rows per chunk at most (500 was slower); chunks stop at multiples of 1,000
+FUSED_TEXTS = 4096  # texts in one run of small columns' vocabulary; a longer run splits
 
 _CSV_SPECIAL = frozenset(',"\r\n')  # csv.writer quotes a field holding one
 
@@ -299,21 +300,47 @@ def _take_scalars(values: np.ndarray, encode, lo: int, hi: int) -> list[str]:
     return texts[codes].tolist()
 
 
+def _fused(run: list) -> Callable | str:
+    """Small fields, each (texts, codes), as one take from the product of
+    their texts at the codes' mixed-radix number; constants as a literal."""
+    texts = ["".join(parts) for parts in product(*(texts for texts, _ in run))]
+    vocab, digits = np.array(texts, object), [(len(t), codes) for t, codes in run if len(t) > 1]
+
+    def take(lo: int, hi: int) -> list[str]:
+        code = np.zeros(hi - lo, np.intp)
+        for radix, codes in digits:
+            code = code * radix + codes[lo:hi]
+        return vocab[code].tolist()
+
+    return texts[0] if len(texts) == 1 else take
+
+
 def _field(column: Sequence, fmt: str, lead: str) -> list:
-    """A column's part of the row: literal strings, and takes whose
-    take(lo, hi) lists the texts of rows lo..hi.  lead, the literal
-    before the field, is folded into the texts a vocabulary gives.
-    Every piece of one text column needs CSV quoting or none does."""
+    """A column's part of the row, with lead (the literal before it) folded
+    in.  A small column (uint8, or one piece of text per row) gives its
+    (texts, codes) for _fused; any other, literals and takes: take(lo, hi)
+    lists rows lo..hi.  Text of several pieces takes once per piece, and
+    every piece of one such column needs CSV quoting or none does."""
     encode = partial(_scalar_text, fmt=fmt)
-    if not isinstance(column, _Column):  # an index range, or a sweep's list
-        convert = str if isinstance(column, range) else encode
-        return [lead, lambda lo, hi: list(map(convert, column[lo:hi]))]
-    if column.vocab is None:
-        return [partial(_take_scalars, column.codes, lambda value: lead + encode(value))]
+    if isinstance(column, range):  # range(rows): a chunk's rows share i // 1000
+        low = [str(i) for i in range(min(len(column), 1000))]  # then i % 1000 zero-padded
+        low += ["%03d" % i for i in range(1000 * (len(column) > 1000))]
+        return [
+            lambda lo, hi: [lead + str(lo // 1000 or "")] * (hi - lo),
+            lambda lo, hi: low[lo % 1000 + 1000 * (lo >= 1000) :][: hi - lo],
+        ]
+    if not isinstance(column, _Column):  # a sweep's list
+        return [lead, lambda lo, hi: list(map(encode, column[lo:hi]))]
     codes, texts, sep, quote = column.codes, column.vocab, column.sep, '"'
+    if texts is None and codes.dtype == np.uint8:
+        texts, codes = range(int(codes.max(initial=0)) + 1), codes[:, None]
+    if texts is None:
+        return [partial(_take_scalars, codes, lambda value: lead + encode(value))]
+    if codes.shape[1] == 1:
+        return [([lead + encode(t) for t in texts], codes[:, 0])]
     if fmt == "json":
         texts, sep = [json.dumps(t)[1:-1] for t in texts], json.dumps(sep)[1:-1]
-    elif any(_CSV_SPECIAL & set(t) for t in texts + [sep] * (codes.shape[1] > 1)):
+    elif any(_CSV_SPECIAL & set(t) for t in texts + [sep]):
         texts, sep = [t.replace('"', '""') for t in texts], sep.replace('"', '""')
     else:
         quote = ""
@@ -341,34 +368,37 @@ def _json_head(record: ResultRecord) -> Iterator[str]:
 
 
 def _chunks(record: ResultRecord, fmt: str) -> Iterator[str]:
-    """The document: the head, then ROW_CHUNK rows at a time.  A chunk
-    repeats the row, slice-assigns each take's texts into its slots and
-    joins the list once."""
-    row, takes = [], []
+    """The document: the head, then ROW_CHUNK rows at a time.  A run of small
+    columns, up to FUSED_TEXTS texts, is one take, the last with the row's
+    close.  A chunk repeats the row, sets each take's slots, joins once."""
+    row, run = [], []
     for i, (name, column) in enumerate(record.data.items()):
+        lead = "," if i else ""
         if fmt == "json":
-            lead = ("," if i else ",\n    {") + f"\n      {json.dumps(name)}: "
-        else:
-            lead = "," if i else ""
+            lead = (lead or ",\n    {") + f"\n      {json.dumps(name)}: "
         for entry in _field(column, fmt, lead):
-            if not isinstance(entry, str):
-                takes.append((len(row), entry))
-            row.append(entry)
-    row.append("\n    }" if fmt == "json" else "\r\n")
+            small = isinstance(entry, tuple)
+            if run and (not small or np.prod([len(t) for t, _ in run + [entry]]) > FUSED_TEXTS):
+                row.append(_fused(run))
+                run = []
+            (run if small else row).append(entry)
+    row.append(_fused(run + [(["\n    }" if fmt == "json" else "\r\n"], None)]))
+    takes = [(slot, take) for slot, take in enumerate(row) if not isinstance(take, str)]
 
-    rows = len(record.rows)
     if fmt == "json":
         yield from _json_head(record)
     else:
         yield ",".join(_scalar_text(name, fmt) for name in record.data) + "\r\n"
-    for start in range(0, rows, ROW_CHUNK):
-        stop = min(start + ROW_CHUNK, rows)
+    start, rows = 0, len(record.rows)
+    while start < rows:  # a chunk stops at each multiple of 1,000: its rows share i // 1000
+        stop = min(start + ROW_CHUNK, rows, start // 1000 * 1000 + 1000)
         flat = row * (stop - start)
         for slot, take in takes:
             flat[slot :: len(row)] = take(start, stop)
         if start == 0 and fmt == "json":
             flat[0] = flat[0][1:]  # no comma before the first row
         yield "".join(flat)
+        start = stop
     if fmt == "json":
         yield "\n  ]\n}\n"
 

@@ -238,7 +238,7 @@ def _campaign_columns(d: int, eve_action: str, rounds: int, seed: int):
     words, layout = _pair_layout(eve_action)
     bit_generator = _rng_from_seed(seed).bit_generator
     basis = np.empty(rounds, np.uint8)
-    value = np.empty(rounds, np.intp)
+    value = np.empty(rounds, np.min_scalar_type(d - 1))
     detected = np.empty(rounds, bool)
     step = 2 * max(1, DECOY_CHUNK_ENTRIES // (2 * d))
     for start in range(0, rounds, step):
@@ -273,7 +273,7 @@ def _loop_columns(d: int, eve_action: str, rounds: int, seed: int):
     played = [_flat_round(d, eve_action, rng) for _ in range(rounds)]
     return (
         np.array([r.prep_basis == "X" for r in played], np.uint8),
-        np.array([r.prep_value for r in played], np.intp),
+        np.array([r.prep_value for r in played], np.min_scalar_type(d - 1)),
         np.array([r.detected for r in played], bool),
     )
 
@@ -284,7 +284,7 @@ class _Rounds(_View):
     sequence of the same rounds.
 
     basis    -- 0 for a Z preparation, 1 for X
-    value    -- the prepared value
+    value    -- the prepared value, in the smallest unsigned dtype for d
     detected -- whether the check flagged the round
     """
 

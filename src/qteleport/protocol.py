@@ -743,6 +743,6 @@ def fidelity_without_control(
     branches, success_probability, _ = _enumerate(input_spec, spec, withheld)
     if success_probability <= 0.0:
         raise ValueError("no success branch has positive probability")
-    # Success leaves sit at even positions (aux = 0).
-    weighted = np.cumsum(branches.probability[0::2] * branches.fidelity[0::2])[-1]
+    # Success leaves sit at even positions (aux = 0); summed like the denominator.
+    weighted = np.sum(branches.probability[0::2] * branches.fidelity[0::2], dtype=np.longdouble)
     return float(weighted / success_probability)

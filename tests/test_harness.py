@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import stat
 import subprocess
@@ -378,7 +379,7 @@ def test_streamed_writer_matches_whole_document_encoders(name, chunk):
 @settings(max_examples=40, deadline=None)
 @given(
     d=st.integers(2, 3),
-    m=st.integers(2, 3),
+    m=st.integers(1, 3),
     n=st.integers(0, 2),
     trials=st.integers(1, 30),
     seed=st.integers(0, 2**32),
@@ -386,6 +387,8 @@ def test_streamed_writer_matches_whole_document_encoders(name, chunk):
 )
 @example(d=2, m=2, n=0, trials=9, seed=1, chunk=2)  # controllers "|": no digits
 @example(d=3, m=2, n=2, trials=9, seed=1, chunk=7)  # controllers "x,x|x,x": CSV quotes
+@example(d=3, m=1, n=2, trials=9, seed=1, chunk=7)  # one fused run, quoted "x,x" in it
+@example(d=2, m=1, n=0, trials=9, seed=1, chunk=2)  # controllers "": an empty field
 def test_streamed_montecarlo_matches_whole_document_encoders(d, m, n, trials, seed, chunk):
     doc = {
         "kind": "montecarlo", "d": d, "m": m, "n": n, "trials": trials, "seed": seed,
@@ -395,6 +398,47 @@ def test_streamed_montecarlo_matches_whole_document_encoders(d, m, n, trials, se
     _assert_streams_match_references(record, chunk)
     if n >= 2:
         assert '"' in to_csv_text(record).split("\r\n")[1]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, campaign.ROW_CHUNK])
+def test_streamed_decoy_matches_across_the_index_split(chunk):
+    # Round 999 -> 1000 is where the index's high take starts to print.
+    doc = {"kind": "decoy", "d": 5, "eve": "random_basis_resend", "trials": 1003, "seed": 2}
+    _assert_streams_match_references(run_campaign(load_config(doc)), chunk)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(0, 1), (993, 1000), (1000, 1007), (9_000, 10_000), (10_000, 10_001), (999_999, 1_000_000),
+     (1_000_000, 1_001_000)],
+)
+def test_index_takes_print_every_index_whole(lo, hi):
+    # A chunk of rows never crosses a multiple of 1,000.
+    high, low = campaign._field(range(hi), "json", "|")
+    assert list(map("".join, zip(high(lo, hi), low(lo, hi)))) == [f"|{i}" for i in range(lo, hi)]
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5, 40])
+def test_runs_of_small_columns_split_at_the_vocabulary_cap(cap):
+    # d=3 m=1 n=2: gbs through success are one run of up to 972 texts.
+    doc = {"kind": "montecarlo", "d": 3, "m": 1, "n": 2, "trials": 40, "seed": 3}
+    record = run_campaign(load_config(doc))
+    with mock.patch.object(campaign, "FUSED_TEXTS", cap):
+        with mock.patch.object(campaign, "_fused", wraps=campaign._fused) as fused:
+            to_csv_text(record)
+        _assert_streams_match_references(record, 7)
+    assert fused.call_count > 2  # more than one run and the row's close
+    for (run,), _ in fused.call_args_list:
+        sizes = [len(texts) for texts, _ in run]
+        assert math.prod(sizes) <= cap or sizes.count(1) >= len(sizes) - 1
+
+
+def test_decoy_values_above_a_byte_are_written_whole():
+    doc = {"kind": "decoy", "d": 300, "eve": "measure_X_resend", "trials": 50, "seed": 4}
+    record = run_campaign(load_config(doc))
+    assert record.data["prep_value"].codes.dtype == np.uint16
+    assert max(record.data["prep_value"]) > 255
+    _assert_streams_match_references(record, 7)
 
 
 def test_write_output_file_gets_the_mode_open_would_give(tmp_path):

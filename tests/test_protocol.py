@@ -389,6 +389,14 @@ def test_fidelity_without_control_basis_state_is_immune():
     assert abs(value - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("k", [0, 5])
+def test_fidelity_without_control_never_exceeds_one(k):
+    # d=2 m=3 n=4 with nothing withheld: a float64 running sum of the
+    # weighted success leaves read 1.000000000003651 here.
+    spec = ChannelSpec(2, 4, 3, random_coeffs(2, 2))
+    assert fidelity_without_control(InputStateSpec.basis(2, 3, k), spec, set()) <= 1.0
+
+
 def test_fidelity_without_control_validates_range():
     spec = _spec(2, 1, 1, (1.0, 1.0))
     with pytest.raises(ValueError, match="out of range"):
