@@ -18,6 +18,7 @@ json.dumps(indent=2) gives for the whole document, or csv.writer.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import tempfile
@@ -29,8 +30,12 @@ from itertools import product
 
 import numpy as np
 
-from ._streams import child_uniforms
-from .config import ExperimentConfig, random_coeffs
+from ._streams import child_uniforms, standard_normals, uniforms
+from .config import (
+    ExperimentConfig,
+    _coeffs_from_uniforms,
+    random_coeffs,  # noqa: F401  (perfbench/tracer.py wraps it here)
+)
 from .decoy import _z_score, detection_campaign
 from .primitives import ChannelSpec, _View
 from .protocol import (
@@ -48,6 +53,7 @@ from .protocol import (
 # chunk's trials (2^14 complex amplitudes, 256 KiB), so memory stays
 # bounded however many trials run.  The sampler holds a few such arrays
 # at once; at 2^16 they raised the peak RSS of a d=2 m=10 campaign by 8%.
+# A sweep's chunk of specs draws at most this many normals.
 SAMPLE_CHUNK_AMPLITUDES = 2**14
 
 
@@ -245,16 +251,29 @@ def _run_decoy(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 def _run_sweep(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Per grid point a fresh random channel and input, and the oracle's
-    exact success probability from its stage 1 alone: no leaf is built."""
+    exact success probability from its stage 1 alone: no leaf is built.
+
+    Spec i's channel is random_coeffs(d, seed * 1_000_003 + 2 i) and its
+    input InputStateSpec.random(d, m, that seed + 1).  A chunk of specs
+    reads all its channels' uniforms in one _streams call and all its
+    inputs' normals in another, each row as long as the grid's longest
+    (a spec reads its stream's first values), at most
+    SAMPLE_CHUNK_AMPLITUDES normals a chunk."""
     grid = list(product(cfg.sweep["d"], cfg.sweep["m"], cfg.sweep["n"]))
+    most_coeffs, most_normals = max(d for d, _, _ in grid), max(2 * d**m for d, m, _ in grid)
+    chunk = max(1, SAMPLE_CHUNK_AMPLITUDES // most_normals)
     rows = []
-    for i in range(cfg.trials):
-        d, m, n = grid[i % len(grid)]
-        chan = ChannelSpec(d, n, m, random_coeffs(d, cfg.seed * 1_000_003 + 2 * i))
-        inp = InputStateSpec.random(d, m, cfg.seed * 1_000_003 + 2 * i + 1)
-        p, theory = _success_probability(inp, chan), theoretical_success_probability(chan)
-        coeffs = ";".join(repr(abs(c)) for c in chan.coeffs)
-        rows.append((i, d, m, n, coeffs, p, theory, abs(p - theory)))
+    for lo in range(0, cfg.trials, chunk):
+        seeds = [cfg.seed * 1_000_003 + 2 * i for i in range(lo, min(lo + chunk, cfg.trials))]
+        weights = uniforms(seeds, most_coeffs)
+        normals = standard_normals([seed + 1 for seed in seeds], most_normals)
+        for i, u, z in zip(range(lo, lo + chunk), weights, normals):
+            d, m, n = grid[i % len(grid)]
+            chan = ChannelSpec(d, n, m, _coeffs_from_uniforms(u[:d]))
+            inp = InputStateSpec._from_normals(d, m, z)
+            p, theory = _success_probability(inp, chan), theoretical_success_probability(chan)
+            coeffs = ";".join(repr(abs(c)) for c in chan.coeffs)
+            rows.append((i, d, m, n, coeffs, p, theory, abs(p - theory)))
     names = ("index", "d", "m", "n", "coeffs", "success_probability", "theoretical", "abs_error")
     data = dict(zip(names, map(list, zip(*rows))))
     return {"specs": cfg.trials, "max_abs_error": max(data["abs_error"])}, data
@@ -302,17 +321,27 @@ def _take_scalars(values: np.ndarray, encode, lo: int, hi: int) -> list[str]:
 
 def _fused(run: list) -> Callable | str:
     """Small fields, each (texts, codes), as one take from the product of
-    their texts at the codes' mixed-radix number; constants as a literal."""
-    texts = ["".join(parts) for parts in product(*(texts for texts, _ in run))]
-    vocab, digits = np.array(texts, object), [(len(t), codes) for t, codes in run if len(t) > 1]
+    their texts at the codes' mixed-radix number; constants as a literal.
+    Only the products that occur in the document are joined."""
+    digits = [(len(t), codes) for t, codes in run if len(t) > 1]
+    if not digits:
+        return "".join(t[0] for t, _ in run)
 
-    def take(lo: int, hi: int) -> list[str]:
-        code = np.zeros(hi - lo, np.intp)
-        for radix, codes in digits:
+    def number(lo: int, hi: int) -> np.ndarray:
+        code = digits[0][1][lo:hi].astype(np.intp)
+        for radix, codes in digits[1:]:
             code = code * radix + codes[lo:hi]
-        return vocab[code].tolist()
+        return code
 
-    return texts[0] if len(texts) == 1 else take
+    radices = [len(t) for t, _ in run]
+    seen = np.zeros(math.prod(radices), bool)
+    for lo in range(0, len(digits[0][1]), 2**16):  # 512 KiB of codes at a time
+        seen[number(lo, lo + 2**16)] = True
+    parts = np.unravel_index(np.flatnonzero(seen), radices)
+    columns = [[texts[i] for i in part.tolist()] for (texts, _), part in zip(run, parts)]
+    vocab = np.empty(len(seen), object)
+    vocab[seen] = ["".join(row) for row in zip(*columns)]
+    return lambda lo, hi: vocab[number(lo, hi)].tolist()
 
 
 def _field(column: Sequence, fmt: str, lead: str) -> list:

@@ -14,10 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
+from ._streams import uniforms
 from .decoy import EVE_ACTIONS
 from .primitives import ChannelSpec
 from .protocol import InputStateSpec, _check_branches
-from .state import MAX_AMPLITUDES_ENV, SizeGuardError, _rng_from_seed, max_amplitudes
+from .state import MAX_AMPLITUDES_ENV, SizeGuardError, max_amplitudes
 
 KINDS = ("enumerate", "montecarlo", "decoy", "sweep")
 FORMATS = ("json", "csv")
@@ -58,11 +59,16 @@ class ExperimentConfig:
 def random_coeffs(d: int, seed: int) -> tuple[complex, ...]:
     """Random valid channel coefficients, bounded away from zero.
 
-    Weights |c_j|^2 are drawn uniformly from [0.25, 1.75] and rescaled
-    so that (1/d) * sum |c_j|^2 = 1.
+    Weights |c_j|^2 are Generator(Philox(seed)).uniform(0.25, 1.75,
+    size=d), rescaled so that (1/d) * sum |c_j|^2 = 1.
     """
-    weights = _rng_from_seed(seed).uniform(0.25, 1.75, size=d)
-    weights *= d / weights.sum()
+    return _coeffs_from_uniforms(uniforms([seed], d)[0])
+
+
+def _coeffs_from_uniforms(u: np.ndarray) -> tuple[complex, ...]:
+    """random_coeffs from its stream's first d random() values."""
+    weights = 0.25 + (1.75 - 0.25) * u  # Generator.uniform(0.25, 1.75)
+    weights *= len(u) / weights.sum()
     return tuple(complex(v) for v in np.sqrt(weights))
 
 

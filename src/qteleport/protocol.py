@@ -43,6 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._streams import standard_normals
 from .primitives import (
     CHANNEL_CACHE_SIZE,
     ChannelSpec,
@@ -110,10 +111,19 @@ class InputStateSpec:
 
     @classmethod
     def random(cls, d: int, m: int, seed: int) -> "InputStateSpec":
-        """Haar-like random state: 2 d^m standard normals, normalized."""
-        rng = _rng_from_seed(seed)
-        raw = rng.standard_normal(d**m) + 1j * rng.standard_normal(d**m)
-        return cls(d, m, raw / np.linalg.norm(raw))
+        """Haar-like random state: Generator(Philox(seed)).standard_normal
+        called twice for the d^m real and imaginary parts, normalized."""
+        return cls._from_normals(d, m, standard_normals([seed], 2 * d**m)[0])
+
+    @classmethod
+    def _from_normals(cls, d: int, m: int, normals: np.ndarray) -> "InputStateSpec":
+        """random's state from its stream's first 2 d^m normals: the sum
+        re + 1j * im and its normalization made in place, the same floats."""
+        size = d**m
+        raw = 1j * normals[size : 2 * size]
+        raw += normals[:size]
+        raw /= np.linalg.norm(raw)
+        return cls(d, m, raw)
 
     def state(self) -> StateVector:
         """The input register chi_1..chi_m; built once per spec, read-only."""
@@ -624,7 +634,8 @@ def _stage_one(input_spec: InputStateSpec, spec: ChannelSpec):
     _check_size(max(2 * d**m, d * d))
 
     input_state = input_spec.state()
-    extraction = _sampler_constants(spec)[5]
+    gamma, gamma_plus, _ = _receiver_constants(spec)
+    extraction = np.stack((gamma, gamma_plus), axis=1) ** 2  # as in _sampler_constants
     per_copy = _copy_tensor(spec)
     sums = per_copy.shape[2] ** m  # rho vectors: d^m, or 1 with no controllers
     per_group = d ** (m * n) // sums
