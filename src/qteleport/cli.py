@@ -2,9 +2,12 @@
 
 Subcommands: enumerate, montecarlo, decoy, sweep, selftest.  Campaigns
 take either --config <json> or inline flag overrides; inline flags win
-over the config file.  Exit codes: 0 success, 1 validation error or
-unreadable/unwritable file, 2 size/enumeration guard exceeded, 3
-selftest failure.
+over the config file.  One table, FLAGS, holds the campaign flags: main
+reads a well-formed campaign argv straight from it, and argparse, built
+from it, reads every other argv and renders help and usage errors.
+Exit codes: 0 success, 1 validation error or unreadable/unwritable
+file, 2 size/enumeration guard exceeded (or, from argparse, a rejected
+argv), 3 selftest failure.
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ import argparse
 import sys
 
 from .campaign import run_campaign, write_output
-from .config import ConfigError, load_config, parse_directive_index, read_config
+from .config import (
+    FORMATS, KINDS, ConfigError, load_config, parse_directive_index, read_config,
+)
 from .state import SizeGuardError
 
 EXIT_OK = 0
@@ -65,12 +70,47 @@ def _int_flag(text: str) -> int | str:
         return text
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="path to a JSON experiment config")
-    parser.add_argument("--seed", type=_int_flag, help="master seed")
-    parser.add_argument("--out", help="output file (default: stdout)")
-    parser.add_argument("--format", choices=("json", "csv"), dest="fmt")
-    parser.add_argument("--trials", type=_int_flag, help="trial/round/spec count")
+SUBCOMMANDS = {
+    "enumerate": "exhaustive branch enumeration with exact probabilities",
+    "montecarlo": "sampled protocol runs vs the closed-form success rate",
+    "decoy": "decoy-photon eavesdropping detection statistics",
+    "sweep": "exact success probability (the oracle's stage 1: no leaves built) "
+             "over a (d, m, n) grid of random channels",
+    "selftest": "run the invariant battery",
+}
+
+_POINT = ("enumerate", "montecarlo", "decoy")
+_STATE = ("enumerate", "montecarlo")
+
+# Every campaign flag, in the order --help lists it: (flag, the campaigns
+# that take it, its add_argument keywords).  build_parser adds each
+# campaign's rows to its subparser, and main reads a well-formed campaign
+# argv straight from them (_read_campaign).
+FLAGS = (
+    ("--config", KINDS, {"help": "path to a JSON experiment config"}),
+    ("--seed", KINDS, {"type": _int_flag, "help": "master seed"}),
+    ("--out", KINDS, {"help": "output file (default: stdout)"}),
+    ("--format", KINDS, {"choices": FORMATS, "dest": "fmt"}),
+    ("--trials", KINDS, {"type": _int_flag, "help": "trial/round/spec count"}),
+    ("--d", _POINT, {"type": _int_flag, "help": "qudit dimension"}),
+    ("--d", ("sweep",), {"help": "comma list of dimensions, e.g. 2,3,4"}),
+    ("--m", _POINT, {"type": _int_flag, "help": "copies of the channel"}),
+    ("--m", ("sweep",), {"help": "comma list of copy counts"}),
+    ("--n", _POINT, {"type": _int_flag, "help": "controller count"}),
+    ("--n", ("sweep",), {"help": "comma list of controller counts"}),
+    ("--coeffs", _STATE, {"help": '"uniform", "random:<seed>", or comma list'}),
+    ("--beta", _STATE, {"help": 'comma list, "basis:<k>", or "random:<seed>"'}),
+    ("--eve", ("decoy",), {"help": "adversary action"}),
+)
+
+# campaign -> {flag: (dest, type, choices)}, read off FLAGS.
+_READERS = {
+    kind: {
+        flag: (options.get("dest", flag[2:]), options.get("type"), options.get("choices"))
+        for flag, kinds, options in FLAGS if kind in kinds
+    }
+    for kind in KINDS
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,32 +119,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multiparty-controlled qudit teleportation simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for kind, helptext in (
-        ("enumerate", "exhaustive branch enumeration with exact probabilities"),
-        ("montecarlo", "sampled protocol runs vs the closed-form success rate"),
-        ("decoy", "decoy-photon eavesdropping detection statistics"),
-        ("sweep", "exact success probability (the oracle's stage 1: no leaves built) "
-                  "over a (d, m, n) grid of random channels"),
-    ):
+    for kind, helptext in SUBCOMMANDS.items():
         p = sub.add_parser(kind, help=helptext)
-        _add_common(p)
-        if kind == "sweep":
-            p.add_argument("--d", help="comma list of dimensions, e.g. 2,3,4")
-            p.add_argument("--m", help="comma list of copy counts")
-            p.add_argument("--n", help="comma list of controller counts")
-        else:
-            p.add_argument("--d", type=_int_flag, help="qudit dimension")
-            p.add_argument("--m", type=_int_flag, help="copies of the channel")
-            p.add_argument("--n", type=_int_flag, help="controller count")
-        if kind in ("enumerate", "montecarlo"):
-            p.add_argument("--coeffs", help='"uniform", "random:<seed>", or comma list')
-            p.add_argument("--beta", help='comma list, "basis:<k>", or "random:<seed>"')
-        if kind == "decoy":
-            p.add_argument("--eve", help="adversary action")
-
-    sub.add_parser("selftest", help="run the invariant battery")
+        for flag, kinds, options in FLAGS:
+            if kind in kinds:
+                p.add_argument(flag, **options)
     return parser
+
+
+def _read_campaign(argv: list) -> argparse.Namespace | None:
+    """build_parser().parse_args(argv) for a well-formed campaign argv: the
+    campaign, then whole "--flag value" pairs of its flags, no value
+    starting with "-" and --format one of its choices.  None for any other
+    argv, which argparse reads, rendering its help texts and errors."""
+    flags = _READERS.get(argv[0]) if argv else None
+    if flags is None or len(argv) % 2 == 0:
+        return None
+    values = {"command": argv[0]}
+    values.update((dest, None) for dest, _, _ in flags.values())
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        reader = flags.get(flag)
+        if reader is None or text.startswith("-"):
+            return None
+        dest, convert, choices = reader
+        if choices is not None and text not in choices:
+            return None
+        values[dest] = text if convert is None else convert(text)
+    return argparse.Namespace(**values)
 
 
 def _build_doc(args: argparse.Namespace) -> dict:
@@ -144,7 +185,10 @@ def _build_doc(args: argparse.Namespace) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_campaign(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
 
     if args.command == "selftest":
         from .selftest import run_selftest  # campaigns never load the criteria

@@ -72,12 +72,24 @@ def _coeffs_from_uniforms(u: np.ndarray) -> tuple[complex, ...]:
     return tuple(complex(v) for v in np.sqrt(weights))
 
 
+def _is_number(value) -> bool:
+    """A JSON number: the schema's boolean is not one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_complex_list(value, fieldname: str) -> list[complex]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(
+            f"{fieldname}: expected a list of numbers or [re, im] pairs, got {value!r}"
+        )
     out = []
     for i, entry in enumerate(value):
-        if isinstance(entry, (int, float)):
+        if _is_number(entry):
             out.append(complex(entry))
-        elif isinstance(entry, (list, tuple)) and len(entry) == 2:
+        elif (
+            isinstance(entry, (list, tuple)) and len(entry) == 2
+            and _is_number(entry[0]) and _is_number(entry[1])
+        ):
             out.append(complex(entry[0], entry[1]))
         else:
             raise ConfigError(
@@ -248,12 +260,12 @@ def load_config(source) -> ExperimentConfig:
         _check_amplitudes(f"a decoy of dimension {cfg.d}", cfg.d * cfg.d)
         return cfg
 
+    _check_input_size(cfg.d, cfg.m)
     cfg.coeffs = resolve_coeffs(doc.get("coeffs"), cfg.d)
     try:
         cfg.channel_spec()
     except ValueError as exc:
         raise ConfigError(f"coeffs: {exc}") from None
-    _check_input_size(cfg.d, cfg.m)
     cfg.beta = resolve_beta(doc.get("beta"), cfg.d, cfg.m)
     try:
         cfg.input_spec()

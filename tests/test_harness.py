@@ -108,6 +108,39 @@ def test_constraint_errors_name_the_field(patch, match):
         load_config(doc)
 
 
+SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schema" / "experiment.json"
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"coeffs": [True, True]},
+        {"beta": [True, False]},
+        {"beta": [[True, 0], 0]},
+        {"coeffs": 1},
+        {"beta": 0.5},
+        {"coeffs": True},
+        {"coeffs": [[1, "x"], 1]},
+        {"coeffs": [1, [1, 0]]},
+        {"beta": [[1, 0], 0]},
+        {"beta": [0.6, 0.8]},
+    ],
+)
+def test_loader_and_schema_agree(patch):
+    import jsonschema
+
+    doc = {"kind": "montecarlo", "d": 2, "m": 1, **patch}
+    schema = json.loads(SCHEMA_PATH.read_text())
+    schema_accepts = jsonschema.Draft202012Validator(schema).is_valid(doc)
+    try:
+        load_config(doc)
+    except ConfigError:
+        loader_accepts = False
+    else:
+        loader_accepts = True
+    assert loader_accepts == schema_accepts
+
+
 def test_coeff_and_beta_directives():
     assert resolve_coeffs("uniform", 3) == (1.0, 1.0, 1.0)
     a = resolve_coeffs("random:5", 3)
@@ -598,6 +631,10 @@ def test_cli_guard_exit_code(capsys):
         (["decoy", "--trials", "ten"], "trials"),
         (["sweep", "--d", "2,x"], "sweep.d"),
         (["sweep", "--n", "0,"], "sweep.n"),
+        (["montecarlo", "--config", '{"coeffs": 1}'], "coeffs"),
+        (["montecarlo", "--config", '{"beta": 0.5}'], "beta"),
+        (["montecarlo", "--config", '{"coeffs": true}'], "coeffs"),
+        (["montecarlo", "--config", '{"coeffs": [[1, "x"], 1]}'], "coeffs[0]"),
     ],
 )
 def test_cli_bad_values_name_the_field(args, field, capsys):
@@ -666,6 +703,20 @@ def test_input_size_guard_precedes_building_the_input(monkeypatch, capsys):
     # A huge m is refused without computing d**m.
     with pytest.raises(SizeGuardError):
         load_config(dict(doc, m=10**12))
+
+
+def test_input_size_guard_precedes_the_coefficients(monkeypatch, capsys):
+    # d = 10^30 would overflow building d coefficients; the guard refuses
+    # it first.
+    def unreachable(*args):
+        raise AssertionError("the coefficients were built before the size guard ran")
+
+    monkeypatch.setattr(config, "resolve_coeffs", unreachable)
+    assert main(["montecarlo", "--d", str(10**30), "--trials", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: an input of 1000000000000000000000000000000^1 amplitudes")
+    assert err.count("\n") == 1
 
 
 def test_input_size_guard_covers_the_aux_qubit(monkeypatch, capsys):
