@@ -127,9 +127,11 @@ def resolve_beta(value, d: int, m: int) -> np.ndarray:
     if isinstance(value, dict):
         if set(value) != {"basis"}:
             raise ConfigError(f"beta: unknown object form {value!r}")
-        k = value["basis"]
-        if not _is_int(k) or not 0 <= k < size:
-            raise ConfigError(f"beta.basis: index {k!r} out of range for d^m = {size}")
+        k = _integer(value["basis"])
+        if k is None or not 0 <= k < size:
+            raise ConfigError(
+                f"beta.basis: index {value['basis']!r} out of range for d^m = {size}"
+            )
         return InputStateSpec.basis(d, m, k).beta
     if isinstance(value, str) and value.startswith("random:"):
         return InputStateSpec.random(d, m, parse_directive_index(value, "beta")).beta
@@ -168,15 +170,18 @@ def _check_input_size(d: int, m: int) -> None:
     _check_amplitudes(f"an input of {d}^{m} amplitudes", max(2 * d**m, d * d) if small else None)
 
 
-def _is_int(value) -> bool:
-    """A JSON integer: Python's bool is an int, the schema's boolean is not."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _integer(value) -> int | None:
+    """A JSON Schema integer as an int: a number with no fractional part
+    (2, 2.0, 1e3), but not a boolean, which Python counts as an int."""
+    if isinstance(value, float):
+        return int(value) if value.is_integer() else None
+    return value if isinstance(value, int) and not isinstance(value, bool) else None
 
 
 def _expect_int(doc: dict, key: str, default: int, minimum: int) -> int:
-    value = doc.get(key, default)
-    if not _is_int(value) or value < minimum:
-        raise ConfigError(f"{key}: expected an integer >= {minimum}, got {value!r}")
+    value = _integer(doc.get(key, default))
+    if value is None or value < minimum:
+        raise ConfigError(f"{key}: expected an integer >= {minimum}, got {doc[key]!r}")
     return value
 
 
@@ -218,6 +223,8 @@ def load_config(source) -> ExperimentConfig:
         raise ConfigError(f"format: expected one of {FORMATS}, got {fmt!r}")
     seed = _expect_int(doc, "seed", 0, 0)
     trials = _expect_int(doc, "trials", 1000, 1)
+    if kind == "montecarlo" and trials > 2**32:  # trial i is the seed's child i
+        raise ConfigError(f"trials: montecarlo runs at most 2^32 trials, got {trials}")
     out = doc.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError(f"out: expected a path string, got {out!r}")
@@ -228,17 +235,15 @@ def load_config(source) -> ExperimentConfig:
         sweep = doc.get("sweep")
         if not isinstance(sweep, dict):
             raise ConfigError('sweep: kind "sweep" requires a "sweep" object')
+        cfg.sweep = {}
         for key, minimum in (("d", 2), ("m", 1), ("n", 0)):
             values = sweep.get(key)
-            if (
-                not isinstance(values, list)
-                or not values
-                or not all(_is_int(v) and v >= minimum for v in values)
-            ):
+            values = [_integer(v) for v in values] if isinstance(values, list) else []
+            if not values or not all(v is not None and v >= minimum for v in values):
                 raise ConfigError(
                     f"sweep.{key}: expected a non-empty list of integers >= {minimum}"
                 )
-        cfg.sweep = {k: list(sweep[k]) for k in ("d", "m", "n")}
+            cfg.sweep[key] = values
         # Every point the sweep will enumerate (trial i runs point i mod
         # the grid size) passes the guards before the first one runs.
         grid = list(product(cfg.sweep["d"], cfg.sweep["m"], cfg.sweep["n"]))
@@ -256,7 +261,7 @@ def load_config(source) -> ExperimentConfig:
         if eve not in EVE_ACTIONS:
             raise ConfigError(f"eve: expected one of {EVE_ACTIONS}, got {eve!r}")
         cfg.eve = eve
-        # The d x d X basis and the campaign's Born tables.
+        # The d x d X basis and each d x d cross-basis table.
         _check_amplitudes(f"a decoy of dimension {cfg.d}", cfg.d * cfg.d)
         return cfg
 

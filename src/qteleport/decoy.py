@@ -8,13 +8,13 @@ checker re-measures in the preparation basis and flags any mismatch.
 The physics lives in a few helpers over plain length-d kets: the
 preparation draw, the Z/X eigenket, the Z/X measurement, and the
 adversary's basis for an action.  The public per-step API
-(prepare_decoy, eavesdrop, check_decoy) and the reference round
-(_flat_round) run on them, so one generator yields the same rounds
-either way.
+(prepare_decoy, eavesdrop, check_decoy) runs on them.
 
-detection_campaign computes the same rounds as arrays, straight from
-the generator's raw 64-bit words (its docstring gives the draw pattern).
-The rounds stay columns (_Rounds); a DecoyRound is built only when read.
+detection_campaign computes the rounds that API draws from one seeded
+generator as arrays, straight from the generator's raw 64-bit words
+(its docstring gives where each draw lies), with outcomes from the
+closed-form cross-basis tables (_cross_tables, _born_draws).  The
+rounds stay columns (_Rounds); a DecoyRound is built only when read.
 """
 
 from __future__ import annotations
@@ -159,123 +159,108 @@ def _z_score(hits: int, trials: int, p: float) -> float:
     return float((hits / trials - p) / np.sqrt(p * (1.0 - p) / trials))
 
 
-def _flat_round(d: int, eve_action: str, rng: np.random.Generator) -> DecoyRound:
-    """One decoy round on a plain length-d ket, without StateVector objects."""
-    prep_basis, prep_value = _draw_prep(d, rng)
-    ket = _ket(d, prep_basis, prep_value)
-    eve_basis = _eve_basis(eve_action, rng)
-    if eve_basis is not None:
-        ket = _ket(d, eve_basis, _measure(ket, eve_basis, rng))
-    detected = _measure(ket, prep_basis, rng) != prep_value
-    return DecoyRound(prep_basis, prep_value, eve_action, detected)
-
-
-# The campaign's chunk: at most this many Born-table entries (rounds x d)
-# per chunk, so memory stays bounded however many rounds run.  A chunk
-# holds an even number of rounds (see _pair_layout).
-DECOY_CHUNK_ENTRIES = 2**16
-
-
-@lru_cache(maxsize=None)
-def _pair_layout(eve_action: str) -> tuple[int, dict]:
-    """(words, draws): a pair of rounds reads `words` raw 64-bit words,
-    and draws[name] is a 2x2 array of (word indices, bit shifts), one
-    column per round of the pair.
-
-    A round draws in _flat_round's order: integers() for the basis, the
-    value and a random adversary's basis, then random() for the
-    adversary's measurement and for the check.  A 32-bit integers() draw
-    takes the low half of a fresh word and leaves the high half for the
-    next one; a random() draw takes a whole word and keeps its top 53
-    bits.  Every action makes an even number of 32-bit draws per pair, so
-    a pair leaves no half word behind."""
-    pick = ("eve_basis",) if eve_action == "random_basis_resend" else ()
-    measure = () if eve_action == "none" else ("eve",)
-    draws = {name: [] for name in ("basis", "value", *pick, *measure, "check")}
-    words, spare = 0, None
-    for _ in range(2):
-        for name in draws:
-            if name in ("eve", "check"):
-                draws[name].append((words, 11))
-                words += 1
-            elif spare is None:
-                draws[name].append((words, 0))
-                spare, words = words, words + 1
-            else:
-                draws[name].append((spare, 32))
-                spare = None
-    return words, {name: np.array(at, np.uint64).T for name, at in draws.items()}
+# The campaign's chunk: at most this many rounds, so memory stays
+# bounded however many rounds run.
+DECOY_CHUNK_ROUNDS = 2**14
 
 
 @lru_cache(maxsize=DIMENSION_CACHE_SIZE)
-def _born_tables(d: int) -> np.ndarray:
-    """Cumulative Born weights, [ket basis, ket value, measured basis, :],
-    for every Z/X eigenket measured in Z or X, by _measure's arithmetic."""
-    weights = [
-        [[_weights(_ket(d, ket, value), basis) for basis in "ZX"] for value in range(d)]
-        for ket in "ZX"
-    ]
-    return _read_only(np.cumsum(weights, axis=-1))
+def _cross_tables(d: int) -> np.ndarray:
+    """Cumulative Born weights of the cross-basis measurements, [ket
+    basis, ket value, :]: a Z ket |v> measured in X (|column v|^2 of
+    x_basis_matrix) and an X ket measured in Z (|row v|^2), bit for bit
+    _measure's weights."""
+    tables = np.empty((2, d, d))
+    np.square(np.abs(x_basis_matrix(d), out=tables[1]), out=tables[1])
+    np.cumsum(tables[1].T, axis=1, out=tables[0])
+    np.cumsum(tables[1], axis=1, out=tables[1])
+    return _read_only(tables)
 
 
-def _rejects(low: np.ndarray, bound: int) -> bool:
-    """Whether numpy's integers(bound) rejects any of these draws: Lemire's
-    method redraws when the product's low 32 bits fall below 2^32 mod bound."""
-    return bool((low < (2**32 % bound)).any())
+def _born_draws(tables, ket_basis, ket_value, basis, u) -> np.ndarray:
+    """The outcome of measuring each Z/X eigenket (ket_basis 0 for Z, 1
+    for X) in basis, from its uniform u, by _measure's arithmetic.
 
-
-def _integers(bits: np.ndarray, bound: int) -> tuple[np.ndarray, bool]:
-    """integers(bound) from the low 32 bits of each entry, by Lemire's
-    (u * bound) >> 32, and whether numpy would reject any of the draws."""
-    product = (bits & 0xFFFFFFFF) * bound
-    return (product >> 32).astype(np.intp), _rejects(product & 0xFFFFFFFF, bound)
+    The bases are mutually unbiased.  In its own basis a Z ket's weights
+    are one-hot and an X ket's differ from one-hot by rounding of about
+    1e-32, which only u = 0 exactly can see, so the ket's value is drawn
+    and that X row is built only then.  A cross-basis draw counts the
+    entries of its table row up to u times the row's total (_sample_rows)
+    by a binary search over the first d - 1, the cap on the draw."""
+    d = tables.shape[-1]
+    out = ket_value.astype(np.intp)
+    cross = np.flatnonzero(ket_basis != basis)
+    rows = tables.reshape(-1)
+    start = (ket_basis[cross].astype(np.intp) * d + out[cross]) * d
+    limit = u[cross] * rows[start + (d - 1)]
+    at, n = start, d - 1
+    while n > 1:
+        half = n // 2
+        at = at + half * (rows[at + half] <= limit)
+        n -= half
+    out[cross] = at - start + (rows[at] <= limit)
+    for k in np.flatnonzero(u == 0):
+        if ket_basis[k] == basis[k] == 1:
+            row = np.cumsum(_weights(_ket(d, "X", out[k]), "X"))
+            out[k] = _sample_rows(row, u[k])
+    return out
 
 
 def _campaign_columns(d: int, eve_action: str, rounds: int, seed: int):
-    """(basis, value, detected) per round, basis 0 for Z and 1 for X: the
-    rounds the _flat_round loop draws, computed from the raw stream."""
-    tables = _born_tables(d)
-    words, layout = _pair_layout(eve_action)
+    """(basis, value, detected) per round, basis 0 for Z and 1 for X,
+    computed from the raw words of the seed's stream (see
+    detection_campaign for where each draw lies)."""
+    tables = _cross_tables(d)
+    pick = eve_action == "random_basis_resend"
+    attacked = eve_action != "none"
+    q = 3 if pick else 2  # a round's 32-bit draws, rejected ones aside
+    c = 2 if attacked else 1  # a round's random() draws
     bit_generator = _rng_from_seed(seed).bit_generator
     basis = np.empty(rounds, np.uint8)
     value = np.empty(rounds, np.min_scalar_type(d - 1))
     detected = np.empty(rounds, bool)
-    step = 2 * max(1, DECOY_CHUNK_ENTRIES // (2 * d))
-    for start in range(0, rounds, step):
-        size = min(step, rounds - start)
-        raw = bit_generator.random_raw((size + 1) // 2 * words).reshape(-1, words)
-
-        def draw(name):
-            at, shift = layout[name]
-            return (raw[:, at] >> shift).reshape(-1)[:size]
-
-        b, _ = _integers(draw("basis"), 2)
-        v, rejected = _integers(draw("value"), d)
-        if rejected:
-            return _loop_columns(d, eve_action, rounds, seed)
+    back = np.zeros(c + 1, np.uint64)  # the last words before the chunk
+    pending = 0  # whether they leave a 32-bit draw's high half unread
+    for begin in range(0, rounds, DECOY_CHUNK_ROUNDS):
+        size = min(DECOY_CHUNK_ROUNDS, rounds - begin)
+        i = np.arange(size)
+        # The halves of back and the chunk's words, low half first: a
+        # 32-bit draw's half is its count of halves (from the pending one)
+        # plus two for each random() word before it, skip[i] in round i.
+        # A round's first draw at an odd count is the high half of a word
+        # drawn before the previous round's c random() words: 2c back.
+        skip = 2 * (c * i + c + 1 - pending)
+        ends = pending + q * (i + 1)  # each round's count of halves at its end
+        words, scaled, lo = back, np.empty(size, np.uint64), 0
+        while True:  # walk integers(d)'s rejects: each reads one more half
+            need = c + 1 + (int(ends[-1]) + 1) // 2 - pending + c * size
+            if need > words.size:
+                words = np.concatenate([words, bit_generator.random_raw(need - words.size)])
+            halves = words.astype("<u8", copy=False).view("<u4")
+            scaled[lo:] = halves[ends[lo:] - q + 1 + skip[lo:]]
+            scaled[lo:] *= d
+            rejects = np.flatnonzero((scaled[lo:] & 0xFFFFFFFF) < 2**32 % d)
+            if not rejects.size:
+                break
+            lo += int(rejects[0])
+            ends[lo:] += 1
+        firsts = np.concatenate([[pending], ends[:-1]])
+        b = halves[firsts + skip - 2 * c * (firsts & 1)] >> 31
+        v = (scaled >> 32).astype(np.intp)
+        doubles = (ends + 1) // 2 + skip // 2  # each round's first random() word
         kb, kv = b, v  # the ket the check measures
-        if "eve" in layout:
-            if "eve_basis" in layout:
-                kb, _ = _integers(draw("eve_basis"), 2)
+        if attacked:
+            if pick:
+                kb = halves[ends - 1 + skip] >> 31
             else:
                 kb = np.full(size, "ZX".index(_eve_basis(eve_action, None)))
-            kv = _sample_rows(tables[b, v, kb], draw("eve") * 2.0**-53)
-        checked = _sample_rows(tables[kb, kv, b], draw("check") * 2.0**-53)
-        basis[start : start + size] = b
-        value[start : start + size] = v
-        detected[start : start + size] = checked != v
+            kv = _born_draws(tables, b, v, kb, (words[doubles] >> 11) * 2.0**-53)
+        checked = _born_draws(tables, kb, kv, b, (words[doubles + c - 1] >> 11) * 2.0**-53)
+        basis[begin : begin + size] = b
+        value[begin : begin + size] = v
+        detected[begin : begin + size] = checked != v
+        back, pending = words[-c - 1 :].copy(), int(ends[-1]) & 1
     return basis, value, detected
-
-
-def _loop_columns(d: int, eve_action: str, rounds: int, seed: int):
-    """_campaign_columns by the reference loop: one _flat_round per round."""
-    rng = _rng_from_seed(seed)
-    played = [_flat_round(d, eve_action, rng) for _ in range(rounds)]
-    return (
-        np.array([r.prep_basis == "X" for r in played], np.uint8),
-        np.array([r.prep_value for r in played], np.min_scalar_type(d - 1)),
-        np.array([r.detected for r in played], bool),
-    )
 
 
 class _Rounds(_View):
@@ -315,24 +300,20 @@ def detection_campaign(
 ) -> tuple[DetectionReport, Sequence[DecoyRound]]:
     """Run independent decoy rounds and compare against the analytic rate.
 
-    The rounds are those a loop of _flat_round draws from the seed's
-    Philox stream (state._rng_from_seed), computed as arrays from the
-    generator's raw 64-bit words.  Each round draws in a fixed pattern
-    (_pair_layout), so the words a round reads follow from its index:
-      * none:                 one word for the basis (low half) and the
-                              value (high half), one for the check;
-      * measure_Z/X_resend:   the same, plus one word for the adversary's
-                              measurement before the check: 3 words;
-      * random_basis_resend:  three 32-bit draws, so a pair of rounds
-                              shares one word: round 1's adversary basis
-                              is its low half, round 2's basis its high
-                              half; 7 words per pair.
-    Chunks hold an even number of rounds, so none starts mid-word.
-    Outcomes are read from cumulative Born tables built by _measure's
-    arithmetic.  The pattern breaks only where numpy's integers(d)
-    rejects a draw and reads another (about 2e-10 per round at d = 5,
-    never for d a power of two); then the whole campaign reruns with the
-    _flat_round loop.
+    The rounds are those prepare_decoy, eavesdrop and check_decoy draw
+    in turn from the seed's Philox stream (state._rng_from_seed),
+    computed as arrays from the generator's raw 64-bit words.  A round
+    makes 32-bit integers() draws for its basis, its value and a random
+    adversary's basis, then one random() draw (a whole word) for each
+    measurement.  numpy takes a 32-bit draw from the low half of a fresh
+    word and keeps the high half for the next one, across random()
+    draws.  So a round's 32-bit draws are the halves numbered from the
+    count of halves drawn before it, and its random() draws the next
+    words.  Where integers(d) rejects a value draw (Lemire's method:
+    about 2e-10 per round at d = 5, never for d a power of two) and reads
+    the next half, every later round's count grows by one; the rejects
+    are walked in order within a chunk, and a chunk may end with a half
+    pending.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")

@@ -18,6 +18,7 @@ from qteleport.decoy import (
     prepare_decoy,
 )
 from qteleport.primitives import x_basis_vector
+from qteleport.state import _sample_rows
 
 
 def test_prepare_forced():
@@ -139,10 +140,21 @@ def test_z_score_edge_rates_and_shared_helper():
     assert decoy._z_score(6, 10, 0.5) == (0.6 - 0.5) / np.sqrt(0.025)
 
 
+def _flat_round(d, eve_action, rng):
+    """The reference round: the public API's steps on a plain length-d ket."""
+    prep_basis, prep_value = decoy._draw_prep(d, rng)
+    ket = decoy._ket(d, prep_basis, prep_value)
+    eve_basis = decoy._eve_basis(eve_action, rng)
+    if eve_basis is not None:
+        ket = decoy._ket(d, eve_basis, decoy._measure(ket, eve_basis, rng))
+    detected = decoy._measure(ket, prep_basis, rng) != prep_value
+    return DecoyRound(prep_basis, prep_value, eve_action, detected)
+
+
 def _loop_rounds(d, action, rounds, seed):
     """The reference: one _flat_round per round on the campaign's generator."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    return [decoy._flat_round(d, action, rng) for _ in range(rounds)]
+    return [_flat_round(d, action, rng) for _ in range(rounds)]
 
 
 @settings(max_examples=120, deadline=None)
@@ -154,9 +166,9 @@ def _loop_rounds(d, action, rounds, seed):
     chunk_rounds=st.integers(1, 9),
 )
 def test_array_campaign_equals_the_round_loop(d, action, rounds, seed, chunk_rounds):
-    # A small chunk runs the campaign across several chunks, some of them
-    # (the last, for an odd round count) with an odd number of rounds.
-    with mock.patch.object(decoy, "DECOY_CHUNK_ENTRIES", 2 * chunk_rounds * d):
+    # A small chunk runs the campaign across several chunks; an odd one
+    # ends random_basis_resend's rounds with a 32-bit draw's half pending.
+    with mock.patch.object(decoy, "DECOY_CHUNK_ROUNDS", chunk_rounds):
         report, played = detection_campaign(d, action, rounds, seed)
     reference = _loop_rounds(d, action, rounds, seed)
     assert list(played) == reference
@@ -169,56 +181,54 @@ def test_array_campaign_equals_the_round_loop_in_one_large_chunk(action):
     assert played == _loop_rounds(7, action, 5001, 12)
 
 
-def test_a_rejected_draw_reruns_the_campaign_with_the_loop(monkeypatch):
-    d, action, rounds, seed = 5, "random_basis_resend", 40, 6
+@pytest.mark.parametrize(
+    "action, seed, first_reject",
+    [
+        ("none", 48926, 72),
+        ("measure_Z_resend", 48926, 48),
+        ("measure_X_resend", 48926, 48),
+        ("random_basis_resend", 18281, 38),  # the first round of a pair
+        ("random_basis_resend", 39664, 17),  # the second round of a pair
+    ],
+)
+def test_integers_rejects_shift_the_later_rounds(action, seed, first_reject):
+    # At d = 2000, integers(d) redraws a value with odds (2^32 mod d)/2^32,
+    # and these seeds first do so at first_reject.  Chunks of 1 and 7
+    # rounds put the reject, and the half it leaves pending, at a chunk's
+    # end.
+    d, rounds = 2000, first_reject + 12
     reference = _loop_rounds(d, action, rounds, seed)
-    monkeypatch.setattr(decoy, "DECOY_CHUNK_ENTRIES", 2 * 6 * d)  # 12 rounds a chunk
-    value_checks = []
-
-    def reject_in_second_chunk(low, bound):
-        # Pretend integers(d) rejected a value draw of the second chunk.
-        if bound == d:
-            value_checks.append(low.size)
-        return len(value_checks) == 2
-
-    loop_rounds = []
-
-    def counted_round(*args):
-        loop_rounds.append(args)
-        return flat_round(*args)
-
-    flat_round = decoy._flat_round
-    monkeypatch.setattr(decoy, "_rejects", reject_in_second_chunk)
-    monkeypatch.setattr(decoy, "_flat_round", counted_round)
-    report, played = detection_campaign(d, action, rounds, seed)
-    assert value_checks == [12, 12]  # the kernel stopped at the rejection
-    assert len(loop_rounds) == rounds  # and the loop replayed every round
-    assert list(played) == reference
-    assert report.detections == sum(r.detected for r in reference)
+    for chunk_rounds in (decoy.DECOY_CHUNK_ROUNDS, 1, 7):
+        with mock.patch.object(decoy, "DECOY_CHUNK_ROUNDS", chunk_rounds):
+            report, played = detection_campaign(d, action, rounds, seed)
+        assert list(played) == reference
+        assert report.detections == sum(r.detected for r in reference)
 
 
-def test_lemire_rejection_threshold():
-    # numpy's integers(d) redraws when (u * d) mod 2^32 < 2^32 mod d.
-    u = np.array([0, 1, 2**32 - 1], dtype=np.uint64)
-    values, rejected = decoy._integers(u, 5)
-    assert values.tolist() == [0, 0, 4] and rejected  # u = 0 leaves 0 < 1
-    assert not decoy._integers(u[1:], 5)[1]
-    assert not decoy._integers(np.arange(2**12, dtype=np.uint64), 4)[1]
-    # Only the low 32 bits of a word are a draw.
-    assert decoy._integers(u + (7 << 32), 5)[0].tolist() == [0, 0, 4]
+@pytest.mark.parametrize("d", [2, 3, 5, 9, 64])
+def test_born_draws_match_the_measurement_arithmetic(d):
+    # Every Z/X eigenket measured in Z and in X, at the extreme uniforms
+    # (u = 0 exactly reads an X ket's rounding in its own basis) and at
+    # random ones, against _measure's arithmetic.
+    kets = [(basis, value) for basis in (0, 1) for value in range(d)]
+    u = np.concatenate([[0.0, 2.0**-53, 0.5, 1 - 2.0**-53], np.random.default_rng(d).random(12)])
+    ket_basis, ket_value, basis, uniform = (
+        np.array(a) for a in zip(*[(kb, kv, b, x) for kb, kv in kets for b in (0, 1) for x in u])
+    )
+    drawn = decoy._born_draws(decoy._cross_tables(d), ket_basis, ket_value, basis, uniform)
+    expected = [
+        int(_sample_rows(np.cumsum(decoy._weights(decoy._ket(d, "ZX"[kb], kv), "ZX"[b])), x))
+        for kb, kv, b, x in zip(ket_basis, ket_value, basis, uniform)
+    ]
+    assert drawn.tolist() == expected
 
 
-def test_pair_layouts():
-    # Words a pair of rounds reads: the generator's counter after 1,000
-    # rounds read 500, 750 and 875 four-word blocks.
-    assert {a: decoy._pair_layout(a)[0] for a in EVE_ACTIONS} == {
-        "none": 4, "measure_Z_resend": 6, "measure_X_resend": 6, "random_basis_resend": 7,
-    }
-    words, layout = decoy._pair_layout("random_basis_resend")
-    # Round 2's basis is the high half of the word round 1's adversary
-    # basis began.
-    assert layout["eve_basis"][0].tolist()[0] == layout["basis"][0].tolist()[1] == 1
-    assert layout["basis"][1].tolist() == [0, 32]
+def test_detection_rate_at_a_large_dimension():
+    d, rounds = 2000, 20_000
+    report, _ = detection_campaign(d, "random_basis_resend", rounds, seed=2000)
+    expected = 0.5 * (1 - 1 / d)
+    assert report.expected_rate == expected
+    assert abs(report.rate - expected) < 5 * np.sqrt(expected * (1 - expected) / rounds)
 
 
 def test_rounds_view_reads_like_a_list():

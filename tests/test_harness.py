@@ -23,6 +23,7 @@ from qteleport import campaign, config, selftest
 from qteleport.campaign import run_campaign, to_csv_text, to_json_text, write_output
 from qteleport.cli import main
 from qteleport.config import ConfigError, load_config, random_coeffs, resolve_beta, resolve_coeffs
+from qteleport.decoy import EVE_ACTIONS
 from qteleport.state import SizeGuardError
 
 
@@ -124,6 +125,13 @@ SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schema" / "experiment.js
         {"coeffs": [1, [1, 0]]},
         {"beta": [[1, 0], 0]},
         {"beta": [0.6, 0.8]},
+        {"trials": 2**32},
+        {"trials": 2**32 + 1},
+        {"trials": 2.0},
+        {"d": 2.0},
+        {"trials": 1e3},
+        {"trials": 2.5},
+        {"d": 2.5},
     ],
 )
 def test_loader_and_schema_agree(patch):
@@ -139,6 +147,18 @@ def test_loader_and_schema_agree(patch):
     else:
         loader_accepts = True
     assert loader_accepts == schema_accepts
+
+
+def test_integral_numbers_are_integers(capsys):
+    # JSON Schema's integer is any number with no fractional part.
+    sweep = {"d": [2.0], "m": [1.0], "n": [0.0]}
+    doc = {"kind": "sweep", "trials": 1e0, "seed": 3.0, "sweep": sweep}
+    cfg = load_config(doc)
+    assert (cfg.trials, cfg.seed, cfg.sweep) == (1, 3, {"d": [2], "m": [1], "n": [0]})
+    assert type(cfg.trials) is int and type(cfg.sweep["d"][0]) is int
+    assert load_config(dict(BASE, beta={"basis": 1.0})).beta.tolist() == [0, 1]
+    assert main(["decoy", "--config", '{"d": 2.0, "trials": 1e1}']) == 0
+    assert '"d": 2,' in capsys.readouterr().out
 
 
 def test_coeff_and_beta_directives():
@@ -635,6 +655,7 @@ def test_cli_guard_exit_code(capsys):
         (["montecarlo", "--config", '{"beta": 0.5}'], "beta"),
         (["montecarlo", "--config", '{"coeffs": true}'], "coeffs"),
         (["montecarlo", "--config", '{"coeffs": [[1, "x"], 1]}'], "coeffs[0]"),
+        (["montecarlo", "--trials", str(2**32 + 1)], "trials"),
     ],
 )
 def test_cli_bad_values_name_the_field(args, field, capsys):
@@ -835,6 +856,75 @@ def test_cli_montecarlo_deterministic(tmp_path):
 
 def _reject_constant(name):
     raise AssertionError(f"non-standard JSON constant {name}")
+
+
+NAN, INF = float("nan"), float("inf")
+# Valid and invalid JSON values for each config field, at sizes that run
+# in milliseconds.  A trials count is valid only where it runs quickly.
+FUZZ_FIELDS = {
+    "d": [2, 3, 2.0, 1, 0, -1, 2.5, True, "2", None, [2], 10**30, 1e300, NAN],
+    "m": [1, 2, 1.0, 0, -1, 1.5, False, "1", None, 10**30, INF],
+    "n": [0, 1, 2, 0.0, -1, 0.5, True, "0", None, 10**30],
+    "seed": [0, 7, 3.0, 2**63, 2**64, 10**30, -1, 1.5, True, "1", None, NAN],
+    "coeffs": [
+        "uniform", "random:3", "random:10000000000000000000000000", "random:x", "random:",
+        "ab", 1, True, None, [], {"a": 1}, [1, 1], [1.224744871391589, 0.7071067811865476],
+        [[1, 0], [1, 0]], [1, "x"], [[1, "x"], 1], [NAN, 1], [1e308, 1e308],
+        [0, 1.4142135623730951], [1e-160, 1.4142135623730951], [[1, 0, 0], 1],
+    ],
+    "beta": [
+        "random:2", "random:10000000000000000000000000", "random:-1", {"basis": 0},
+        {"basis": 1.0}, {"basis": True}, {"basis": -1}, {"basis": 10**30}, {"x": 1},
+        [0.6, 0.8], [1, 0], [[0.6, 0], [0, 0.8]], [INF, 0], [1e308, 1e308], [1e-170, 1], 0.5,
+        True, [], None,
+    ],
+    "eve": [*EVE_ACTIONS, "entangle", 1, None],
+    "format": ["json", "csv", "xml", 1, None],
+    "out": [1, [], True, None],
+    "sweep": [
+        {"d": [2], "m": [1], "n": [0]}, {"d": [2, 3.0], "m": [1], "n": [0, 1]},
+        {"d": [], "m": [1], "n": [0]}, {"d": [1], "m": [1], "n": [0]}, {"d": [2]},
+        {"d": [2], "m": [True], "n": [0]}, {"d": [2], "m": [1], "n": [10**30]},
+        {"d": [10**30], "m": [1], "n": [0]}, {"d": [2], "m": [1], "n": [0], "x": 1},
+        [2, 3], None, "2",
+    ],
+}
+FUZZ_TRIALS = [1, 5, 20, 5.0, 1e1, 0, -1, 2.5, True, "5", None, [], NAN, INF]
+
+
+@st.composite
+def _config_documents(draw):
+    kind = draw(st.sampled_from(config.KINDS))
+    trials = FUZZ_TRIALS + ([2**32 + 1] if kind == "montecarlo" else [])
+    fields = {name: st.sampled_from(pool) for name, pool in FUZZ_FIELDS.items()}
+    doc = draw(st.fixed_dictionaries({}, optional={**fields, "trials": st.sampled_from(trials)}))
+    if kind == "sweep" and isinstance(doc.get("trials"), (int, float)):
+        doc["trials"] = min(doc["trials"], 5)  # the sweep's specs are the slow part
+    return kind, doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_config_documents())
+@example(("montecarlo", {"trials": 2**32 + 1}))  # ran out of memory before child 2^32
+@example(("decoy", {"d": 2.0, "trials": 1e1}))  # JSON Schema's integers
+def test_any_config_document_ends_in_output_or_one_error_line(case):
+    kind, doc = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([kind, "--config", json.dumps(doc)])
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == ""
+        if doc.get("format") == "csv":
+            assert out.endswith("\r\n") and "\n" not in out.replace("\r\n", "")
+            header, *rows = csv.reader(io.StringIO(out, newline=""), strict=True)
+            assert all(len(row) == len(header) for row in rows)
+        else:
+            json.loads(out, parse_constant=_reject_constant)
+    else:
+        assert code in (1, 2)
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_cli_no_success_mean_fidelity_is_null(capsys):

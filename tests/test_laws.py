@@ -62,8 +62,13 @@ def test_vidal_law_gives_the_oracles_success_probability(case):
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 @pytest.mark.parametrize("eve_action", decoy.EVE_ACTIONS)
 def test_born_tables_give_the_exact_detection_rate(d, eve_action):
-    # born[ket basis, ket value, measured basis, outcome], Z = 0 and X = 1.
-    born = np.diff(decoy._born_tables(d), axis=-1, prepend=0.0)
+    # The campaign's cross-basis tables, [ket basis, ket value, outcome]
+    # with Z = 0 and X = 1; in its own basis a ket's value is certain.
+    cross = np.diff(decoy._cross_tables(d), axis=-1, prepend=0.0)
+
+    def born(ket, value, basis):
+        return np.eye(d)[value] if ket == basis else cross[ket, value]
+
     eve = {
         "none": {}, "measure_Z_resend": {0: 1.0}, "measure_X_resend": {1: 1.0},
         "random_basis_resend": {0: 0.5, 1: 0.5},
@@ -72,8 +77,8 @@ def test_born_tables_give_the_exact_detection_rate(d, eve_action):
     for basis in (0, 1):
         for value in range(d):
             # The check's outcome weights on the qudit that reaches it.
-            check = born[basis, value, basis] if not eve else sum(
-                p * born[guess, k, basis] * born[basis, value, guess, k]
+            check = born(basis, value, basis) if not eve else sum(
+                p * born(guess, k, basis) * born(basis, value, guess)[k]
                 for guess, p in eve.items()
                 for k in range(d)
             )
