@@ -24,7 +24,6 @@ import sys
 import tempfile
 import time
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
 from functools import partial
 from itertools import product
 
@@ -48,6 +47,7 @@ from .protocol import (
     run_structured,  # noqa: F401  (perfbench/tracer.py wraps it here)
     theoretical_success_probability,
 )
+from .state import record
 
 # The Monte Carlo chunk: at most this many entries in one array across a
 # chunk's trials (2^14 complex amplitudes, 256 KiB), so memory stays
@@ -109,7 +109,7 @@ class _Rows(_View):
         return {name: values[i] for name, values in self._data.items()}
 
 
-@dataclass
+@record(frozen=False)
 class ResultRecord:
     """One campaign's outcome: config echo, aggregate stats, row data.
 

@@ -5,6 +5,7 @@ take either --config <json> or inline flag overrides; inline flags win
 over the config file.  One table, FLAGS, holds the campaign flags: main
 reads a well-formed campaign argv straight from it, and argparse, built
 from it, reads every other argv and renders help and usage errors.
+argparse is imported only then, so a well-formed campaign never loads it.
 Exit codes: 0 success, 1 validation error or unreadable/unwritable
 file, 2 size/enumeration guard exceeded (or, from argparse, a rejected
 argv), 3 selftest failure.
@@ -12,8 +13,8 @@ argv), 3 selftest failure.
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .campaign import run_campaign, write_output
 from .config import (
@@ -113,7 +114,9 @@ _READERS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse  # only an argv that _read_campaign cannot read needs it
+
     parser = argparse.ArgumentParser(
         prog="qteleport",
         description="Multiparty-controlled qudit teleportation simulator",
@@ -127,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_campaign(argv: list) -> argparse.Namespace | None:
+def _read_campaign(argv: list) -> SimpleNamespace | None:
     """build_parser().parse_args(argv) for a well-formed campaign argv: the
     campaign, then whole "--flag value" pairs of its flags, no value
     starting with "-" and --format one of its choices.  None for any other
@@ -145,11 +148,11 @@ def _read_campaign(argv: list) -> argparse.Namespace | None:
         if choices is not None and text not in choices:
             return None
         values[dest] = text if convert is None else convert(text)
-    return argparse.Namespace(**values)
+    return SimpleNamespace(**values)
 
 
-def _build_doc(args: argparse.Namespace) -> dict:
-    """The config file's object (unvalidated) with the inline flags merged
+def _build_doc(args) -> dict:
+    """The config file's object (unvalidated) with args' inline flags merged
     over it; load_config validates the result once."""
     doc = read_config(args.config) if args.config else {}
     doc["kind"] = args.command

@@ -8,7 +8,6 @@ name the offending field and the violated constraint.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
@@ -18,17 +17,20 @@ from ._streams import uniforms
 from .decoy import EVE_ACTIONS
 from .primitives import ChannelSpec
 from .protocol import InputStateSpec, _check_branches
-from .state import MAX_AMPLITUDES_ENV, SizeGuardError, max_amplitudes
+from .state import MAX_AMPLITUDES_ENV, SizeGuardError, max_amplitudes, record
 
 KINDS = ("enumerate", "montecarlo", "decoy", "sweep")
 FORMATS = ("json", "csv")
+# The column entries a decoy round (basis, value, detected) or a sweep row
+# (its eight values) holds until the campaign writes them.
+HELD_PER_TRIAL = {"decoy": 3, "sweep": 8}
 
 
 class ConfigError(ValueError):
     """Malformed or constraint-violating experiment configuration."""
 
 
-@dataclass
+@record(frozen=False)
 class ExperimentConfig:
     """Validated campaign description.
 
@@ -225,6 +227,8 @@ def load_config(source) -> ExperimentConfig:
     trials = _expect_int(doc, "trials", 1000, 1)
     if kind == "montecarlo" and trials > 2**32:  # trial i is the seed's child i
         raise ConfigError(f"trials: montecarlo runs at most 2^32 trials, got {trials}")
+    if kind in HELD_PER_TRIAL:
+        _check_amplitudes(f"trials: a {kind} of {trials} rows", HELD_PER_TRIAL[kind] * trials)
     out = doc.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError(f"out: expected a path string, got {out!r}")

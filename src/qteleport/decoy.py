@@ -21,18 +21,17 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .state import StateVector, _rng_from_seed, _sample, _sample_rows, make_state
+from .state import StateVector, _rng_from_seed, _sample, _sample_rows, make_state, record
 from .primitives import DIMENSION_CACHE_SIZE, _read_only, _View, x_basis_matrix
 
 EVE_ACTIONS = ("none", "measure_Z_resend", "measure_X_resend", "random_basis_resend")
 
 
-@dataclass(frozen=True)
+@record
 class DecoyRound:
     prep_basis: str  # "Z" or "X"
     prep_value: int
@@ -40,7 +39,7 @@ class DecoyRound:
     detected: bool
 
 
-@dataclass(frozen=True)
+@record
 class DetectionReport:
     d: int
     eve_action: str

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 
-from .state import StateVector, make_state
+from .state import StateVector, make_state, record
 
 COEFF_NORM_TOL = 1e-10
 # Distinct (spec, labels) channel copies kept by channel_state, and
@@ -37,7 +36,7 @@ def _omega_powers(d: int, k: int) -> np.ndarray:
     return np.exp(2j * np.pi * k * np.arange(d) / d)
 
 
-@dataclass(frozen=True)
+@record
 class ChannelSpec:
     """Pure entangled channel: dimension d, n controllers, m copies.
 

@@ -37,7 +37,6 @@ gathers the leaves from the groups.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import NamedTuple
 
@@ -62,6 +61,7 @@ from .state import (
     _rng_from_seed,
     make_state,
     measure_in_basis,
+    record,
     tensor,
 )
 
@@ -81,7 +81,7 @@ class EnumerationGuardError(SizeGuardError):
     """Branch count exceeds the exhaustive-enumeration guard."""
 
 
-@dataclass(frozen=True)
+@record
 class InputStateSpec:
     """The unknown m-qudit state to teleport: d^m amplitudes, unit norm."""
 
@@ -137,7 +137,7 @@ class InputStateSpec:
         return register
 
 
-@dataclass(frozen=True)
+@record
 class ForcedBranch:
     """Forced measurement outcomes for one deterministic run.
 
@@ -151,7 +151,7 @@ class ForcedBranch:
     aux: int
 
 
-@dataclass(frozen=True)
+@record
 class Transcript:
     """Full record of one protocol run."""
 
@@ -165,7 +165,7 @@ class Transcript:
     probability: float
 
 
-@dataclass(frozen=True)
+@record
 class BranchRecord:
     gbs: tuple[tuple[int, int], ...]
     controllers: tuple[tuple[int, ...], ...]
@@ -212,7 +212,7 @@ def _digits(index, d: int, m: int, k: int) -> np.ndarray:
     return (index[..., None] // place % d).reshape(index.shape + (m, k))
 
 
-@dataclass(frozen=True)
+@record
 class BranchReport:
     """Exhaustive branch listing with exact probabilities."""
 

@@ -10,8 +10,8 @@ of view; every operation returns a new :class:`StateVector`.
 from __future__ import annotations
 
 import math
+import operator
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,7 +58,64 @@ def _check_size(num_amps: int) -> None:
         )
 
 
-@dataclass(frozen=True)
+class FrozenRecordError(AttributeError):
+    """Assignment to or deletion of a frozen record's attribute."""
+
+
+def record(cls=None, /, *, frozen: bool = True):
+    """Class decorator: a record of the fields cls annotates, in order; a
+    class attribute of a field's name is its default.
+
+    The record takes its fields by position or keyword, then calls any
+    __post_init__.  Its repr lists them, and == holds between instances of
+    one class with equal fields.  A frozen record refuses assignment and
+    deletion and hashes its fields; a mutable one is unhashable.  The
+    methods are closures over the field names, so creating a record class
+    generates and compiles no code.
+    """
+    if cls is None:
+        return lambda cls: record(cls, frozen=frozen)
+    names = tuple(cls.__dict__.get("__annotations__", {}))
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    fields, values = dict.fromkeys(names).keys(), operator.attrgetter(*names)
+    post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        if not kwargs and len(args) == len(names):  # every field by position
+            self.__dict__.update(zip(names, args))
+        elif not args and kwargs.keys() == fields:  # every field by keyword
+            self.__dict__.update(kwargs)
+        else:
+            bound = {**defaults, **dict(zip(names, args)), **kwargs}
+            repeated = not kwargs.keys().isdisjoint(names[: len(args)])
+            if len(args) > len(names) or repeated or bound.keys() != fields:
+                raise TypeError(
+                    f"{cls.__qualname__}() takes the fields {', '.join(names)}; got "
+                    f"{len(args)} by position and {', '.join(kwargs) or 'none'} by keyword"
+                )
+            self.__dict__.update(bound)
+        if post_init is not None:
+            post_init(self)
+
+    def __repr__(self):
+        text = ", ".join([f"{name}={getattr(self, name)!r}" for name in names])
+        return f"{type(self).__qualname__}({text})"
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return values(self) == values(other) if same else NotImplemented
+
+    def refuse(self, name, *value):  # __setattr__ and __delattr__
+        raise FrozenRecordError(f"cannot assign to or delete {name!r} of a frozen record")
+
+    cls.__init__, cls.__repr__, cls.__eq__ = __init__, __repr__, __eq__
+    cls.__hash__ = (lambda self: hash(values(self))) if frozen else None
+    if frozen:
+        cls.__setattr__ = cls.__delattr__ = refuse
+    return cls
+
+
+@record
 class StateVector:
     """Normalized pure state over an ordered list of subsystems.
 
@@ -69,7 +126,7 @@ class StateVector:
 
     dims: tuple[int, ...]
     amps: np.ndarray
-    labels: tuple[str, ...] = field(default=())
+    labels: tuple[str, ...] = ()
 
     @property
     def num_subsystems(self) -> int:
@@ -82,7 +139,7 @@ class StateVector:
         return float(np.linalg.norm(self.amps))
 
 
-@dataclass(frozen=True)
+@record
 class MeasurementOutcome:
     """One projective-measurement branch.
 

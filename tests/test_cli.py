@@ -3,11 +3,15 @@ the flag-table reader that main uses for well-formed campaign argv."""
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qteleport
 from qteleport import cli
 from qteleport.cli import build_parser, main
 
@@ -181,16 +185,16 @@ def test_table_reader_agrees_with_argparse(command, pairs, loose, at):
         assert fast is None
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["enumerate", "--d", "2", "--n", "1", "--coeffs", "uniform", "--beta", "basis:1"],
-        ["montecarlo", "--d", "3", "--m", "1", "--n", "2", "--trials", "5", "--seed", "1",
-         "--format", "csv", "--coeffs", "random:2", "--beta", "random:1"],
-        ["decoy", "--d", "5", "--eve", "none", "--trials", "4", "--format", "json"],
-        ["sweep", "--d", "2,3", "--m", "1", "--n", "0,1", "--trials", "4"],
-    ],
-)
+WELL_FORMED = [
+    ["enumerate", "--d", "2", "--n", "1", "--coeffs", "uniform", "--beta", "basis:1"],
+    ["montecarlo", "--d", "3", "--m", "1", "--n", "2", "--trials", "5", "--seed", "1",
+     "--format", "csv", "--coeffs", "random:2", "--beta", "random:1"],
+    ["decoy", "--d", "5", "--eve", "none", "--trials", "4", "--format", "json"],
+    ["sweep", "--d", "2,3", "--m", "1", "--n", "0,1", "--trials", "4"],
+]
+
+
+@pytest.mark.parametrize("argv", WELL_FORMED)
 def test_well_formed_campaign_argv_skips_argparse(argv, monkeypatch, capsys):
     def unreachable():
         raise AssertionError("argparse read a well-formed campaign argv")
@@ -200,3 +204,23 @@ def test_well_formed_campaign_argv_skips_argparse(argv, monkeypatch, capsys):
     monkeypatch.setattr(cli, "build_parser", unreachable)
     assert main(argv) == 0
     assert capsys.readouterr().err == ""
+
+
+# Prints which of the modules a campaign must not load are loaded.
+_LEAN_CHILD = """
+import sys
+from qteleport.cli import main
+code = main(sys.argv[1:])
+print(*sorted({"argparse", "dataclasses", "gettext"} & set(sys.modules)), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", WELL_FORMED, ids=[argv[0] for argv in WELL_FORMED])
+def test_campaign_imports_neither_argparse_nor_dataclasses(argv, tmp_path):
+    src = os.path.dirname(os.path.dirname(qteleport.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LEAN_CHILD, *argv, "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "\n")

@@ -758,6 +758,42 @@ def test_input_size_guard_covers_the_aux_qubit(monkeypatch, capsys):
         load_config({"kind": "montecarlo", "d": 5, "m": 1, "trials": 1})
 
 
+@pytest.mark.parametrize(
+    "argv, per_trial",
+    [
+        (["decoy", "--d", "2", "--eve", "none"], 3),  # basis, value, detected
+        (["sweep", "--d", "2", "--m", "1", "--n", "0"], 8),  # a row's eight values
+    ],
+)
+def test_trials_guard_counts_the_held_columns(argv, per_trial, monkeypatch, tmp_path, capsys):
+    # A decoy or sweep holds its columns until it writes them: the guard
+    # counts them against the amplitude guard, at load time.
+    monkeypatch.setenv("QTELEPORT_MAX_AMPLITUDES", str(100 * per_trial))
+    out = str(tmp_path / "out.json")
+    assert main([*argv, "--trials", "100", "--out", out]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert main([*argv, "--trials", "101", "--out", out]) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: trials: a {argv[0]} of 101 rows needs {101 * per_trial} amplitudes and "
+        f"exceeds the size guard of {100 * per_trial} (override with QTELEPORT_MAX_AMPLITUDES)\n"
+    ))
+
+
+@pytest.mark.parametrize("kind", ["decoy", "sweep"])
+def test_a_trials_count_past_the_guard_ends_before_any_allocation(kind, monkeypatch, capsys):
+    def unreachable(*args):
+        raise AssertionError("the campaign ran past the trials guard")
+
+    monkeypatch.setattr(campaign, "detection_campaign", unreachable)
+    monkeypatch.setattr(campaign, "_success_probability", unreachable)
+    argv = [kind, "--d", "2", "--m", "1", "--n", "0", "--trials", str(10**10)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: trials: a {kind} of 10000000000 rows needs ")
+    assert "QTELEPORT_MAX_AMPLITUDES" in err
+
+
 def test_decoy_size_guard_precedes_any_allocation(monkeypatch, capsys):
     from qteleport import campaign
 
