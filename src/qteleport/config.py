@@ -22,7 +22,8 @@ from .state import MAX_AMPLITUDES_ENV, SizeGuardError, max_amplitudes, record
 KINDS = ("enumerate", "montecarlo", "decoy", "sweep")
 FORMATS = ("json", "csv")
 # The column entries a decoy round (basis, value, detected) or a sweep row
-# (its eight values) holds until the campaign writes them.
+# (its eight values) holds until the campaign writes them; a montecarlo
+# trial holds m (n + 3) + 3, checked once m and n are read.
 HELD_PER_TRIAL = {"decoy": 3, "sweep": 8}
 
 
@@ -270,6 +271,9 @@ def load_config(source) -> ExperimentConfig:
         return cfg
 
     _check_input_size(cfg.d, cfg.m)
+    if kind == "montecarlo":  # gbs 2m, controllers m n, r_sums m, aux, fidelity, probability
+        held = cfg.m * (cfg.n + 3) + 3
+        _check_amplitudes(f"trials: a montecarlo of {trials} rows", held * trials)
     cfg.coeffs = resolve_coeffs(doc.get("coeffs"), cfg.d)
     try:
         cfg.channel_spec()

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import qteleport
 from qteleport import campaign, config, selftest
 from qteleport.campaign import run_campaign, to_csv_text, to_json_text, write_output
-from qteleport.cli import main
+from qteleport.cli import FLAGS, main
 from qteleport.config import ConfigError, load_config, random_coeffs, resolve_beta, resolve_coeffs
 from qteleport.decoy import EVE_ACTIONS
 from qteleport.state import SizeGuardError
@@ -134,9 +134,12 @@ SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schema" / "experiment.js
         {"d": 2.5},
     ],
 )
-def test_loader_and_schema_agree(patch):
+def test_loader_and_schema_agree(patch, monkeypatch):
     import jsonschema
 
+    # The amplitude guard is a setting, not part of the schema: 2^32 trials'
+    # held columns pass a guard this large.
+    monkeypatch.setenv("QTELEPORT_MAX_AMPLITUDES", str(2**40))
     doc = {"kind": "montecarlo", "d": 2, "m": 1, **patch}
     schema = json.loads(SCHEMA_PATH.read_text())
     schema_accepts = jsonschema.Draft202012Validator(schema).is_valid(doc)
@@ -763,11 +766,13 @@ def test_input_size_guard_covers_the_aux_qubit(monkeypatch, capsys):
     [
         (["decoy", "--d", "2", "--eve", "none"], 3),  # basis, value, detected
         (["sweep", "--d", "2", "--m", "1", "--n", "0"], 8),  # a row's eight values
+        # gbs 2m, controllers m n, r_sums m, aux, fidelity, probability
+        (["montecarlo", "--d", "2", "--m", "1", "--n", "2"], 8),
     ],
 )
 def test_trials_guard_counts_the_held_columns(argv, per_trial, monkeypatch, tmp_path, capsys):
-    # A decoy or sweep holds its columns until it writes them: the guard
-    # counts them against the amplitude guard, at load time.
+    # A campaign holds its columns until it writes them: the guard counts
+    # them against the amplitude guard, at load time.
     monkeypatch.setenv("QTELEPORT_MAX_AMPLITUDES", str(100 * per_trial))
     out = str(tmp_path / "out.json")
     assert main([*argv, "--trials", "100", "--out", out]) == 0
@@ -779,18 +784,20 @@ def test_trials_guard_counts_the_held_columns(argv, per_trial, monkeypatch, tmp_
     ))
 
 
-@pytest.mark.parametrize("kind", ["decoy", "sweep"])
+@pytest.mark.parametrize("kind", ["decoy", "sweep", "montecarlo"])
 def test_a_trials_count_past_the_guard_ends_before_any_allocation(kind, monkeypatch, capsys):
+    trials = 10**9 if kind == "montecarlo" else 10**10  # montecarlo's bound is 2^32
+
     def unreachable(*args):
         raise AssertionError("the campaign ran past the trials guard")
 
-    monkeypatch.setattr(campaign, "detection_campaign", unreachable)
-    monkeypatch.setattr(campaign, "_success_probability", unreachable)
-    argv = [kind, "--d", "2", "--m", "1", "--n", "0", "--trials", str(10**10)]
+    for name in ("detection_campaign", "_success_probability", "child_uniforms", "_sample_runs"):
+        monkeypatch.setattr(campaign, name, unreachable)
+    argv = [kind, "--d", "2", "--m", "1", "--n", "0", "--trials", str(trials)]
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
-    assert err.startswith(f"error: trials: a {kind} of 10000000000 rows needs ")
+    assert err.startswith(f"error: trials: a {kind} of {trials} rows needs ")
     assert "QTELEPORT_MAX_AMPLITUDES" in err
 
 
@@ -948,19 +955,90 @@ def test_any_config_document_ends_in_output_or_one_error_line(case):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([kind, "--config", json.dumps(doc)])
-    out, err = out.getvalue(), err.getvalue()
+    _assert_output_or_one_error_line(code, out.getvalue(), err.getvalue(), doc.get("format"))
+
+
+def _assert_output_or_one_error_line(code, out, err, fmt, argparse_exit=False):
+    """Exit 0 with strict JSON or RFC 4180 CSV output, or exit 1 or 2 with
+    one error: line on stderr and nothing on stdout (after argparse's
+    usage block, where argparse rejected the argv)."""
     if code == 0:
         assert err == ""
-        if doc.get("format") == "csv":
+        if fmt == "csv":
             assert out.endswith("\r\n") and "\n" not in out.replace("\r\n", "")
             header, *rows = csv.reader(io.StringIO(out, newline=""), strict=True)
             assert all(len(row) == len(header) for row in rows)
         else:
             json.loads(out, parse_constant=_reject_constant)
+    elif argparse_exit:
+        assert code == 2 and out == ""
+        usage, *_, last = err.splitlines()
+        assert usage.startswith("usage: ") and last.startswith("qteleport") and ": error: " in last
+        assert err.count("error: ") == 1 and err.endswith("\n")
     else:
         assert code in (1, 2)
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+# Values, valid and invalid, for each flag of cli.FLAGS, at sizes that run
+# in milliseconds; --d, --m and --n include the sweep's comma lists.
+FUZZ_FLAG_VALUES = {
+    "--config": ['{"trials": 3}', '{"d": 3, "n": 1}', "{", "[1]", '{"sweep": 1}'],
+    "--seed": ["0", "7", "-1", "x", "1.5", "10000000000000000000000"],
+    "--trials": ["1", "5", "20", "0", "-3", "x", "2.0", "10000000000"],
+    "--d": ["2", "3", "1", "x", "2,3", "10000000000000000000"],
+    "--m": ["1", "2", "0", "x", "1,2"],
+    "--n": ["0", "1", "2", "-1", "x", "0,1"],
+    "--coeffs": ["uniform", "random:3", "random:x", "1,1", "1.2247,0.7071", "1,x", "nan,1", "ab"],
+    "--beta": ["random:2", "basis:0", "basis:9", "basis:x", "0.6,0.8", "1,0", "1,1", "x"],
+    "--eve": [*EVE_ACTIONS, "entangle"],
+    "--format": ["json", "csv", "xml"],
+    "--out": ["out", "new-dir/out", "a-file/out"],
+    "--x": ["1"],
+}
+
+
+@st.composite
+def _argvs(draw):
+    kind = draw(st.sampled_from([*config.KINDS, "bogus"]))
+    flags = sorted({flag for flag, _, _ in FLAGS} | {"--x"})  # --x: an unknown flag
+    pairs = draw(st.lists(st.sampled_from(flags), max_size=5))
+    argv = [kind]
+    for flag in pairs:
+        argv += [flag, draw(st.sampled_from(FUZZ_FLAG_VALUES[flag]))]
+    if draw(st.booleans()) and len(argv) > 1:
+        argv.pop()  # a flag without its value
+    guard = draw(st.sampled_from([None, "64", "1000"]))
+    return argv, guard
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_argvs())
+@example((["montecarlo", "--d", "2", "--trials", "10000000000"], "64"))
+@example((["sweep", "--d", "2,3", "--format", "csv", "--trials", "5"], None))
+def test_any_cli_argv_ends_in_output_or_one_error_line(case):
+    argv, guard = case
+    fmt = ([None] + [v for f, v in zip(argv, argv[1:]) if f == "--format"])[-1]
+    env = {} if guard is None else {"QTELEPORT_MAX_AMPLITUDES": guard}
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, env):
+        if guard is None:
+            os.environ.pop("QTELEPORT_MAX_AMPLITUDES", None)
+        Path(tmp, "a-file").touch()  # a-file/out cannot be written
+        argv = [os.path.join(tmp, v) if f == "--out" else v for f, v in zip([None, *argv], argv)]
+        outs = [v for f, v in zip(argv, argv[1:]) if f == "--out"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code, argparse_exit = main(argv), False
+            except SystemExit as exc:
+                code, argparse_exit = exc.code, True
+        out = out.getvalue()
+        if code == 0 and outs:
+            assert out == ""
+            with open(outs[-1], newline="") as f:
+                out = f.read()
+        _assert_output_or_one_error_line(code, out, err.getvalue(), fmt, argparse_exit)
 
 
 def test_cli_no_success_mean_fidelity_is_null(capsys):

@@ -15,6 +15,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qteleport
 from qteleport import _streams, campaign
@@ -151,3 +153,93 @@ def test_random_campaigns_never_import_numpy_random(tmp_path, kind):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.split()[-1] == "False"
+
+
+# 41 uint32 words: the pool hashes 37 words beyond its four.
+LONG_SEED = 2**1300 + 12345
+
+
+def _child_generator(seed, i):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,))))
+
+
+@pytest.mark.parametrize("seed", [*SEEDS, LONG_SEED])
+def test_every_seed_and_its_children_match_numpy(seed):
+    assert _same_bits(uniforms([seed], 9)[0], _generator(seed).random(9))
+    assert _same_bits(standard_normals([seed], 9)[0], _generator(seed).standard_normal(9))
+    rows = _streams.child_uniforms(seed, 0, 3, 5)
+    for i, row in enumerate(rows):
+        assert _same_bits(row, _child_generator(seed, i).random(5)), i
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 2**160), st.sampled_from([*SEEDS, LONG_SEED])),
+                min_size=1, max_size=40))
+def test_seeds_hashed_side_by_side_get_numpys_keys(seeds):
+    # The seeds share one int, a lane each: no lane may leak into its
+    # neighbour, and a short seed's lane ignores the longer seeds' words.
+    k0, k1 = _streams._seed_keys(seeds)
+    for seed, a, b in zip(seeds, k0.tolist(), k1.tolist()):
+        assert [a, b] == np.random.SeedSequence(seed).generate_state(2, np.uint64).tolist(), seed
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 + 9, LONG_SEED])
+def test_children_at_the_edges_of_the_spawn_range_match_numpy(seed):
+    rows = _streams.child_uniforms(seed, 2**32 - 2, 2**32, 3)
+    for i, row in zip([2**32 - 2, 2**32 - 1], rows):
+        assert _same_bits(row, _child_generator(seed, i).random(3)), i
+    for i in [0, 1, 2**31]:
+        assert _same_bits(_streams.child_uniforms(seed, i, i + 1, 6)[0],
+                          _child_generator(seed, i).random(6)), i
+
+
+def _numpy_blocks(k0, k1, blocks, first):
+    """numpy's raw words of counter blocks first..first+blocks-1 under key (k0, k1):
+    its counter is incremented before each block."""
+    bit_generator = np.random.Philox(key=np.array([k0, k1], np.uint64),
+                                     counter=np.array([first - 1, 0, 0, 0], np.uint64))
+    return bit_generator.random_raw(4 * blocks)
+
+
+# Small slice sizes make the calls below cross slice boundaries between
+# blocks and between keys; 2^13 + 3 blocks cross the default's.  (With
+# raising=False the test also runs against a kernel without slices.)
+@pytest.mark.parametrize(
+    "slice_words, keys, blocks, first",
+    [(None, 1, 2**13 + 3, 5)] + [
+        (slice_words, *case) for slice_words in (None, 4, 12, 36)
+        for case in [(1, 1, 1), (3, 5, 2), (2, 37, 2**40 + 7), (11, 3, 9)]
+    ],
+)
+def test_philox_blocks_match_numpys_raw_words(monkeypatch, slice_words, keys, blocks, first):
+    if slice_words is not None:
+        monkeypatch.setattr(_streams, "PHILOX_SLICE_WORDS", slice_words, raising=False)
+    top = 1 << 63
+    k0 = np.array([top | 5, 7, 2**64 - 1, 0, top, 12345, top | 2**40, 3, 2**63 - 1, 1, 99][:keys],
+                  np.uint64)
+    k1 = np.array([top | 11, 2**64 - 1, 0, top, 6, top | 3, 8, 2**62, 4, top | 1, 2][:keys],
+                  np.uint64)
+    words = _streams._philox_blocks(k0, k1, blocks, first)
+    assert words.shape == (keys, 4 * blocks) and words.dtype == np.uint64
+    for row, a, b in zip(words, k0.tolist(), k1.tolist()):
+        assert np.array_equal(row, _numpy_blocks(a, b, blocks, first)), (a, b)
+
+
+_COLD_PATH_CHILD = """
+import sys
+import qteleport.cli
+from qteleport._streams import child_uniforms, standard_normals, uniforms
+before = set(sys.modules)
+standard_normals([3], 6)
+uniforms([3, 4], 5)
+child_uniforms(3, 0, 10, 4)
+print(sorted(set(sys.modules) - before))
+"""
+
+
+def test_the_first_values_import_no_module():
+    src = os.path.dirname(os.path.dirname(qteleport.__file__))
+    proc = subprocess.run([sys.executable, "-c", _COLD_PATH_CHILD], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
