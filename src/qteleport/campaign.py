@@ -256,11 +256,12 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple[dict, dict]:
     Spec i's channel is random_coeffs(d, seed * 1_000_003 + 2 i) and its
     input InputStateSpec.random(d, m, that seed + 1).  A chunk of specs
     reads all its channels' uniforms in one _streams call and all its
-    inputs' normals in another, each row as long as the grid's longest
-    (a spec reads its stream's first values), at most
-    SAMPLE_CHUNK_AMPLITUDES normals a chunk."""
+    inputs' normals in another, each row as long as the longest visited
+    point's, which load_config checked (a spec reads its stream's first
+    values), at most SAMPLE_CHUNK_AMPLITUDES normals a chunk."""
     grid = list(product(cfg.sweep["d"], cfg.sweep["m"], cfg.sweep["n"]))
-    most_coeffs, most_normals = max(d for d, _, _ in grid), max(2 * d**m for d, m, _ in grid)
+    visited = grid[: cfg.trials]
+    most_coeffs, most_normals = max(d for d, _, _ in visited), max(2 * d**m for d, m, _ in visited)
     chunk = max(1, SAMPLE_CHUNK_AMPLITUDES // most_normals)
     rows = []
     for lo in range(0, cfg.trials, chunk):

@@ -153,37 +153,26 @@ def _read_campaign(argv: list) -> SimpleNamespace | None:
 
 def _build_doc(args) -> dict:
     """The config file's object (unvalidated) with args' inline flags merged
-    over it; load_config validates the result once."""
+    over it, in FLAGS order; load_config validates the result once."""
+    # The flags whose config key or reader is not their dest's own.
+    fields = {
+        "fmt": ("format", None), "coeffs": ("coeffs", _coeffs_flag), "beta": ("beta", _beta_flag),
+    }
     doc = read_config(args.config) if args.config else {}
     doc["kind"] = args.command
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.out is not None:
-        doc["out"] = args.out
-    if args.fmt is not None:
-        doc["format"] = args.fmt
-    if args.trials is not None:
-        doc["trials"] = args.trials
-    if args.command == "sweep":
-        sweep = doc.get("sweep", {})
-        if isinstance(sweep, dict):  # otherwise load_config names the bad value
-            sweep = dict(sweep)
-            for key in ("d", "m", "n"):
-                flag = getattr(args, key)
-                if flag is not None:
-                    sweep[key] = _int_list(flag, f"sweep.{key}")
-            doc["sweep"] = sweep
-    else:
-        for key in ("d", "m", "n"):
-            flag = getattr(args, key)
-            if flag is not None:
-                doc[key] = flag
-    if getattr(args, "coeffs", None) is not None:
-        doc["coeffs"] = _coeffs_flag(args.coeffs)
-    if getattr(args, "beta", None) is not None:
-        doc["beta"] = _beta_flag(args.beta)
-    if getattr(args, "eve", None) is not None:
-        doc["eve"] = args.eve
+    sweep = doc.get("sweep", {}) if args.command == "sweep" else None
+    if isinstance(sweep, dict):  # otherwise load_config names the bad value
+        sweep = doc["sweep"] = dict(sweep)
+    for dest, _, _ in _READERS[args.command].values():
+        value = getattr(args, dest)
+        if value is None or dest == "config":
+            continue
+        if args.command == "sweep" and dest in ("d", "m", "n"):
+            if isinstance(sweep, dict):
+                sweep[dest] = _int_list(value, f"sweep.{dest}")
+        else:
+            key, read = fields.get(dest, (dest, None))
+            doc[key] = value if read is None else read(value)
     return doc
 
 

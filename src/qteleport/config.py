@@ -16,8 +16,8 @@ import numpy as np
 from ._streams import uniforms
 from .decoy import EVE_ACTIONS
 from .primitives import ChannelSpec
-from .protocol import InputStateSpec, _check_branches
-from .state import MAX_AMPLITUDES_ENV, SizeGuardError, max_amplitudes, record
+from .protocol import InputStateSpec, _check_branches, _check_input_size
+from .state import _check_size, record
 
 KINDS = ("enumerate", "montecarlo", "decoy", "sweep")
 FORMATS = ("json", "csv")
@@ -152,25 +152,17 @@ def resolve_beta(value, d: int, m: int) -> np.ndarray:
     return beta
 
 
-def _check_amplitudes(what: str, need: int | None) -> None:
-    """The amplitude guard on a campaign's widest array, need amplitudes
-    (None: too many to compute), before any of it is built."""
-    limit = max_amplitudes()
-    if need is None or need > limit:
-        needs = "" if need is None else f" needs {need} amplitudes and"
-        raise SizeGuardError(
-            f"{what}{needs} exceeds the size guard of {limit} "
-            f"(override with {MAX_AMPLITUDES_ENV})"
-        )
-
-
-def _check_input_size(d: int, m: int) -> None:
-    """The guard on the sampler's and the oracle's widest array: the
-    input with the aux qubit (2 d^m amplitudes) or the sender's d^2
-    outcome weights.  An m at least the guard's bit length exceeds it for
-    every d >= 2, so d**m is computed only for smaller m."""
-    small = m < max_amplitudes().bit_length()
-    _check_amplitudes(f"an input of {d}^{m} amplitudes", max(2 * d**m, d * d) if small else None)
+def _check_point(kind: str, d: int, m: int, n: int) -> None:
+    """The guards one (d, m, n) point of a campaign passes at load, before
+    anything of its size is built: a decoy's d x d X basis and cross-basis
+    tables; otherwise the enumeration guard where every branch is listed
+    or weighed (enumerate, a sweep point), then the input guard."""
+    if kind == "decoy":
+        _check_size(d * d, f"a decoy of dimension {d}")
+        return
+    if kind in ("enumerate", "sweep"):
+        _check_branches(d, m, n)
+    _check_input_size(d, m)
 
 
 def _integer(value) -> int | None:
@@ -229,7 +221,7 @@ def load_config(source) -> ExperimentConfig:
     if kind == "montecarlo" and trials > 2**32:  # trial i is the seed's child i
         raise ConfigError(f"trials: montecarlo runs at most 2^32 trials, got {trials}")
     if kind in HELD_PER_TRIAL:
-        _check_amplitudes(f"trials: a {kind} of {trials} rows", HELD_PER_TRIAL[kind] * trials)
+        _check_size(HELD_PER_TRIAL[kind] * trials, f"trials: a {kind} of {trials} rows")
     out = doc.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError(f"out: expected a path string, got {out!r}")
@@ -253,8 +245,7 @@ def load_config(source) -> ExperimentConfig:
         # the grid size) passes the guards before the first one runs.
         grid = list(product(cfg.sweep["d"], cfg.sweep["m"], cfg.sweep["n"]))
         for d, m, n in grid[:trials]:
-            _check_branches(d, m, n)
-            _check_input_size(d, m)
+            _check_point(kind, d, m, n)
         return cfg
 
     cfg.d = _expect_int(doc, "d", 2, 2)
@@ -266,14 +257,12 @@ def load_config(source) -> ExperimentConfig:
         if eve not in EVE_ACTIONS:
             raise ConfigError(f"eve: expected one of {EVE_ACTIONS}, got {eve!r}")
         cfg.eve = eve
-        # The d x d X basis and each d x d cross-basis table.
-        _check_amplitudes(f"a decoy of dimension {cfg.d}", cfg.d * cfg.d)
+    _check_point(kind, cfg.d, cfg.m, cfg.n)
+    if kind == "decoy":
         return cfg
-
-    _check_input_size(cfg.d, cfg.m)
     if kind == "montecarlo":  # gbs 2m, controllers m n, r_sums m, aux, fidelity, probability
         held = cfg.m * (cfg.n + 3) + 3
-        _check_amplitudes(f"trials: a montecarlo of {trials} rows", held * trials)
+        _check_size(held * trials, f"trials: a montecarlo of {trials} rows")
     cfg.coeffs = resolve_coeffs(doc.get("coeffs"), cfg.d)
     try:
         cfg.channel_spec()

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .state import StateVector, _rng_from_seed, _sample, _sample_rows, make_state, record
+from .state import StateVector, _draw, _rng_from_seed, _sample_rows, make_state, record
 from .primitives import DIMENSION_CACHE_SIZE, _read_only, _View, x_basis_matrix
 
 EVE_ACTIONS = ("none", "measure_Z_resend", "measure_X_resend", "random_basis_resend")
@@ -60,31 +60,22 @@ def _draw_prep(d: int, rng: np.random.Generator) -> tuple[str, int]:
     return basis, int(rng.integers(d))
 
 
-# Cached, so a round allocates no d x d matrix.
-@lru_cache(maxsize=DIMENSION_CACHE_SIZE)
-def _z_kets(d: int) -> np.ndarray:
-    return _read_only(np.eye(d, dtype=complex))
-
-
-@lru_cache(maxsize=DIMENSION_CACHE_SIZE)
-def _x_bras(d: int) -> np.ndarray:
-    return _read_only(x_basis_matrix(d).conj())
-
-
 def _ket(d: int, basis: str, value: int) -> np.ndarray:
-    """Eigenket |value> of the Z or X basis (a read-only row)."""
-    return (_z_kets(d) if basis == "Z" else x_basis_matrix(d))[value]
+    """Eigenket |value> of the Z or X basis."""
+    return np.eye(1, d, value, dtype=complex)[0] if basis == "Z" else x_basis_matrix(d)[value]
 
 
 def _weights(ket: np.ndarray, basis: str) -> np.ndarray:
-    """Born weights of measuring a length-d ket in Z or X."""
-    amps = ket if basis == "Z" else _x_bras(ket.size) @ ket
+    """Born weights of measuring a length-d ket in Z or X.  An X weight
+    |<x_r|ket>|^2 is taken as |x_r . conj(ket)|^2: the ket is conjugated,
+    not the d x d basis."""
+    amps = ket if basis == "Z" else x_basis_matrix(ket.size) @ ket.conj()
     return np.abs(amps) ** 2
 
 
 def _measure(ket: np.ndarray, basis: str, rng: np.random.Generator) -> int:
     """Born-sampled outcome of measuring a length-d ket in Z or X."""
-    return _sample(_weights(ket, basis), rng)
+    return int(_draw(_weights(ket, basis), np.asarray(rng.random())))
 
 
 def _eve_basis(eve_action: str, rng: np.random.Generator) -> str | None:

@@ -186,9 +186,11 @@ def channel_state(spec: ChannelSpec, labels=None) -> StateVector:
 def _receiver_constants(spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The receiver's spec-only tables, built once per spec, read-only.
 
-    gamma      -- extraction ratios Gamma_J = |c_k|^m / prod_l |c_(J_l)|
-                  over the d^m receiver indices (copy-major)
-    gamma_plus -- sqrt(1 - gamma^2), each rotation's aux-1 amplitude
+    rotation   -- (gamma, gamma+) over the d^m receiver indices
+                  (copy-major): the extraction ratios Gamma_J = |c_k|^m /
+                  prod_l |c_(J_l)| and sqrt(1 - gamma^2), each 2x2
+                  rotation's aux-0 and aux-1 amplitude factors
+    extraction -- rotation^2 transposed: the aux outcomes' weights
     phase_rows -- phase_rows[u, j] = omega^(-u j) e^{i phi_j} with
                   phi_j = arg c_j: the phase the adjoint correction puts
                   on a copy with phase index u
@@ -197,10 +199,12 @@ def _receiver_constants(spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray, np.n
     per_index = mods[spec.k_min] / mods  # length d, each <= 1
     table = reduce(np.multiply.outer, [per_index] * spec.m).reshape(-1)
     gamma = np.minimum(table, 1.0)  # clamp float overshoot at ties
+    rotation = np.stack((gamma, np.sqrt(1.0 - gamma**2)))
     j = np.arange(spec.d)
     coeff_phase = np.exp(1j * np.angle(np.asarray(spec.coeffs)))
     phase_rows = np.exp(-2j * np.pi * j[:, None] * j / spec.d) * coeff_phase
-    return tuple(map(_read_only, (gamma, np.sqrt(1.0 - gamma**2), phase_rows)))
+    # extraction is C-ordered, as the sampler's and the oracle's products expect
+    return tuple(map(_read_only, (rotation, np.stack(rotation, axis=1) ** 2, phase_rows)))
 
 
 @lru_cache(maxsize=DIMENSION_CACHE_SIZE)
@@ -214,7 +218,7 @@ def u_max_m(spec: ChannelSpec) -> np.ndarray:
     Reference matrix, (2 d^m)^2 entries and read-only: the protocol
     applies the same direct sum of 2x2 rotations in closed form.
     """
-    gamma, gamma_plus, _ = _receiver_constants(spec)
+    gamma, gamma_plus = _receiver_constants(spec)[0]
     dm = gamma.size
     op = np.zeros((2 * dm, 2 * dm), dtype=complex)
     idx = np.arange(dm)

@@ -1,37 +1,14 @@
 """Multiparty-controlled teleportation of an m-qudit state.
 
 Cast: a sender holding the unknown m-qudit state and one qudit of each
-channel copy, n controllers, and a receiver.  Per channel copy the
-sender measures her qudit pair in the generalized-Bell basis, each
-controller measures his qudit in the X basis, and the receiver runs a
-collective extraction unitary with a two-level auxiliary system.  Aux
-outcome 0 heralds success; the receiver then applies phase-and-shift
-corrections built from the broadcast outcomes.
+channel copy, n controllers, and a receiver with a two-level auxiliary
+system whose outcome 0 heralds success.
 
-The receiver's operators are never dense matrices.  The extraction
-U_max^m is a direct sum of d^m 2x2 rotations, so it scales each receiver
-amplitude into the two aux sectors.  The correction C is never applied:
-|<input|C psi>|^2 = |<C^dagger input|psi>|^2, so sampled runs and the
-oracle both score the receiver against the input pulled back through
-the correction (_pullback).  The sender's outcomes leave the receiver a
-fixed map of the input: receiver digit J comes from input digit J - S,
-scaled by one row per copy.  _gather applies that map for a batch of
-runs, so the receiver and the pulled-back input are one gather of the
-input.  The spec-only constants (gamma, gamma+, phase rows) are built
-once per spec.
-u_max_m and correction_unitary remain the reference matrices the tests
-check these closed forms against.
-
-Runs are sampled or forced in closed form by _sample_runs, which draws
-a batch of runs at once: every run_structured call is a batch of one,
-and the montecarlo campaign runs it in chunks of trials fed by _streams.
-The copy loop (_run) on the state engine is the dense reference the
-closed form is tested against; run_protocol runs it on the full dense
-register.  The exact oracle, enumerate_branches, lists every branch
-with its exact probability and fidelity.  A copy's controllers reach
-the receiver only through the sum of their X outcomes, so the oracle
-projects every (sender outcome, sum) group at once, as arrays, and
-gathers the leaves from the groups.
+Map: run_structured samples or forces runs in closed form (_sample_runs,
+in batches for the montecarlo campaign); run_protocol and _run are the
+dense reference on the state engine; enumerate_branches is the exact
+oracle (_stage_one, then _enumerate).  The guards (_check_input_size,
+_check_branches) run before any array of their size is built.
 """
 
 from __future__ import annotations
@@ -60,6 +37,7 @@ from .state import (
     _draw,
     _rng_from_seed,
     make_state,
+    max_amplitudes,
     measure_in_basis,
     record,
     tensor,
@@ -242,7 +220,7 @@ def _extract(state: StateVector, spec: ChannelSpec) -> StateVector:
     for t in receivers:
         shape[t] = spec.d
     # Receivers sit in copy order, so gamma's copy-major layout carries over.
-    gamma, gamma_plus, _ = _receiver_constants(spec)
+    gamma, gamma_plus = _receiver_constants(spec)[0]
     amps = state.amps.reshape(state.dims)
     out = np.stack(
         (gamma.reshape(shape) * amps, gamma_plus.reshape(shape) * amps), axis=-1
@@ -475,7 +453,8 @@ def _draw_count(spec: ChannelSpec) -> int:
 
 @lru_cache(maxsize=CHANNEL_CACHE_SIZE)
 def _sampler_constants(spec: ChannelSpec) -> tuple[np.ndarray, ...]:
-    """The sampler's spec-only tables, built once per spec, read-only.
+    """The sampler's sender-side tables, built once per spec, read-only
+    (the receiver's are _receiver_constants').
 
     cross    -- cross[t, s] = a_(t+s) = |c_(t+s)|^2 / d^2, symmetric:
                 P(r, s) is (p @ cross)[s] for a digit's marginal p, any
@@ -484,21 +463,15 @@ def _sampler_constants(spec: ChannelSpec) -> tuple[np.ndarray, ...]:
     sender   -- sender[u, j] = omega^(-u j) c_j / d: the sender's and the
                 controllers' factor on digit j when r + rho = u
     controller -- a controller's outcome weights, 1/d each
-    rotation -- (gamma, gamma+) over the receiver indices: each aux
-                outcome's amplitude factor
-    extraction -- rotation^2 transposed: the aux outcomes' weights
     """
     d = spec.d
     coeffs = np.asarray(spec.coeffs)
     j = np.arange(d)
-    gamma, gamma_plus, _ = _receiver_constants(spec)
     tables = (
         np.abs(coeffs[(j[:, None] + j) % d]) ** 2 / d**2,
         np.tile(j, d),
         np.exp(-2j * np.pi * j[:, None] * j / d) * coeffs / d,
         np.full(d, 1.0 / d),
-        np.stack((gamma, gamma_plus)),
-        np.stack((gamma, gamma_plus), axis=1) ** 2,
     )
     return tuple(map(_read_only, tables))
 
@@ -536,12 +509,9 @@ def _sample_runs(input_state: StateVector, spec: ChannelSpec, draws) -> _Samples
     the controllers' d^(-m n).
     """
     d, m, n = spec.d, spec.m, spec.n
-    # The receiver with the aux qubit, or the sender's d^2 outcome weights.
-    _check_size(max(2 * d**m, d * d))
-    cross, outcomes, sender_rows, controller, rotation, extraction = (
-        _sampler_constants(spec)
-    )
-    _, _, phase_rows = _receiver_constants(spec)
+    _check_input_size(d, m)
+    cross, outcomes, sender_rows, controller = _sampler_constants(spec)
+    rotation, extraction, phase_rows = _receiver_constants(spec)
     batch = len(draws)
     per_copy = draws[:, :-1].reshape(batch, m, n + 1)
     controllers = _draw(controller, per_copy[..., 1:])
@@ -573,6 +543,15 @@ def _sample_runs(input_state: StateVector, spec: ChannelSpec, draws) -> _Samples
 
 def _branch_count(spec: ChannelSpec) -> int:
     return spec.d ** (2 * spec.m) * spec.d ** (spec.n * spec.m) * 2
+
+
+def _check_input_size(d: int, m: int) -> None:
+    """The amplitude guard on the sampler's and the oracle's widest array:
+    the input with the aux qubit (2 d^m amplitudes) or the sender's d^2
+    outcome weights.  An m at least the guard's bit length exceeds it for
+    every d >= 2, so d**m is computed only for smaller m."""
+    small = m < max_amplitudes().bit_length()
+    _check_size(max(2 * d**m, d * d) if small else None, f"an input of {d}^{m} amplitudes")
 
 
 def _check_branches(d: int, m: int, n: int) -> None:
@@ -631,11 +610,10 @@ def _stage_one(input_spec: InputStateSpec, spec: ChannelSpec):
     _validate_pair(input_spec, spec)
     d, m, n = spec.d, spec.m, spec.n
     _check_branches(d, m, n)
-    _check_size(max(2 * d**m, d * d))
+    _check_input_size(d, m)
 
     input_state = input_spec.state()
-    gamma, gamma_plus, _ = _receiver_constants(spec)
-    extraction = np.stack((gamma, gamma_plus), axis=1) ** 2  # as in _sampler_constants
+    extraction = _receiver_constants(spec)[1]
     per_copy = _copy_tensor(spec)
     sums = per_copy.shape[2] ** m  # rho vectors: d^m, or 1 with no controllers
     per_group = d ** (m * n) // sums
@@ -699,7 +677,7 @@ def _enumerate(
     )
     group_of = state_sum * len(offsets) + offset_of
 
-    rotation = _sampler_constants(spec)[4]
+    rotation = _receiver_constants(spec)[0]
     omega = _omega_table(d, m)
     probability, fidelity = np.empty((2, d ** (2 * m), n_ctrl, 2))
     success = total = np.longdouble(0.0)

@@ -49,12 +49,15 @@ def max_amplitudes() -> int:
     return limit
 
 
-def _check_size(num_amps: int) -> None:
+def _check_size(need: int | None, what: str = "a state") -> None:
+    """The amplitude guard on an array of need amplitudes named what (need
+    None: too many to compute), before any of it is built.  The only
+    raiser of the guard's SizeGuardError."""
     limit = max_amplitudes()
-    if num_amps > limit:
+    if need is None or need > limit:
+        needs = "" if need is None else f" needs {need} amplitudes and"
         raise SizeGuardError(
-            f"state of {num_amps} amplitudes exceeds the size guard of {limit} "
-            f"(override with {MAX_AMPLITUDES_ENV})"
+            f"{what}{needs} exceeds the size guard of {limit} (override with {MAX_AMPLITUDES_ENV})"
         )
 
 
@@ -216,17 +219,13 @@ def apply(state: StateVector, op: np.ndarray, targets) -> StateVector:
     the order given (first target = most significant digit).
     """
     targets = list(targets)
-    if any(t < 0 or t >= state.num_subsystems for t in targets):
-        raise ValueError(
-            f"target out of range in {targets} (n={state.num_subsystems})"
-        )
+    mat, moved_shape = _targets_front(state, targets)
     op = np.asarray(op, dtype=complex)
-    block = math.prod(state.dims[t] for t in targets)
+    block = mat.shape[0]
     if op.shape != (block, block):
         raise ValueError(
             f"operator shape {op.shape} does not match target dims product {block}"
         )
-    mat, moved_shape = _targets_front(state, targets)
     out = (op @ mat).reshape(moved_shape)
     out = np.moveaxis(out, range(len(targets)), targets)
     return StateVector(dims=state.dims, amps=out.reshape(-1), labels=state.labels)
@@ -308,11 +307,6 @@ def _sample_rows(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(below, cumulative.shape[-1] - 1)
 
 
-def _sample(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Born draw: _sample_rows on one row, from one uniform of rng."""
-    return int(_sample_rows(np.cumsum(probs), np.asarray(rng.random())))
-
-
 def _draw(weights: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """The outcome each draw picks along the last axis of weights: a
     uniform (float) by _sample_rows, or a forced outcome index (int),
@@ -351,7 +345,7 @@ def measure_in_basis(
     else:
         if rng is None:
             raise ValueError("either rng or forced_outcome is required")
-        idx = _sample(probs, rng)
+        idx = int(_draw(probs, np.asarray(rng.random())))
     post = coeffs[idx].reshape(-1)
     post = post / np.linalg.norm(post)
     return MeasurementOutcome(

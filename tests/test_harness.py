@@ -729,6 +729,33 @@ def test_input_size_guard_precedes_building_the_input(monkeypatch, capsys):
         load_config(dict(doc, m=10**12))
 
 
+def test_enumeration_guard_precedes_building_the_input(monkeypatch, capsys):
+    # 2 * 2^44 branches: refused at load, as a sweep point is, before the
+    # coefficients or the random: input are drawn.
+    def unreachable(*args):
+        raise AssertionError("the input was built before the enumeration guard ran")
+
+    monkeypatch.setattr(config, "resolve_coeffs", unreachable)
+    monkeypatch.setattr(config, "resolve_beta", unreachable)
+    assert main(["enumerate", "--d", "2", "--m", "4", "--n", "9", "--beta", "random:1"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: 2 * 2^44 branches exceed the enumeration guard of 1000000\n"
+    )
+
+
+def test_only_the_state_engine_raises_the_size_guard():
+    # One raiser (state._check_size) states the amplitude guard's message.
+    import ast
+
+    raisers = set()
+    for path in Path(qteleport.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call) and getattr(exc.func, "id", None) == "SizeGuardError":
+                raisers.add(path.name)
+    assert raisers == {"state.py"}
+
+
 def test_input_size_guard_precedes_the_coefficients(monkeypatch, capsys):
     # d = 10^30 would overflow building d coefficients; the guard refuses
     # it first.
@@ -741,6 +768,14 @@ def test_input_size_guard_precedes_the_coefficients(monkeypatch, capsys):
     assert out == ""
     assert err.startswith("error: an input of 1000000000000000000000000000000^1 amplitudes")
     assert err.count("\n") == 1
+
+
+def test_sweep_draws_only_for_the_points_it_visits(capsys):
+    # One trial visits (2, 1, 0) alone: the unvisited (101, 100, 0), whose
+    # 2 * 101^100 normals no guard checked, sets no stream's length.
+    assert main(["sweep", "--d", "2,101", "--m", "1,100", "--n", "0", "--trials", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["aggregate"]["specs"] == 1
 
 
 def test_input_size_guard_covers_the_aux_qubit(monkeypatch, capsys):

@@ -294,9 +294,9 @@ def test_channel_state_cache_is_bounded():
 
 
 def test_dimension_caches_are_bounded():
-    from qteleport.decoy import _cross_tables, _x_bras, _z_kets
+    from qteleport.decoy import _cross_tables
 
-    by_dimension = (gbs_basis_matrix, x_basis_matrix, _z_kets, _x_bras, _cross_tables)
+    by_dimension = (gbs_basis_matrix, x_basis_matrix, _cross_tables)
     for d in range(2, 22):
         for cached in by_dimension:
             cached(d)
