@@ -4,7 +4,7 @@ Every campaign is deterministic given its config and master seed; the
 serialized output (JSON or CSV) is byte-identical across reruns.  Wall
 clock timing is kept on the in-memory record only, never serialized.
 An undefined value (no success to average, or the fidelity of a branch
-of zero probability) is None: null in JSON, an empty field in CSV, so
+under the oracle's floor) is None: null in JSON, an empty field in CSV, so
 the JSON stays strict.
 
 A runner returns its aggregate and its rows as columns: arrays, text
@@ -25,7 +25,6 @@ import tempfile
 import time
 from collections.abc import Callable, Iterator, Sequence
 from functools import partial
-from itertools import product
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from ._streams import child_uniforms, standard_normals, uniforms
 from .config import (
     ExperimentConfig,
     _coeffs_from_uniforms,
+    _sweep_point,
     random_coeffs,  # noqa: F401  (perfbench/tracer.py wraps it here)
 )
 from .decoy import _z_score, detection_campaign
@@ -259,8 +259,8 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple[dict, dict]:
     inputs' normals in another, each row as long as the longest visited
     point's, which load_config checked (a spec reads its stream's first
     values), at most SAMPLE_CHUNK_AMPLITUDES normals a chunk."""
-    grid = list(product(cfg.sweep["d"], cfg.sweep["m"], cfg.sweep["n"]))
-    visited = grid[: cfg.trials]
+    point = partial(_sweep_point, cfg.sweep)
+    visited = list(map(point, range(min(cfg.trials, math.prod(map(len, cfg.sweep.values()))))))
     most_coeffs, most_normals = max(d for d, _, _ in visited), max(2 * d**m for d, m, _ in visited)
     chunk = max(1, SAMPLE_CHUNK_AMPLITUDES // most_normals)
     rows = []
@@ -269,7 +269,7 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple[dict, dict]:
         weights = uniforms(seeds, most_coeffs)
         normals = standard_normals([seed + 1 for seed in seeds], most_normals)
         for i, u, z in zip(range(lo, lo + chunk), weights, normals):
-            d, m, n = grid[i % len(grid)]
+            d, m, n = point(i)
             chan = ChannelSpec(d, n, m, _coeffs_from_uniforms(u[:d]))
             inp = InputStateSpec._from_normals(d, m, z)
             p, theory = _success_probability(inp, chan), theoretical_success_probability(chan)

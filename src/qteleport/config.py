@@ -8,7 +8,7 @@ name the offending field and the violated constraint.
 from __future__ import annotations
 
 import json
-from itertools import product
+import math
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +165,12 @@ def _check_point(kind: str, d: int, m: int, n: int) -> None:
     _check_input_size(d, m)
 
 
+def _sweep_point(sweep: dict, i: int) -> tuple[int, int, int]:
+    """Point i mod the grid size of a sweep's grid, in itertools.product(d, m, n) order."""
+    d, m, n = sweep["d"], sweep["m"], sweep["n"]
+    return d[i // (len(m) * len(n)) % len(d)], m[i // len(n) % len(m)], n[i % len(n)]
+
+
 def _integer(value) -> int | None:
     """A JSON Schema integer as an int: a number with no fractional part
     (2, 2.0, 1e3), but not a boolean, which Python counts as an int."""
@@ -241,11 +247,8 @@ def load_config(source) -> ExperimentConfig:
                     f"sweep.{key}: expected a non-empty list of integers >= {minimum}"
                 )
             cfg.sweep[key] = values
-        # Every point the sweep will enumerate (trial i runs point i mod
-        # the grid size) passes the guards before the first one runs.
-        grid = list(product(cfg.sweep["d"], cfg.sweep["m"], cfg.sweep["n"]))
-        for d, m, n in grid[:trials]:
-            _check_point(kind, d, m, n)
+        for i in range(min(trials, math.prod(map(len, cfg.sweep.values())))):
+            _check_point(kind, *_sweep_point(cfg.sweep, i))
         return cfg
 
     cfg.d = _expect_int(doc, "d", 2, 2)

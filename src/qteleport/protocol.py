@@ -602,11 +602,9 @@ def _joint_amplitudes(input_amps: np.ndarray, tensors) -> np.ndarray:
 def _stage_one(input_spec: InputStateSpec, spec: ChannelSpec):
     """Stage 1 of the oracle: the guards, then every (sender, rho, aux)
     group's weight.  Returns the input state, the controller leaves per
-    rho vector, and a generator of (lo, gbs, amps, weights, empty,
-    success) per chunk of sender outcomes (the leading copies' fixed):
-    first index, outcomes (chunk, m, 2), amplitudes (chunk, rho, j),
-    weights (chunk, rho, aux), the groups below 1e-18 given the sender's
-    outcome, and the success weight in extended precision."""
+    rho vector, and per chunk of sender outcomes (the leading copies'
+    fixed) its first index, outcomes (chunk, m, 2), amplitudes (chunk,
+    rho, j) and weights (chunk, rho, aux), from a generator."""
     _validate_pair(input_spec, spec)
     d, m, n = spec.d, spec.m, spec.n
     _check_branches(d, m, n)
@@ -626,19 +624,17 @@ def _stage_one(input_spec: InputStateSpec, spec: ChannelSpec):
             gbs = _digits(np.arange(lo, lo + chunk), d, m, 2)
             fixed = [per_copy[:, [r * d + s]] for r, s in gbs[0, : m - free].tolist()]
             amps = _joint_amplitudes(input_state.amps, fixed + [per_copy] * free)
-            weights = (amps.real**2 + amps.imag**2) @ extraction
-            empty = weights < 1e-18 * (weights.sum(axis=(1, 2)) * per_group)[:, None, None]
-            success = np.sum(weights[..., 0][~empty[..., 0]], dtype=np.longdouble)
-            yield lo, gbs, amps, weights, empty, success
+            yield lo, gbs, amps, (amps.real**2 + amps.imag**2) @ extraction
 
     return input_state, per_group, chunks()
 
 
 def _success_probability(input_spec: InputStateSpec, spec: ChannelSpec) -> float:
     """The oracle's success probability from stage 1 alone, no leaf built:
-    enumerate_branches' sums, in the same order, so the same float."""
+    enumerate_branches' sum over every group in its order, the same float."""
     _, per_group, chunks = _stage_one(input_spec, spec)
-    return float(sum((part for *_, part in chunks), np.longdouble(0.0)) * per_group)
+    parts = (np.sum(weights[..., 0], dtype=np.longdouble) for *_, weights in chunks)
+    return float(sum(parts, np.longdouble(0.0)) * per_group)
 
 
 def _enumerate(
@@ -647,18 +643,18 @@ def _enumerate(
     """Every measurement branch exactly, as arrays.
 
     A leaf's receiver depends on its controllers only through their sums
-    rho (see _copy_tensor).  Stage 1 (_stage_one) applies each copy's
-    tensor to the input and weighs every (sender, rho, aux) group: that
-    alone gives the success probability, which is all the sweep runs
-    (_success_probability).  Stage 2 scores each group as a sampled run
-    is scored: success against the input pulled back through the
-    correction (one _pullback call, times _omega_table's row for the
-    sums the receiver knows), failure against the input.  Then the
-    leaves are gathered.
+    rho (see _copy_tensor).  Stage 1 (_stage_one) weighs every (sender,
+    rho, aux) group, which alone gives the success probability
+    (_success_probability, all the sweep runs).  Stage 2 scores each
+    group as a sampled run is scored: success against the input pulled
+    back through the correction (one _pullback call, times _omega_table's
+    row for the sums the receiver knows), failure against the input; a
+    group below 1e-18 of its sender outcome's weight scores NaN.  Then
+    the leaves are gathered.
 
     The correction misses the withheld controllers' outcomes, which
     changes only success fidelities.  Returns the leaves and the success
-    and total probabilities, summed over the groups (a group's leaves
+    and total probabilities, summed over every group (a group's leaves
     share its probability) in extended precision: the leaves' exact sums
     to within a rounding.
     """
@@ -681,8 +677,9 @@ def _enumerate(
     omega = _omega_table(d, m)
     probability, fidelity = np.empty((2, d ** (2 * m), n_ctrl, 2))
     success = total = np.longdouble(0.0)
-    for lo, gbs, amps, weights, empty, part in chunks:
+    for lo, gbs, amps, weights in chunks:
         hi = lo + len(gbs)
+        empty = weights < 1e-18 * (weights.sum(axis=(1, 2)) * per_group)[:, None, None]
         divisor = np.where(empty, 1.0, weights)[:, :, None]
         # The row for the known sums rho - w is omega^((rho - w) j) times
         # the pulled-back input: the state's row, then the offset's.
@@ -695,7 +692,7 @@ def _enumerate(
 
         np.take(weights, state_sum, axis=1, out=probability[lo:hi])
         np.take(scores.reshape(len(gbs), -1, 2), group_of, axis=1, out=fidelity[lo:hi])
-        success += part
+        success += np.sum(weights[..., 0], dtype=np.longdouble)
         total += np.sum(weights, dtype=np.longdouble)
 
     branches = _Branches(d, m, n, probability.reshape(-1), fidelity.reshape(-1))

@@ -103,8 +103,7 @@ def reference_enumerate(input_spec, spec, correction_controllers=None):
     assert gbs_list == list(product(product(range(d), repeat=2), repeat=m))
     probability = np.concatenate(probabilities)
     fidelity = np.concatenate(fidelities)
-    success = probability[0::2][~np.isnan(fidelity[0::2])]
-    success_probability = float(np.cumsum(success)[-1]) if success.size else 0.0
+    success_probability = float(np.cumsum(probability[0::2])[-1])
     total = float(np.cumsum(probability)[-1])
     branches = _Branches(d, m, n, probability, fidelity)
     return branches, success_probability, total

@@ -1,0 +1,121 @@
+"""The paper's claims at the edges of the channels ChannelSpec admits.
+
+The other property tests draw every |c_j|^2 from about 0.1 up.
+ChannelSpec admits every |c_j|^2 >= 1e-12, so these strategies reach
+the smallest weight from 1e-12 up, exact and near ties (equal to within
+a few ulps) between the smallest weights, complex phases, and larger d
+at m = 1, n = 0.  There the oracle's success probability must still be
+(min_j |c_j|^2)^m to a relative error, not only to an absolute one that
+any tiny value passes, and every sampled success must have unit
+fidelity.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from qteleport.cli import main
+from qteleport.primitives import ChannelSpec
+from qteleport.protocol import (
+    InputStateSpec,
+    _draw_count,
+    _sample_runs,
+    _success_probability,
+    enumerate_branches,
+    theoretical_success_probability,
+)
+
+REL_TOL = 1e-12
+# d <= 4, m <= 3, n <= 1 with at most 10^5 leaves.
+EDGE_SHAPES = [
+    (d, m, n)
+    for d in (2, 3, 4)
+    for m in (1, 2, 3)
+    for n in (0, 1)
+    if 2 * d ** (m * (n + 2)) <= 10**5
+]
+
+
+@st.composite
+def edge_cases(draw, shapes=EDGE_SHAPES):
+    """(input, channel): the smallest weight 10^e for e in [-12, 0],
+    shared by 1..d coefficients, each tie exact or a few ulps off, the
+    other weights in [0.2, 2.0] before normalising, complex phases, and
+    a random or basis input."""
+    d, m, n = draw(shapes if isinstance(shapes, st.SearchStrategy) else st.sampled_from(shapes))
+    ties = draw(st.integers(1, d))
+    low = 1.0 if ties == d else 10.0 ** (draw(st.integers(-12, -1)) + draw(st.floats(0.0, 1.0)))
+    ulps = np.array(draw(st.lists(st.integers(0, 4), min_size=ties, max_size=ties)))
+    others = np.array(draw(st.lists(st.floats(0.2, 2.0), min_size=d - ties, max_size=d - ties)))
+    tied = low * (1.0 + ulps * np.finfo(float).eps)
+    weights = np.concatenate((tied, others * (d - tied.sum()) / others.sum()))
+    weights = weights[draw(st.permutations(range(d)))]
+    phases = np.array(draw(st.lists(st.floats(-np.pi, np.pi), min_size=d, max_size=d)))
+    coeffs = np.sqrt(weights) * np.exp(1j * phases)
+    # A phase can round |c|^2 a few ulps below a 1e-12 weight.
+    assume(np.all(np.abs(coeffs) ** 2 >= 1e-12))
+    if draw(st.booleans()):
+        inp = InputStateSpec.basis(d, m, draw(st.integers(0, d**m - 1)))
+    else:
+        inp = InputStateSpec.random(d, m, draw(st.integers(0, 2**32 - 1)))
+    return inp, ChannelSpec(d, n, m, tuple(coeffs))
+
+
+def _assert_success_is_the_min_weight_power(inp, spec):
+    # (min |c|^2)^m >= 1e-36 here: a normal float, so a relative error.
+    theory = theoretical_success_probability(spec)
+    p = _success_probability(inp, spec)
+    assert p == enumerate_branches(inp, spec).success_probability
+    assert abs(p - theory) <= REL_TOL * theory, (p, theory)
+
+
+def _assert_sampled_successes_are_unit(inp, spec, seed):
+    # Uniform draws for the sender and controllers, 0 for the aux: every
+    # row takes its success outcome, however small its weight.
+    draws = np.random.default_rng(seed).random((16, _draw_count(spec)))
+    draws[:, -1] = 0.0
+    sample = _sample_runs(inp.state(), spec, draws)
+    assert np.all(sample.aux == 0)
+    assert np.max(np.abs(sample.fidelity - 1.0)) <= REL_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=edge_cases(), seed=st.integers(0, 2**32 - 1))
+def test_success_probability_and_fidelity_hold_at_the_edges(case, seed):
+    inp, spec = case
+    _assert_success_is_the_min_weight_power(inp, spec)
+    _assert_sampled_successes_are_unit(inp, spec, seed)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    case=edge_cases(st.tuples(st.integers(5, 24), st.just(1), st.just(0))),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_success_probability_and_fidelity_hold_at_larger_d(case, seed):
+    inp, spec = case
+    _assert_success_is_the_min_weight_power(inp, spec)
+    _assert_sampled_successes_are_unit(inp, spec, seed)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # Weights 2e-6 and 2: success 1.6e-23.
+        ["--d", "2", "--m", "4", "--n", "0", "--beta", "random:3",
+         "--coeffs", "0.0014142128552668443,1.4142128552668443"],
+        # Weights 2e-9 and 2: success 4e-18, its groups ~1e-18 of their
+        # sender outcome's weight.
+        ["--d", "2", "--m", "2", "--n", "1", "--beta", "random:2",
+         "--coeffs", "4.4721359527635115e-05,1.414213561665988"],
+    ],
+)
+def test_enumerate_sums_every_group_of_a_tiny_success(argv, tmp_path):
+    out = tmp_path / "out.json"
+    assert main(["enumerate", *argv, "--out", str(out)]) == 0
+    aggregate = json.loads(out.read_text())["aggregate"]
+    theory = aggregate["theoretical_success_probability"]
+    assert abs(aggregate["success_probability"] - theory) <= REL_TOL * theory

@@ -10,6 +10,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+from itertools import product
 from pathlib import Path
 from unittest import mock
 
@@ -547,6 +548,28 @@ def test_long_montecarlo_output_is_written_in_bounded_memory(tmp_path):
     assert big_rss - tiny_rss < size / 2, (tiny_rss, big_rss, size)
 
 
+def test_a_sweep_over_a_large_grid_holds_only_the_points_it_visits(tmp_path):
+    """One trial of the 100 x 100 x 100 grid peaks within 5 MiB of a
+    one-point sweep: point i is read from the three lists, and no list of
+    the grid is built."""
+    src = os.path.dirname(os.path.dirname(qteleport.__file__))
+
+    def run(*lists):
+        flags = [x for key, values in zip(("--d", "--m", "--n"), lists)
+                 for x in (key, ",".join(map(str, values)))]
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS_CHILD, "sweep", *flags, "--trials", "1",
+             "--out", tmp_path / "sweep.json"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stderr.split()[-1])
+
+    one_point = run([2], [1], [0])
+    grid = run(range(2, 102), range(1, 101), range(100))
+    assert grid - one_point < 5 * 2**20, (one_point, grid)
+
+
 def test_timing_never_serialized():
     record = run_campaign(load_config(dict(BASE)))
     assert record.elapsed_seconds > 0.0
@@ -754,6 +777,34 @@ def test_only_the_state_engine_raises_the_size_guard():
             if isinstance(exc, ast.Call) and getattr(exc.func, "id", None) == "SizeGuardError":
                 raisers.add(path.name)
     assert raisers == {"state.py"}
+
+
+def test_no_module_imports_itertools_product():
+    # A sweep reads its grid points by index (config._sweep_point); no
+    # module builds the grid's product.
+    import ast
+
+    importers = set()
+    for path in Path(qteleport.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+                if "product" in (alias.name for alias in node.names):
+                    importers.add(path.name)
+            elif isinstance(node, ast.Attribute) and node.attr == "product":
+                if getattr(node.value, "id", None) == "itertools":
+                    importers.add(path.name)
+    assert importers == set()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    lists=st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=5), min_size=3, max_size=3),
+    i=st.integers(0, 1000),
+)
+def test_sweep_point_i_is_the_grids_product_order_wrapped(lists, i):
+    grid = list(product(*lists))
+    sweep = dict(zip("dmn", lists))
+    assert config._sweep_point(sweep, i) == grid[i % len(grid)]
 
 
 def test_input_size_guard_precedes_the_coefficients(monkeypatch, capsys):

@@ -51,11 +51,6 @@ def cases(draw):
     return inp, spec
 
 
-def _success_leaves(branches):
-    live = ~np.isnan(branches.fidelity[0::2])
-    return branches.probability[0::2][live]
-
-
 @settings(max_examples=40, deadline=None)
 @given(case=cases(), chunked=st.booleans())
 def test_array_oracle_matches_the_branch_walk(case, chunked):
@@ -81,7 +76,7 @@ def test_array_oracle_matches_the_branch_walk(case, chunked):
             # which differ by at most the leaves' summed differences.
             drift = math.fsum(np.abs(fast.probability - ref.probability))
             for ours, leaves, theirs in (
-                (success, _success_leaves(fast), _success_leaves(ref)),
+                (success, fast.probability[0::2], ref.probability[0::2]),
                 (total, fast.probability, ref.probability),
             ):
                 assert abs(ours - math.fsum(leaves)) <= 1e-15
