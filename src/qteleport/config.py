@@ -16,7 +16,7 @@ import numpy as np
 from ._streams import uniforms
 from .decoy import EVE_ACTIONS
 from .primitives import ChannelSpec
-from .protocol import InputStateSpec, _check_branches, _check_input_size
+from .protocol import InputStateSpec, _check_branches, _check_input_size, _check_tables
 from .state import _check_size, record
 
 KINDS = ("enumerate", "montecarlo", "decoy", "sweep")
@@ -155,13 +155,15 @@ def resolve_beta(value, d: int, m: int) -> np.ndarray:
 def _check_point(kind: str, d: int, m: int, n: int) -> None:
     """The guards one (d, m, n) point of a campaign passes at load, before
     anything of its size is built: a decoy's d x d X basis and cross-basis
-    tables; otherwise the enumeration guard where every branch is listed
-    or weighed (enumerate, a sweep point), then the input guard."""
+    tables; otherwise, where every branch is listed or weighed (enumerate,
+    a sweep point), the enumeration guard and the oracle's per-copy
+    tables, then the input guard, in _stage_one's order."""
     if kind == "decoy":
         _check_size(d * d, f"a decoy of dimension {d}")
         return
     if kind in ("enumerate", "sweep"):
         _check_branches(d, m, n)
+        _check_tables(d, n)
     _check_input_size(d, m)
 
 

@@ -17,14 +17,14 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .state import StateVector, make_state, record
+from .state import StateVector, _check_size, make_state, record
 
 COEFF_NORM_TOL = 1e-10
 # Distinct (spec, labels) channel copies kept by channel_state, and
-# specs kept by _receiver_constants: a sweep builds a fresh spec per
-# point, so the caches must not grow without end, yet one run's m
-# labelled copies (m <= 26 under the default amplitude guard) must never
-# be evicted.
+# specs kept by _receiver_constants and _phase_rows: a sweep builds a
+# fresh spec per point, so the caches must not grow without end, yet one
+# run's m labelled copies (m <= 26 under the default amplitude guard)
+# must never be evicted.
 CHANNEL_CACHE_SIZE = 256
 # Matrices keyed by the dimension d (or one spec's dense reference): a
 # process sweeping d must not keep one per d, and a run needs one or two.
@@ -61,12 +61,15 @@ class ChannelSpec:
         object.__setattr__(self, "coeffs", coeffs)
         if len(coeffs) != self.d:
             raise ValueError(f"need {self.d} coefficients, got {len(coeffs)}")
-        if not np.all(np.isfinite(coeffs)):
+        values = np.array(coeffs)
+        if not np.all(np.isfinite(values)):
             raise ValueError(f"coefficients must be finite, got {coeffs!r}")
         with np.errstate(over="ignore"):  # an overflow fails the norm check
-            mods2 = np.abs(np.asarray(coeffs)) ** 2
-            total = float(mods2.sum()) / self.d
-        if np.any(mods2 < 1e-12):
+            weights = np.abs(values) ** 2
+            total = float(weights.sum()) / self.d
+        # |c_j|^2, not a field: == and hash read the coefficients alone.
+        object.__setattr__(self, "_weights", _read_only(weights))
+        if np.any(weights < 1e-12):
             raise ValueError(
                 "zero channel coefficient: the receiver's extraction unitary "
                 "does not exist and the success probability would be 0"
@@ -79,13 +82,12 @@ class ChannelSpec:
     @property
     def k_min(self) -> int:
         """Index of the smallest |c_j|^2, ties broken by smallest index."""
-        mods2 = np.abs(np.asarray(self.coeffs)) ** 2
-        return int(np.argmin(mods2))
+        return int(np.argmin(self._weights))
 
     @property
     def min_weight(self) -> float:
         """min_j |c_j|^2."""
-        return float(np.min(np.abs(np.asarray(self.coeffs)) ** 2))
+        return float(np.min(self._weights))
 
 
 def gbs_vector(d: int, r: int, s: int) -> StateVector:
@@ -126,10 +128,23 @@ class _View(Sequence):
         return map(self._item, range(len(self)))
 
 
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """A fresh array's rows, each divided in place by its own norm, as
+    make_state divides a state: the floats of one state per row."""
+    rows /= np.array([np.linalg.norm(row) for row in rows])[:, None]
+    return _read_only(rows)
+
+
 @lru_cache(maxsize=DIMENSION_CACHE_SIZE)
 def gbs_basis_matrix(d: int) -> np.ndarray:
-    """GBS basis stacked into rows, for measurement calls (read-only)."""
-    return _read_only(np.vstack([v.amps for v in gbs_basis(d)]))
+    """GBS basis stacked into rows, for measurement calls (read-only):
+    row r d + s is gbs_vector(d, r, s), built in one pass."""
+    j = np.arange(d)
+    rows = np.zeros((d, d, d * d), dtype=complex)
+    # |psi_rs> puts omega^(jr) on j d + (j + s) mod d.
+    rows[:, j[:, None], j * d + (j + j[:, None]) % d] = _omega_powers(d, j[:, None])[:, None]
+    rows /= np.sqrt(d)
+    return _unit_rows(rows.reshape(d * d, d * d))
 
 
 def u_uv(d: int, u: int, v: int) -> np.ndarray:
@@ -152,8 +167,9 @@ def x_basis_vector(d: int, r: int) -> StateVector:
 
 @lru_cache(maxsize=DIMENSION_CACHE_SIZE)
 def x_basis_matrix(d: int) -> np.ndarray:
-    """X-basis kets stacked into rows (outcome r on row r; read-only)."""
-    return _read_only(np.vstack([x_basis_vector(d, r).amps for r in range(d)]))
+    """X-basis kets stacked into rows (outcome r on row r; read-only):
+    row r is x_basis_vector(d, r), built in one pass."""
+    return _unit_rows(_omega_powers(d, np.arange(d)[:, None]) / np.sqrt(d))
 
 
 def hadamard_d(d: int) -> np.ndarray:
@@ -164,47 +180,59 @@ def hadamard_d(d: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(j, j) / d) / np.sqrt(d)
 
 
-@lru_cache(maxsize=CHANNEL_CACHE_SIZE)
-def channel_state(spec: ChannelSpec, labels=None) -> StateVector:
-    """One copy of the channel: (1/sqrt(d)) sum_j c_j |j>^(n+2).
+def _channel_amps(spec: ChannelSpec) -> np.ndarray:
+    """One copy of the channel, (1/sqrt(d)) sum_j c_j |j>^(n+2), as flat
+    amplitudes divided by their norm, as make_state divides a state.
 
     The explicit 1/sqrt(d) prefactor makes the state unit-norm under the
     coefficient constraint (1/d) sum |c_j|^2 = 1.
     """
-    parties = spec.n + 2
-    dims = (spec.d,) * parties
-    amps = np.zeros(spec.d**parties, dtype=complex)
-    stride = (spec.d**parties - 1) // (spec.d - 1)  # index of |j,j,...,j> is j*stride
+    size = spec.d ** (spec.n + 2)
+    _check_size(size)
+    amps = np.zeros(size, dtype=complex)
+    stride = (size - 1) // (spec.d - 1)  # index of |j,j,...,j> is j*stride
     for j, c in enumerate(spec.coeffs):
         amps[j * stride] = c / np.sqrt(spec.d)
-    if labels is None:
-        labels = tuple(f"a_{k}" for k in range(parties))
-    return make_state(dims, amps, labels)
+    return amps / np.linalg.norm(amps)
 
 
 @lru_cache(maxsize=CHANNEL_CACHE_SIZE)
-def _receiver_constants(spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The receiver's spec-only tables, built once per spec, read-only.
+def channel_state(spec: ChannelSpec, labels=None) -> StateVector:
+    """One copy of the channel as a state (_channel_amps): the dense
+    reference's register, party k labelled a_k unless labels are given."""
+    parties = spec.n + 2
+    if labels is None:
+        labels = tuple(f"a_{k}" for k in range(parties))
+    return StateVector((spec.d,) * parties, _channel_amps(spec), tuple(labels))
+
+
+@lru_cache(maxsize=CHANNEL_CACHE_SIZE)
+def _receiver_constants(spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The receiver's extraction tables, built once per spec, read-only.
 
     rotation   -- (gamma, gamma+) over the d^m receiver indices
                   (copy-major): the extraction ratios Gamma_J = |c_k|^m /
                   prod_l |c_(J_l)| and sqrt(1 - gamma^2), each 2x2
                   rotation's aux-0 and aux-1 amplitude factors
     extraction -- rotation^2 transposed: the aux outcomes' weights
-    phase_rows -- phase_rows[u, j] = omega^(-u j) e^{i phi_j} with
-                  phi_j = arg c_j: the phase the adjoint correction puts
-                  on a copy with phase index u
     """
     mods = np.abs(np.asarray(spec.coeffs))
     per_index = mods[spec.k_min] / mods  # length d, each <= 1
     table = reduce(np.multiply.outer, [per_index] * spec.m).reshape(-1)
     gamma = np.minimum(table, 1.0)  # clamp float overshoot at ties
-    rotation = np.stack((gamma, np.sqrt(1.0 - gamma**2)))
+    rotation = np.array((gamma, np.sqrt(1.0 - gamma**2)))
+    # extraction is C-ordered, as the sampler's and the oracle's products expect
+    return _read_only(rotation), _read_only(np.square(rotation.T, order="C"))
+
+
+@lru_cache(maxsize=CHANNEL_CACHE_SIZE)
+def _phase_rows(spec: ChannelSpec) -> np.ndarray:
+    """phase_rows[u, j] = omega^(-u j) e^{i phi_j} with phi_j = arg c_j:
+    the phase the receiver's adjoint correction puts on a copy with
+    phase index u.  Built once per spec, read-only."""
     j = np.arange(spec.d)
     coeff_phase = np.exp(1j * np.angle(np.asarray(spec.coeffs)))
-    phase_rows = np.exp(-2j * np.pi * j[:, None] * j / spec.d) * coeff_phase
-    # extraction is C-ordered, as the sampler's and the oracle's products expect
-    return tuple(map(_read_only, (rotation, np.stack(rotation, axis=1) ** 2, phase_rows)))
+    return _read_only(np.exp(-2j * np.pi * j[:, None] * j / spec.d) * coeff_phase)
 
 
 @lru_cache(maxsize=DIMENSION_CACHE_SIZE)

@@ -8,11 +8,13 @@ Map: run_structured samples or forces runs in closed form (_sample_runs,
 in batches for the montecarlo campaign); run_protocol and _run are the
 dense reference on the state engine; enumerate_branches is the exact
 oracle (_stage_one, then _enumerate).  The guards (_check_input_size,
-_check_branches) run before any array of their size is built.
+_check_branches, _check_tables) run before any array of their size is
+built.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from functools import cached_property, lru_cache, reduce
 from typing import NamedTuple
@@ -22,7 +24,10 @@ import numpy as np
 from ._streams import standard_normals
 from .primitives import (
     CHANNEL_CACHE_SIZE,
+    DIMENSION_CACHE_SIZE,
     ChannelSpec,
+    _channel_amps,
+    _phase_rows,
     _read_only,
     _receiver_constants,
     _View,
@@ -270,9 +275,9 @@ def _pullback(input_state: StateVector, spec: ChannelSpec, shifts) -> np.ndarray
     (r, s), and _omega_table supplies every rho's omega^(-rho j).
     shifts has shape (..., m, 2), the result (..., d^m): one _gather.
     """
-    _, _, phase_rows = _receiver_constants(spec)
     shifts = np.asarray(shifts)
-    (pulled,) = _gather(input_state.amps, spec.d, shifts.reshape(-1, spec.m, 2), (phase_rows,))
+    flat = shifts.reshape(-1, spec.m, 2)
+    (pulled,) = _gather(input_state.amps, spec.d, flat, (_phase_rows(spec),))
     return pulled.reshape(shifts.shape[:-2] + (spec.d**spec.m,))
 
 
@@ -454,7 +459,7 @@ def _draw_count(spec: ChannelSpec) -> int:
 @lru_cache(maxsize=CHANNEL_CACHE_SIZE)
 def _sampler_constants(spec: ChannelSpec) -> tuple[np.ndarray, ...]:
     """The sampler's sender-side tables, built once per spec, read-only
-    (the receiver's are _receiver_constants').
+    (the receiver's are _receiver_constants' and _phase_rows').
 
     cross    -- cross[t, s] = a_(t+s) = |c_(t+s)|^2 / d^2, symmetric:
                 P(r, s) is (p @ cross)[s] for a digit's marginal p, any
@@ -511,7 +516,7 @@ def _sample_runs(input_state: StateVector, spec: ChannelSpec, draws) -> _Samples
     d, m, n = spec.d, spec.m, spec.n
     _check_input_size(d, m)
     cross, outcomes, sender_rows, controller = _sampler_constants(spec)
-    rotation, extraction, phase_rows = _receiver_constants(spec)
+    rotation, extraction = _receiver_constants(spec)
     batch = len(draws)
     per_copy = draws[:, :-1].reshape(batch, m, n + 1)
     controllers = _draw(controller, per_copy[..., 1:])
@@ -527,7 +532,7 @@ def _sample_runs(input_state: StateVector, spec: ChannelSpec, draws) -> _Samples
         rest = cross[gbs[:, l, 1]][:, None] @ rest
 
     shifts = np.stack((gbs[..., 0] + rho, gbs[..., 1]), axis=-1)
-    receiver, refs = _gather(amps, d, shifts, (sender_rows, phase_rows))
+    receiver, refs = _gather(amps, d, shifts, (sender_rows, _phase_rows(spec)))
     weights = (receiver.real**2 + receiver.imag**2) @ extraction
     aux = _draw(weights, draws[:, -1])
     weight = weights[np.arange(batch), aux]
@@ -566,6 +571,33 @@ def _check_branches(d: int, m: int, n: int) -> None:
         )
 
 
+def _check_tables(d: int, n: int) -> None:
+    """The amplitude guard on the oracle's per-dimension tables: the GBS
+    basis (d^4 entries) and a copy's tensor T[k, g, rho, j] (d^4 entries,
+    d^5 with controllers).  Run after _check_branches, which bounds d."""
+    _check_size(d**4 * (d if n else 1), f"the oracle's copy tensor at d = {d}, n = {n}")
+
+
+@lru_cache(maxsize=DIMENSION_CACHE_SIZE)
+def _copy_bras(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_copy_tensor's bras for one (d, n), built once, read-only.
+
+    controllers -- the n controllers' conjugated X bras onto the outcomes
+                   (rho, 0, ..., 0), one Kronecker product (rho, d^n);
+                   ones((1, 1)) with no controllers
+    column      -- column[k, g] = (k + s) mod d for g = r d + s: the one
+                   sender digit on which GBS bra g meets input digit k
+    sender      -- sender[k, g]: the conjugated GBS bra's entry there
+    """
+    x_bra = x_basis_matrix(d).conj()
+    controllers = reduce(np.kron, [x_bra[:1]] * (n - 1), x_bra) if n else np.ones((1, 1))
+    k = np.arange(d)
+    column = (k[:, None] + np.tile(k, d)) % d
+    bras = gbs_basis_matrix(d).reshape(d * d, d, d)  # [g, k, sender]
+    sender = bras[np.arange(d * d), k[:, None], column].conj()
+    return tuple(map(_read_only, (controllers, column, sender)))
+
+
 def _copy_tensor(spec: ChannelSpec) -> np.ndarray:
     """T[k, g, rho, j]: one channel copy, its sender projected onto GBS
     outcome g and its controllers onto X outcomes summing to rho, as a
@@ -575,14 +607,23 @@ def _copy_tensor(spec: ChannelSpec) -> np.ndarray:
     digit j, so the copy's controllers act only through rho = sum x mod
     d: the outcomes (rho, 0, ..., 0) stand for every outcome with that
     sum.  With n = 0 there is only rho = 0.
+
+    GBS bra g meets input digit k on one sender digit, so T is that bra
+    entry times the copy's row on that digit.  The complex product is
+    written out in real parts, each + 0.0: the floats, signed zeros
+    included, of a sum over every sender digit, as an einsum over the
+    dense bras gives them.
     """
     d, n = spec.d, spec.n
-    x_bra = x_basis_matrix(d).conj()
-    bras = reduce(np.kron, [x_bra[:1]] * (n - 1), x_bra) if n else np.ones((1, 1))
+    controllers, column, sender = _copy_bras(d, n)
     # (sender, controllers, receiver) -> (sender, rho, receiver)
-    copy = bras @ channel_state(spec).amps.reshape(d, d**n, d)
-    gbs_bra = gbs_basis_matrix(d).conj().reshape(d * d, d, d)  # [g, k, sender]
-    return np.einsum("gka,axj->kgxj", gbs_bra, copy)
+    copy = controllers @ _channel_amps(spec).reshape(d, d**n, d)
+    rows = copy[column]  # [k, g, rho, j]
+    br, bi = sender.real[..., None, None], sender.imag[..., None, None]
+    out = np.empty(rows.shape, dtype=complex)
+    out.real = br * rows.real - bi * rows.imag + 0.0
+    out.imag = br * rows.imag + bi * rows.real + 0.0
+    return out
 
 
 def _joint_amplitudes(input_amps: np.ndarray, tensors) -> np.ndarray:
@@ -595,7 +636,7 @@ def _joint_amplitudes(input_amps: np.ndarray, tensors) -> np.ndarray:
         amps = amps.reshape(len(t), -1).T @ t.reshape(len(t), -1)
     shape = [size for t in tensors for size in t.shape[1:]]
     order = [axis for part in range(3) for axis in range(part, len(shape), 3)]
-    sizes = [np.prod(shape[part::3], dtype=int) for part in range(3)]
+    sizes = [math.prod(shape[part::3]) for part in range(3)]
     return amps.reshape(shape).transpose(order).reshape(sizes)
 
 
@@ -603,11 +644,12 @@ def _stage_one(input_spec: InputStateSpec, spec: ChannelSpec):
     """Stage 1 of the oracle: the guards, then every (sender, rho, aux)
     group's weight.  Returns the input state, the controller leaves per
     rho vector, and per chunk of sender outcomes (the leading copies'
-    fixed) its first index, outcomes (chunk, m, 2), amplitudes (chunk,
-    rho, j) and weights (chunk, rho, aux), from a generator."""
+    fixed) its first index, amplitudes (chunk, rho, j) and weights
+    (chunk, rho, aux), from a generator."""
     _validate_pair(input_spec, spec)
     d, m, n = spec.d, spec.m, spec.n
     _check_branches(d, m, n)
+    _check_tables(d, n)
     _check_input_size(d, m)
 
     input_state = input_spec.state()
@@ -621,10 +663,15 @@ def _stage_one(input_spec: InputStateSpec, spec: ChannelSpec):
 
     def chunks():
         for lo in range(0, d ** (2 * m), chunk):
-            gbs = _digits(np.arange(lo, lo + chunk), d, m, 2)
-            fixed = [per_copy[:, [r * d + s]] for r, s in gbs[0, : m - free].tolist()]
+            # The leading copies' outcomes g = r d + s: lo // chunk in base d^2.
+            head, fixed = lo // chunk, []
+            for _ in range(m - free):
+                head, g = divmod(head, d * d)
+                fixed.insert(0, per_copy[:, [g]])
             amps = _joint_amplitudes(input_state.amps, fixed + [per_copy] * free)
-            yield lo, gbs, amps, (amps.real**2 + amps.imag**2) @ extraction
+            density = amps.real**2
+            density += amps.imag**2  # in place: one temporary fewer, the same floats
+            yield lo, amps, density @ extraction
 
     return input_state, per_group, chunks()
 
@@ -677,8 +724,9 @@ def _enumerate(
     omega = _omega_table(d, m)
     probability, fidelity = np.empty((2, d ** (2 * m), n_ctrl, 2))
     success = total = np.longdouble(0.0)
-    for lo, gbs, amps, weights in chunks:
-        hi = lo + len(gbs)
+    for lo, amps, weights in chunks:
+        hi = lo + len(amps)
+        gbs = _digits(np.arange(lo, hi), d, m, 2)
         empty = weights < 1e-18 * (weights.sum(axis=(1, 2)) * per_group)[:, None, None]
         divisor = np.where(empty, 1.0, weights)[:, :, None]
         # The row for the known sums rho - w is omega^((rho - w) j) times
@@ -691,7 +739,7 @@ def _enumerate(
         scores[np.broadcast_to(empty[:, :, None], scores.shape)] = np.nan
 
         np.take(weights, state_sum, axis=1, out=probability[lo:hi])
-        np.take(scores.reshape(len(gbs), -1, 2), group_of, axis=1, out=fidelity[lo:hi])
+        np.take(scores.reshape(len(amps), -1, 2), group_of, axis=1, out=fidelity[lo:hi])
         success += np.sum(weights[..., 0], dtype=np.longdouble)
         total += np.sum(weights, dtype=np.longdouble)
 
@@ -722,13 +770,18 @@ def fidelity_without_control(
 ) -> float:
     """Mean success-branch fidelity when the receiver corrects without
     the withheld controllers' outcomes (their contributions taken as 0),
-    probability-weighted over all success branches."""
+    probability-weighted over the success branches whose fidelity is
+    defined: a leaf of a group below the oracle's floor (NaN fidelity)
+    counts in neither sum."""
     withheld = set(withheld)
     if not withheld <= set(range(spec.n)):
         raise ValueError(f"withheld controllers {withheld} out of range")
-    branches, success_probability, _ = _enumerate(input_spec, spec, withheld)
-    if success_probability <= 0.0:
+    branches, _, _ = _enumerate(input_spec, spec, withheld)
+    # Success leaves sit at even positions (aux = 0).
+    probability, fidelity = branches.probability[0::2], branches.fidelity[0::2]
+    defined = ~np.isnan(fidelity)
+    weight = np.sum(probability[defined], dtype=np.longdouble)
+    if weight <= 0.0:
         raise ValueError("no success branch has positive probability")
-    # Success leaves sit at even positions (aux = 0); summed like the denominator.
-    weighted = np.sum(branches.probability[0::2] * branches.fidelity[0::2], dtype=np.longdouble)
-    return float(weighted / success_probability)
+    weighted = np.sum(probability[defined] * fidelity[defined], dtype=np.longdouble)
+    return float(weighted / weight)

@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qteleport.cli import main
@@ -25,6 +25,7 @@ from qteleport.protocol import (
     _sample_runs,
     _success_probability,
     enumerate_branches,
+    fidelity_without_control,
     theoretical_success_probability,
 )
 
@@ -90,11 +91,24 @@ def test_success_probability_and_fidelity_hold_at_the_edges(case, seed):
     _assert_sampled_successes_are_unit(inp, spec, seed)
 
 
+def _fixed_edge_case(d, seed):
+    """An m = 1, n = 0 case past the strategy's d <= 24: one weight
+    1e-12, the others spread over [0.2, 2.0], complex phases, a random
+    input."""
+    rng = np.random.default_rng(seed)
+    others = rng.uniform(0.2, 2.0, d - 1)
+    weights = np.concatenate(([1e-12], others * (d - 1e-12) / others.sum()))
+    coeffs = np.sqrt(rng.permutation(weights)) * np.exp(1j * rng.uniform(-np.pi, np.pi, d))
+    return InputStateSpec.random(d, 1, seed), ChannelSpec(d, 0, 1, tuple(coeffs))
+
+
 @settings(max_examples=10, deadline=None)
 @given(
     case=edge_cases(st.tuples(st.integers(5, 24), st.just(1), st.just(0))),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(case=_fixed_edge_case(32, 1), seed=1)
+@example(case=_fixed_edge_case(48, 2), seed=2)
 def test_success_probability_and_fidelity_hold_at_larger_d(case, seed):
     inp, spec = case
     _assert_success_is_the_min_weight_power(inp, spec)
@@ -119,3 +133,15 @@ def test_enumerate_sums_every_group_of_a_tiny_success(argv, tmp_path):
     aggregate = json.loads(out.read_text())["aggregate"]
     theory = aggregate["theoretical_success_probability"]
     assert abs(aggregate["success_probability"] - theory) <= REL_TOL * theory
+
+
+def test_fidelity_without_control_averages_the_leaves_with_a_fidelity():
+    # Weights 2e-9 and 2: 48 of the 64 success leaves sit in groups below
+    # the oracle's 1e-18 floor, so their fidelity is NaN, yet they carry
+    # success probability.  The mean is over the other leaves alone.
+    inp = InputStateSpec.random(2, 2, 2)
+    spec = ChannelSpec(2, 1, 2, (4.4721359527635115e-05, 1.414213561665988))
+    assert abs(fidelity_without_control(inp, spec, set()) - 1.0) <= REL_TOL
+    # Without the one controller's sums the mean is the collision law.
+    collision = np.sum(np.abs(inp.beta) ** 4)
+    assert abs(fidelity_without_control(inp, spec, {0}) - collision) <= REL_TOL

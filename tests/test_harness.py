@@ -298,6 +298,32 @@ def test_sweep_runs_only_the_oracles_stage_one(monkeypatch):
     assert record.aggregate["max_abs_error"] < 1e-9
 
 
+def test_sweep_builds_no_channel_state_and_no_phase_rows(monkeypatch):
+    # Stage 1 reads the channel copy's amplitudes and the extraction
+    # weights: the sweep's only states are the points' input registers.
+    from qteleport import protocol
+    from qteleport.state import StateVector
+
+    built = []
+    init = StateVector.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.labels)
+
+    def unreachable(*args):
+        raise AssertionError("the sweep built the receiver's phase rows")
+
+    grid = {"d": [2, 3, 4], "m": [1, 2], "n": [0, 1, 2]}
+    doc = {"kind": "sweep", "trials": 18, "seed": 4, "sweep": grid}
+    expected = to_json_text(run_campaign(load_config(doc)))
+    monkeypatch.setattr(StateVector, "__init__", counted)
+    monkeypatch.setattr(protocol, "_phase_rows", unreachable)
+    assert to_json_text(run_campaign(load_config(doc))) == expected
+    assert len(built) == 18
+    assert all(label.startswith("chi_") for labels in built for label in labels)
+
+
 def test_reruns_are_byte_identical():
     doc = dict(BASE)
     doc.update({"kind": "montecarlo", "trials": 50})
@@ -764,6 +790,55 @@ def test_enumeration_guard_precedes_building_the_input(monkeypatch, capsys):
     assert capsys.readouterr() == (
         "", "error: 2 * 2^44 branches exceed the enumeration guard of 1000000\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, need",
+    [
+        (["enumerate", "--d", "20", "--m", "1", "--n", "0"], "d = 20, n = 0 needs 160000"),
+        (["sweep", "--d", "12", "--m", "1", "--n", "1", "--trials", "1"],
+         "d = 12, n = 1 needs 248832"),
+    ],
+)
+def test_oracle_tables_count_against_the_amplitude_guard(argv, need, monkeypatch, capsys):
+    # The GBS basis holds d^4 entries and a copy's tensor T[k, g, rho, j]
+    # d^4, or d^5 with controllers: refused at load, before the
+    # coefficients are drawn or a sweep point runs.
+    def unreachable(*args):
+        raise AssertionError("an oracle table was built before the size guard ran")
+
+    monkeypatch.setenv("QTELEPORT_MAX_AMPLITUDES", "100000")
+    monkeypatch.setattr(config, "resolve_coeffs", unreachable)
+    monkeypatch.setattr(campaign, "_success_probability", unreachable)
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: the oracle's copy tensor at {need} amplitudes and exceeds the size guard "
+        "of 100000 (override with QTELEPORT_MAX_AMPLITUDES)\n",
+    )
+
+
+def test_oracle_tables_guard_at_the_default_size(monkeypatch):
+    # At 2^27 amplitudes only m = 1 points are newly refused: d 108-707
+    # without controllers and d 43-79 with one (the enumeration guard
+    # refuses the rest); at m >= 2 it admits d <= 26, whose tables fit.
+    from qteleport.config import _check_point
+    from qteleport.protocol import InputStateSpec, _success_probability
+
+    monkeypatch.delenv("QTELEPORT_MAX_AMPLITUDES", raising=False)
+    for kind in ("enumerate", "sweep"):
+        for d, n in ((107, 0), (42, 1), (26, 0)):
+            _check_point(kind, d, 1 if d > 26 else 2, n)
+        for d, n in ((108, 0), (707, 0), (43, 1), (79, 1)):
+            with pytest.raises(SizeGuardError, match=f"copy tensor at d = {d}, n = {n} needs"):
+                _check_point(kind, d, 1, n)
+        with pytest.raises(SizeGuardError, match="enumeration guard"):
+            _check_point(kind, 27, 2, 0)
+    # The oracle itself checks them too, before it builds them.
+    monkeypatch.setenv("QTELEPORT_MAX_AMPLITUDES", "100000")
+    spec = qteleport.ChannelSpec(20, 0, 1, (1.0,) * 20)
+    with pytest.raises(SizeGuardError, match="copy tensor at d = 20, n = 0"):
+        _success_probability(InputStateSpec.basis(20, 1, 0), spec)
 
 
 def test_only_the_state_engine_raises_the_size_guard():

@@ -4,25 +4,34 @@ protocol._enumerate collapses each copy's controllers to the sum of
 their X outcomes and projects every sender outcome at once.  The
 reference (oracle_reference.py) projects one sender branch and one
 controller axis at a time, so these properties check the collapse, the
-leaf order and the chunking over d in 2..4, m in 1..2, n in 0..3, real
-and complex-phase channels, basis and random inputs, and every subset of
-withheld controllers.
+leaf order and the chunking over d in 2..4, m in 1..2, n in 0..3, the
+edge channels of test_edges (smallest weights from 1e-12, ties, complex
+phases), basis and random inputs, and every subset of withheld
+controllers.
 """
 
 import math
+from functools import reduce
 from itertools import combinations
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracle_reference import reference_enumerate
+from test_edges import _fixed_edge_case, edge_cases
 
 from qteleport import protocol
 from qteleport.config import random_coeffs
-from qteleport.primitives import ChannelSpec
-from qteleport.protocol import InputStateSpec, _branch_count, _enumerate, enumerate_branches
+from qteleport.primitives import ChannelSpec, channel_state, gbs_basis_matrix, x_basis_matrix
+from qteleport.protocol import (
+    InputStateSpec,
+    _branch_count,
+    _copy_tensor,
+    _enumerate,
+    enumerate_branches,
+)
 
 SHAPES = [
     (d, m, n)
@@ -33,26 +42,8 @@ SHAPES = [
 ]
 
 
-@st.composite
-def cases(draw):
-    """(input, channel): real or complex-phase coefficients, a basis or a
-    random input."""
-    d, m, n = draw(st.sampled_from(SHAPES))
-    weights = np.array(draw(st.lists(st.floats(0.2, 2.0), min_size=d, max_size=d)))
-    weights *= d / weights.sum()
-    phases = np.zeros(d)
-    if draw(st.booleans()):
-        phases = np.array(draw(st.lists(st.floats(-np.pi, np.pi), min_size=d, max_size=d)))
-    spec = ChannelSpec(d, n, m, tuple(np.sqrt(weights) * np.exp(1j * phases)))
-    if draw(st.booleans()):
-        inp = InputStateSpec.basis(d, m, draw(st.integers(0, d**m - 1)))
-    else:
-        inp = InputStateSpec.random(d, m, draw(st.integers(0, 2**32 - 1)))
-    return inp, spec
-
-
 @settings(max_examples=40, deadline=None)
-@given(case=cases(), chunked=st.booleans())
+@given(case=edge_cases(SHAPES), chunked=st.booleans())
 def test_array_oracle_matches_the_branch_walk(case, chunked):
     inp, spec = case
     # A chunk floor of 1 runs the sender outcomes in several chunks
@@ -127,3 +118,30 @@ def test_chunked_oracle_equals_one_chunk(d, m, n, monkeypatch):
             getattr(chunked.branches, name), getattr(whole.branches, name), rtol=0, atol=tol
         )
     assert abs(whole.success_probability - chunked.success_probability) <= 1e-15
+
+
+def _einsum_copy_tensor(spec):
+    """_copy_tensor over the dense GBS bras, one einsum: the reference
+    for the one-nonzero product, bit for bit."""
+    d, n = spec.d, spec.n
+    x_bra = x_basis_matrix(d).conj()
+    bras = reduce(np.kron, [x_bra[:1]] * (n - 1), x_bra) if n else np.ones((1, 1))
+    copy = bras @ channel_state(spec).amps.reshape(d, d**n, d)
+    gbs_bra = gbs_basis_matrix(d).conj().reshape(d * d, d, d)  # [g, k, sender]
+    return np.einsum("gka,axj->kgxj", gbs_bra, copy)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=edge_cases(
+        st.tuples(st.integers(2, 16), st.just(1), st.integers(0, 3)).filter(
+            lambda shape: shape[0] ** (shape[2] + 3) <= 2**16
+        )
+    )
+)
+@example(case=_fixed_edge_case(32, 3))
+def test_copy_tensor_has_the_bits_of_the_dense_einsum(case):
+    _, spec = case
+    fast, dense = _copy_tensor(spec), _einsum_copy_tensor(spec)
+    assert fast.shape == dense.shape
+    assert np.array_equal(fast.view(np.uint64), dense.view(np.uint64))

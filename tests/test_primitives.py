@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qteleport.primitives import (
     ChannelSpec,
@@ -18,7 +20,8 @@ from qteleport.primitives import (
     x_basis_matrix,
     x_basis_vector,
 )
-from qteleport.state import apply, fidelity, is_unitary
+from qteleport.protocol import theoretical_success_probability
+from qteleport.state import apply, fidelity, is_unitary, make_state
 
 
 def test_gbs_explicit_amplitudes_d3():
@@ -220,3 +223,63 @@ def test_gbs_basis_list_matches_matrix():
     mat = gbs_basis_matrix(3)
     for k, v in enumerate(vecs):
         assert np.max(np.abs(mat[k] - v.amps)) < 1e-15
+
+
+# The bases as they were built before the one-pass matrices: one state at
+# a time, each normalized by make_state, then stacked.  The reference for
+# the matrices' bits.
+def _phases(d, k):
+    return np.exp(2j * np.pi * k * np.arange(d) / d)
+
+
+def _gbs_state_at_a_time(d, r, s):
+    amps = np.zeros(d * d, dtype=complex)
+    j = np.arange(d)
+    amps[j * d + (j + s) % d] = _phases(d, r)
+    return make_state((d, d), amps / np.sqrt(d)).amps
+
+
+def _x_state_at_a_time(d, r):
+    return make_state((d,), _phases(d, r) / np.sqrt(d)).amps
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# Every d to 32, then two larger: d = 64 alone takes about a second.
+@pytest.mark.parametrize("d", [*range(2, 33), 48, 64])
+def test_gbs_basis_matrix_has_the_bits_of_one_state_at_a_time(d):
+    mat = gbs_basis_matrix.__wrapped__(d)  # uncached: d = 64 holds 2^24 entries
+    assert not mat.flags.writeable
+    for r in range(d):
+        rows = np.vstack([_gbs_state_at_a_time(d, r, s) for s in range(d)])
+        assert _same_bits(mat[r * d : (r + 1) * d], rows), r
+    assert _same_bits(mat[d + 1], gbs_vector(d, 1, 1).amps)
+
+
+@pytest.mark.parametrize("d", [*range(2, 65), 128, 255, 256, 511])
+def test_x_basis_matrix_has_the_bits_of_one_state_at_a_time(d):
+    mat = x_basis_matrix.__wrapped__(d)
+    assert not mat.flags.writeable
+    assert _same_bits(mat, np.vstack([_x_state_at_a_time(d, r) for r in range(d)]))
+    assert _same_bits(mat[d - 1], x_basis_vector(d, d - 1).amps)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    weights=st.lists(st.floats(1e-6, 2.0), min_size=2, max_size=9),
+    phases=st.lists(st.floats(-np.pi, np.pi), min_size=9, max_size=9),
+    m=st.integers(1, 4),
+)
+def test_min_weight_and_k_min_are_the_numpy_expressions(weights, phases, m):
+    # Python's abs(complex) differs from np.abs in the last bit for about
+    # a third of complex inputs, so the weights must stay numpy's.
+    d = len(weights)
+    weights = np.array(weights) * d / sum(weights)
+    coeffs = np.sqrt(weights) * np.exp(1j * np.array(phases[:d]))
+    spec = ChannelSpec(d, 0, m, tuple(coeffs))
+    mods2 = np.abs(np.asarray(spec.coeffs)) ** 2
+    assert spec.k_min == int(np.argmin(mods2))
+    assert spec.min_weight.hex() == float(np.min(mods2)).hex()
+    assert theoretical_success_probability(spec).hex() == (float(np.min(mods2)) ** m).hex()
