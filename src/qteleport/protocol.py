@@ -529,7 +529,8 @@ def _sample_runs(input_state: StateVector, spec: ChannelSpec, draws) -> _Samples
         rest = rest.reshape(len(rest), d, d ** (m - l - 1))
         sender = (rest.sum(axis=-1) @ cross)[:, outcomes]
         gbs[:, l, 0], gbs[:, l, 1] = np.divmod(_draw(sender, per_copy[:, l, 0]), d)
-        rest = cross[gbs[:, l, 1]][:, None] @ rest
+        if l < m - 1:  # the last copy's contraction is read by no draw
+            rest = cross[gbs[:, l, 1]][:, None] @ rest
 
     shifts = np.stack((gbs[..., 0] + rho, gbs[..., 1]), axis=-1)
     receiver, refs = _gather(amps, d, shifts, (sender_rows, _phase_rows(spec)))
@@ -555,8 +556,10 @@ def _check_input_size(d: int, m: int) -> None:
     the input with the aux qubit (2 d^m amplitudes) or the sender's d^2
     outcome weights.  An m at least the guard's bit length exceeds it for
     every d >= 2, so d**m is computed only for smaller m."""
-    small = m < max_amplitudes().bit_length()
-    _check_size(max(2 * d**m, d * d) if small else None, f"an input of {d}^{m} amplitudes")
+    limit = max_amplitudes()
+    small = m < limit.bit_length()
+    need = max(2 * d**m, d * d) if small else None
+    _check_size(need, f"an input of {d}^{m} amplitudes", limit)
 
 
 def _check_branches(d: int, m: int, n: int) -> None:
@@ -626,26 +629,55 @@ def _copy_tensor(spec: ChannelSpec) -> np.ndarray:
     return out
 
 
-def _joint_amplitudes(input_amps: np.ndarray, tensors) -> np.ndarray:
+def _product(input_amps: np.ndarray, tensors) -> np.ndarray:
     """The input after each copy's tensor T[k, g, rho, j], one copy at a
-    time: the unnormalized amplitude of every (sender outcomes, rho
-    vector, receiver digits), each axis copy-major."""
+    time, as the matmuls leave it: each copy's (g, rho, j) in turn."""
     amps = input_amps
     for t in tensors:
         # (copies to come, copies done) -> (copies to come, copies done, g rho j)
         amps = amps.reshape(len(t), -1).T @ t.reshape(len(t), -1)
+    return amps
+
+
+def _layout(tensors) -> tuple[list[int], list[int], list[int]]:
+    """_product's output shape (each copy's g, rho, j in turn), the axis
+    order that groups it as (sender outcomes, rho vector, receiver
+    digits), each copy-major, and the three groups' sizes."""
     shape = [size for t in tensors for size in t.shape[1:]]
     order = [axis for part in range(3) for axis in range(part, len(shape), 3)]
     sizes = [math.prod(shape[part::3]) for part in range(3)]
-    return amps.reshape(shape).transpose(order).reshape(sizes)
+    return shape, order, sizes
+
+
+def _joint_amplitudes(input_amps: np.ndarray, tensors) -> np.ndarray:
+    """The unnormalized amplitude of every (sender outcomes, rho vector,
+    receiver digits) of the copies' tensors."""
+    shape, order, sizes = _layout(tensors)
+    return _product(input_amps, tensors).reshape(shape).transpose(order).reshape(sizes)
+
+
+def _joint_weights(input_amps: np.ndarray, tensors, extraction: np.ndarray) -> np.ndarray:
+    """The weights of _joint_amplitudes' groups, the same floats, with no
+    complex copy reordered: re^2 + im^2 is formed in place where the last
+    matmul wrote the amplitudes, and only that real density is reordered."""
+    shape, order, sizes = _layout(tensors)
+    parts = _product(input_amps, tensors).view(float).reshape(shape + [2])
+    np.square(parts, out=parts)
+    density = parts[..., 0]
+    np.add(density, parts[..., 1], out=density)
+    grouped = np.ascontiguousarray(density.transpose(order)).reshape(sizes)
+    del parts, density  # the amplitudes go before the weights are made
+    return grouped @ extraction
 
 
 def _stage_one(input_spec: InputStateSpec, spec: ChannelSpec):
-    """Stage 1 of the oracle: the guards, then every (sender, rho, aux)
-    group's weight.  Returns the input state, the controller leaves per
-    rho vector, and per chunk of sender outcomes (the leading copies'
-    fixed) its first index, amplitudes (chunk, rho, j) and weights
-    (chunk, rho, aux), from a generator."""
+    """Stage 1 of the oracle: the guards, then the chunks of sender
+    outcomes (the leading copies' fixed) that every (sender, rho, aux)
+    group is weighed in.  Returns the input state, the controller leaves
+    per rho vector, and per chunk its first index and its copies'
+    tensors, from a generator: _joint_weights turns a chunk into its
+    weights (chunk, rho, aux), _weighed_amplitudes into its amplitudes
+    (chunk, rho, j) and weights."""
     _validate_pair(input_spec, spec)
     d, m, n = spec.d, spec.m, spec.n
     _check_branches(d, m, n)
@@ -653,7 +685,6 @@ def _stage_one(input_spec: InputStateSpec, spec: ChannelSpec):
     _check_input_size(d, m)
 
     input_state = input_spec.state()
-    extraction = _receiver_constants(spec)[1]
     per_copy = _copy_tensor(spec)
     sums = per_copy.shape[2] ** m  # rho vectors: d^m, or 1 with no controllers
     per_group = d ** (m * n) // sums
@@ -668,19 +699,34 @@ def _stage_one(input_spec: InputStateSpec, spec: ChannelSpec):
             for _ in range(m - free):
                 head, g = divmod(head, d * d)
                 fixed.insert(0, per_copy[:, [g]])
-            amps = _joint_amplitudes(input_state.amps, fixed + [per_copy] * free)
-            density = amps.real**2
-            density += amps.imag**2  # in place: one temporary fewer, the same floats
-            yield lo, amps, density @ extraction
+            yield lo, fixed + [per_copy] * free
 
     return input_state, per_group, chunks()
+
+
+def _weighed_amplitudes(input_amps: np.ndarray, chunks, extraction: np.ndarray):
+    """For each of _stage_one's chunks: its first index, amplitudes
+    (chunk, rho, j) and weights (chunk, rho, aux).  A generator, so a
+    chunk's arrays are freed only once the next chunk's are made: freed
+    earlier, at d = 2, m = 8, n = 0 they let glibc trim its heap and
+    fault it back in every chunk (40,128 against 2,624 minor faults a
+    warm call)."""
+    for lo, tensors in chunks:
+        amps = _joint_amplitudes(input_amps, tensors)
+        density = amps.real**2
+        density += amps.imag**2  # in place: one temporary fewer, the same floats
+        yield lo, amps, density @ extraction
 
 
 def _success_probability(input_spec: InputStateSpec, spec: ChannelSpec) -> float:
     """The oracle's success probability from stage 1 alone, no leaf built:
     enumerate_branches' sum over every group in its order, the same float."""
-    _, per_group, chunks = _stage_one(input_spec, spec)
-    parts = (np.sum(weights[..., 0], dtype=np.longdouble) for *_, weights in chunks)
+    input_state, per_group, chunks = _stage_one(input_spec, spec)
+    extraction = _receiver_constants(spec)[1]
+    parts = (
+        np.sum(_joint_weights(input_state.amps, tensors, extraction)[..., 0], dtype=np.longdouble)
+        for _, tensors in chunks
+    )
     return float(sum(parts, np.longdouble(0.0)) * per_group)
 
 
@@ -690,14 +736,15 @@ def _enumerate(
     """Every measurement branch exactly, as arrays.
 
     A leaf's receiver depends on its controllers only through their sums
-    rho (see _copy_tensor).  Stage 1 (_stage_one) weighs every (sender,
-    rho, aux) group, which alone gives the success probability
-    (_success_probability, all the sweep runs).  Stage 2 scores each
-    group as a sampled run is scored: success against the input pulled
-    back through the correction (one _pullback call, times _omega_table's
-    row for the sums the receiver knows), failure against the input; a
-    group below 1e-18 of its sender outcome's weight scores NaN.  Then
-    the leaves are gathered.
+    rho (see _copy_tensor).  Stage 1 (_stage_one's chunks) weighs every
+    (sender, rho, aux) group, which alone gives the success probability
+    (_success_probability, all the sweep runs, from _joint_weights);
+    here _weighed_amplitudes also gives the amplitudes stage 2 reads.  Stage 2
+    scores each group as a sampled run is scored: success against the
+    input pulled back through the correction (one _pullback call, times
+    _omega_table's row for the sums the receiver knows), failure against
+    the input; a group below 1e-18 of its sender outcome's weight scores
+    NaN.  Then the leaves are gathered.
 
     The correction misses the withheld controllers' outcomes, which
     changes only success fidelities.  Returns the leaves and the success
@@ -720,11 +767,11 @@ def _enumerate(
     )
     group_of = state_sum * len(offsets) + offset_of
 
-    rotation = _receiver_constants(spec)[0]
+    rotation, extraction = _receiver_constants(spec)
     omega = _omega_table(d, m)
     probability, fidelity = np.empty((2, d ** (2 * m), n_ctrl, 2))
     success = total = np.longdouble(0.0)
-    for lo, amps, weights in chunks:
+    for lo, amps, weights in _weighed_amplitudes(input_state.amps, chunks, extraction):
         hi = lo + len(amps)
         gbs = _digits(np.arange(lo, hi), d, m, 2)
         empty = weights < 1e-18 * (weights.sum(axis=(1, 2)) * per_group)[:, None, None]

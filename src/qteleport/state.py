@@ -49,11 +49,13 @@ def max_amplitudes() -> int:
     return limit
 
 
-def _check_size(need: int | None, what: str = "a state") -> None:
+def _check_size(need: int | None, what: str = "a state", limit: int | None = None) -> None:
     """The amplitude guard on an array of need amplitudes named what (need
-    None: too many to compute), before any of it is built.  The only
-    raiser of the guard's SizeGuardError."""
-    limit = max_amplitudes()
+    None: too many to compute), before any of it is built; limit is the
+    guard's value if the caller has read it already.  The only raiser of
+    the guard's SizeGuardError."""
+    if limit is None:
+        limit = max_amplitudes()
     if need is None or need > limit:
         needs = "" if need is None else f" needs {need} amplitudes and"
         raise SizeGuardError(

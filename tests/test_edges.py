@@ -1,10 +1,10 @@
 """The paper's claims at the edges of the channels ChannelSpec admits.
 
-The other property tests draw every |c_j|^2 from about 0.1 up.
 ChannelSpec admits every |c_j|^2 >= 1e-12, so these strategies reach
 the smallest weight from 1e-12 up, exact and near ties (equal to within
 a few ulps) between the smallest weights, complex phases, and larger d
-at m = 1, n = 0.  There the oracle's success probability must still be
+at m = 1, n = 0; the oracle, protocol, sampler and receiver property
+tests draw their channels from them too.  There the oracle's success probability must still be
 (min_j |c_j|^2)^m to a relative error, not only to an absolute one that
 any tiny value passes, and every sampled success must have unit
 fidelity.
@@ -41,28 +41,45 @@ EDGE_SHAPES = [
 
 
 @st.composite
-def edge_cases(draw, shapes=EDGE_SHAPES):
-    """(input, channel): the smallest weight 10^e for e in [-12, 0],
-    shared by 1..d coefficients, each tie exact or a few ulps off, the
-    other weights in [0.2, 2.0] before normalising, complex phases, and
-    a random or basis input."""
-    d, m, n = draw(shapes if isinstance(shapes, st.SearchStrategy) else st.sampled_from(shapes))
+def edge_weights(draw, d):
+    """d channel weights |c_j|^2 summing to d: the smallest 10^e for e
+    in [-12, 0], shared by 1..d of them, each tie exact or a few ulps
+    off, the others in [0.2, 2.0] before normalising."""
     ties = draw(st.integers(1, d))
     low = 1.0 if ties == d else 10.0 ** (draw(st.integers(-12, -1)) + draw(st.floats(0.0, 1.0)))
     ulps = np.array(draw(st.lists(st.integers(0, 4), min_size=ties, max_size=ties)))
     others = np.array(draw(st.lists(st.floats(0.2, 2.0), min_size=d - ties, max_size=d - ties)))
     tied = low * (1.0 + ulps * np.finfo(float).eps)
     weights = np.concatenate((tied, others * (d - tied.sum()) / others.sum()))
-    weights = weights[draw(st.permutations(range(d)))]
-    phases = np.array(draw(st.lists(st.floats(-np.pi, np.pi), min_size=d, max_size=d)))
+    return weights[draw(st.permutations(range(d)))]
+
+
+@st.composite
+def edge_coefficients(draw, d, real=False):
+    """d channel coefficients of edge_weights' weights, with complex
+    phases, or real positive ones."""
+    weights = draw(edge_weights(d))
+    if real:
+        phases = np.zeros(d)
+    else:
+        phases = np.array(draw(st.lists(st.floats(-np.pi, np.pi), min_size=d, max_size=d)))
     coeffs = np.sqrt(weights) * np.exp(1j * phases)
-    # A phase can round |c|^2 a few ulps below a 1e-12 weight.
+    # Rounding can put |c|^2 a few ulps below a 1e-12 weight.
     assume(np.all(np.abs(coeffs) ** 2 >= 1e-12))
+    return tuple(coeffs)
+
+
+@st.composite
+def edge_cases(draw, shapes=EDGE_SHAPES):
+    """(input, channel): edge_coefficients' channel and a random or
+    basis input."""
+    d, m, n = draw(shapes if isinstance(shapes, st.SearchStrategy) else st.sampled_from(shapes))
+    coeffs = draw(edge_coefficients(d))
     if draw(st.booleans()):
         inp = InputStateSpec.basis(d, m, draw(st.integers(0, d**m - 1)))
     else:
         inp = InputStateSpec.random(d, m, draw(st.integers(0, 2**32 - 1)))
-    return inp, ChannelSpec(d, n, m, tuple(coeffs))
+    return inp, ChannelSpec(d, n, m, coeffs)
 
 
 def _assert_success_is_the_min_weight_power(inp, spec):

@@ -854,6 +854,39 @@ def test_only_the_state_engine_raises_the_size_guard():
     assert raisers == {"state.py"}
 
 
+def test_only_max_amplitudes_reads_the_environment():
+    # Every guard takes QTELEPORT_MAX_AMPLITUDES from state.max_amplitudes,
+    # read once per decision; no other function reads the environment.
+    import ast
+
+    names = {"environ", "environb", "getenv", "getenvb"}
+    readers = set()
+
+    class Scopes(ast.NodeVisitor):
+        def __init__(self, module):
+            self.scope = [module]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+        def visit_Attribute(self, node):
+            if node.attr in names and getattr(node.value, "id", None) == "os":
+                readers.add(".".join(self.scope))
+            self.generic_visit(node)
+
+        def visit_ImportFrom(self, node):
+            if node.module == "os" and names & {alias.name for alias in node.names}:
+                readers.add(".".join(self.scope))
+
+    for path in Path(qteleport.__file__).parent.glob("*.py"):
+        Scopes(path.stem).visit(ast.parse(path.read_text()))
+    assert readers == {"state.max_amplitudes"}
+
+
 def test_no_module_imports_itertools_product():
     # A sweep reads its grid points by index (config._sweep_point); no
     # module builds the grid's product.
@@ -920,6 +953,28 @@ def test_input_size_guard_covers_the_aux_qubit(monkeypatch, capsys):
     # The sender's d^2 outcome weights count too: d = 5, m = 1.
     with pytest.raises(SizeGuardError, match="needs 25 amplitudes"):
         load_config({"kind": "montecarlo", "d": 5, "m": 1, "trials": 1})
+
+
+def test_input_size_guard_reads_the_limit_once(monkeypatch):
+    # The bit-length shortcut and the check take one reading of the
+    # guard; a changed value still holds from the next decision on.
+    from qteleport import protocol, state
+
+    reads = []
+
+    def counted():
+        reads.append(os.environ.get("QTELEPORT_MAX_AMPLITUDES"))
+        return int(reads[-1])
+
+    monkeypatch.setattr(protocol, "max_amplitudes", counted)
+    monkeypatch.setattr(state, "max_amplitudes", counted)
+    monkeypatch.setenv("QTELEPORT_MAX_AMPLITUDES", "32")
+    protocol._check_input_size(2, 4)
+    assert reads == ["32"]
+    monkeypatch.setenv("QTELEPORT_MAX_AMPLITUDES", "31")
+    with pytest.raises(SizeGuardError, match="needs 32 amplitudes and exceeds the size guard of 31"):
+        protocol._check_input_size(2, 4)
+    assert reads == ["32", "31"]
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ controllers.
 """
 
 import math
+import tracemalloc
 from functools import reduce
 from itertools import combinations
 from unittest import mock
@@ -24,12 +25,22 @@ from test_edges import _fixed_edge_case, edge_cases
 
 from qteleport import protocol
 from qteleport.config import random_coeffs
-from qteleport.primitives import ChannelSpec, channel_state, gbs_basis_matrix, x_basis_matrix
+from qteleport.primitives import (
+    ChannelSpec,
+    _receiver_constants,
+    channel_state,
+    gbs_basis_matrix,
+    x_basis_matrix,
+)
 from qteleport.protocol import (
     InputStateSpec,
     _branch_count,
     _copy_tensor,
     _enumerate,
+    _joint_amplitudes,
+    _joint_weights,
+    _stage_one,
+    _success_probability,
     enumerate_branches,
 )
 
@@ -145,3 +156,59 @@ def test_copy_tensor_has_the_bits_of_the_dense_einsum(case):
     fast, dense = _copy_tensor(spec), _einsum_copy_tensor(spec)
     assert fast.shape == dense.shape
     assert np.array_equal(fast.view(np.uint64), dense.view(np.uint64))
+
+
+# The sweep's grid and the shapes where the in-place squares gain most.
+WEIGHT_SHAPES = [
+    (d, m, n) for d in (2, 3, 4) for m in (1, 2) for n in (0, 1, 2)
+] + [(5, 2, 0), (3, 3, 0), (2, 4, 1), (3, 3, 1)]
+
+
+def _assert_weights_have_the_complex_routes_bits(inp, spec):
+    # The reference reorders the complex amplitudes, then squares them:
+    # what _enumerate reads.  _joint_weights squares where the matmul
+    # wrote them and reorders the real density.
+    state, _, chunks = _stage_one(inp, spec)
+    extraction = _receiver_constants(spec)[1]
+    for _, tensors in chunks:
+        amps = _joint_amplitudes(state.amps, tensors)
+        density = amps.real**2
+        density += amps.imag**2
+        expected = density @ extraction
+        weights = _joint_weights(state.amps, tensors, extraction)
+        assert weights.shape == expected.shape
+        assert np.array_equal(weights.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("d, m, n", WEIGHT_SHAPES)
+@pytest.mark.parametrize("floor", [1, protocol.ORACLE_CHUNK_AMPLITUDES])
+def test_stage_one_weights_have_the_bits_of_the_complex_route(d, m, n, floor, monkeypatch):
+    # Complex coefficients and input; a chunk floor of 1 fixes the
+    # leading copies where the leaf count allows.
+    monkeypatch.setattr(protocol, "ORACLE_CHUNK_AMPLITUDES", floor)
+    phases = np.exp(1j * np.linspace(-2.5, 2.9, d))
+    spec = ChannelSpec(d, n, m, tuple(np.array(random_coeffs(d, 7 * d + m)) * phases))
+    _assert_weights_have_the_complex_routes_bits(InputStateSpec.random(d, m, d + m + n), spec)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=edge_cases(WEIGHT_SHAPES))
+def test_stage_one_weights_have_the_bits_of_the_complex_route_at_the_edges(case):
+    _assert_weights_have_the_complex_routes_bits(*case)
+
+
+def test_stage_one_weights_hold_one_and_a_half_complex_chunks():
+    # (4, 2, 1) runs in one chunk of 256 x 16 x 16 complex amplitudes:
+    # the matmul output and its real density (1.5 chunks), then the
+    # reordered density; no reordered complex copy (2 chunks).
+    spec = ChannelSpec(4, 1, 2, random_coeffs(4, 1))
+    inp = InputStateSpec.random(4, 2, 1)
+    expected = _success_probability(inp, spec)  # the tables, cached
+    chunk = 4**4 * 4**2 * 4**2 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        assert _success_probability(inp, spec) == expected
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * chunk, peak / chunk

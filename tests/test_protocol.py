@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_edges import edge_coefficients
 
 from qteleport.config import random_coeffs
 from qteleport.protocol import (
@@ -343,17 +344,15 @@ GUARDED_SHAPES = [
 
 @st.composite
 def _oracle_cases(draw, shapes=GUARDED_SHAPES):
-    """(input, channel) within the enumeration guard: complex-phase
+    """(input, channel) within the enumeration guard: test_edges' edge
     coefficients and a random complex input."""
     d, m, n = draw(st.sampled_from(shapes))
-    weights = np.array(draw(st.lists(st.floats(0.2, 2.0), min_size=d, max_size=d)))
-    phases = np.array(draw(st.lists(st.floats(-np.pi, np.pi), min_size=d, max_size=d)))
-    coeffs = np.sqrt(weights * d / weights.sum()) * np.exp(1j * phases)
+    coeffs = draw(edge_coefficients(d))
     parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * d**m, max_size=2 * d**m))
     beta = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
     norm = np.linalg.norm(beta)
     beta = beta / norm if norm > 1e-3 else np.eye(d**m)[0]
-    return InputStateSpec(d, m, beta), ChannelSpec(d, n, m, tuple(coeffs))
+    return InputStateSpec(d, m, beta), ChannelSpec(d, n, m, coeffs)
 
 
 @settings(max_examples=30, deadline=None)

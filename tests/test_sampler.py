@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_edges import edge_coefficients
 
 from qteleport import campaign
 from qteleport._streams import child_uniforms
@@ -223,13 +224,11 @@ SAMPLED_SHAPES = [
 @st.composite
 def sampled_cases(draw):
     """(spec, input): d in 2..5, m in 1..4 with d^m <= 256, n in 0..2,
-    skewed weights with complex phases, and a random input."""
+    test_edges' edge coefficients, and a random input."""
     d, m, n = draw(st.sampled_from(SAMPLED_SHAPES))
-    weights = np.array(draw(st.lists(st.floats(0.2, 2.0), min_size=d, max_size=d)))
-    phases = np.array(draw(st.lists(st.floats(-np.pi, np.pi), min_size=d, max_size=d)))
-    coeffs = np.sqrt(weights * d / weights.sum()) * np.exp(1j * phases)
+    coeffs = draw(edge_coefficients(d))
     inp = InputStateSpec.random(d, m, draw(st.integers(0, 2**32 - 1)))
-    return ChannelSpec(d, n, m, tuple(coeffs)), inp
+    return ChannelSpec(d, n, m, coeffs), inp
 
 
 @settings(max_examples=60, deadline=None)
