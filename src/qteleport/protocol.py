@@ -829,6 +829,6 @@ def fidelity_without_control(
     defined = ~np.isnan(fidelity)
     weight = np.sum(probability[defined], dtype=np.longdouble)
     if weight <= 0.0:
-        raise ValueError("no success branch has positive probability")
+        raise ValueError("no success branch with a defined fidelity has positive probability")
     weighted = np.sum(probability[defined] * fidelity[defined], dtype=np.longdouble)
     return float(weighted / weight)

@@ -162,3 +162,15 @@ def test_fidelity_without_control_averages_the_leaves_with_a_fidelity():
     # Without the one controller's sums the mean is the collision law.
     collision = np.sum(np.abs(inp.beta) ** 4)
     assert abs(fidelity_without_control(inp, spec, {0}) - collision) <= REL_TOL
+
+
+def test_fidelity_without_control_refuses_when_no_leaf_has_a_fidelity():
+    # Weights 1e-9 and 4/3 (three times), m = 2: success probability
+    # 1e-18, spread over 16 controller leaves, so every success group is
+    # below the oracle's 1e-18 floor and no success fidelity is defined.
+    inp = InputStateSpec(4, 2, [0.5j if k in (10, 11, 14, 15) else 0.0 for k in range(16)])
+    spec = ChannelSpec(4, 1, 2, (3.1622776601683795e-05,) + (1.1547005382349138,) * 3)
+    assert np.isnan(enumerate_branches(inp, spec).branches.fidelity[0::2]).all()
+    for withheld in (set(), {0}):
+        with pytest.raises(ValueError, match="defined fidelity"):
+            fidelity_without_control(inp, spec, withheld)
