@@ -41,8 +41,9 @@ from .protocol import (
     InputStateSpec,
     _digits,
     _draw_count,
+    _Kept,
     _sample_runs,
-    _success_probability,
+    _stage_one_success,
     enumerate_branches,
     run_structured,  # noqa: F401  (perfbench/tracer.py wraps it here)
     theoretical_success_probability,
@@ -258,12 +259,17 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple[dict, dict]:
     reads all its channels' uniforms in one _streams call and all its
     inputs' normals in another, each row as long as the longest visited
     point's, which load_config checked (a spec reads its stream's first
-    values), at most SAMPLE_CHUNK_AMPLITUDES normals a chunk."""
+    values), at most SAMPLE_CHUNK_AMPLITUDES normals a chunk.
+
+    load_config ran every visited point's guards, so a point runs stage
+    1 alone (_stage_one_success), with no second pass of them.  Its large
+    temporaries live in one _Kept for the run, so points of one size
+    reuse them; they go when the run returns."""
     point = partial(_sweep_point, cfg.sweep)
     visited = list(map(point, range(min(cfg.trials, math.prod(map(len, cfg.sweep.values()))))))
     most_coeffs, most_normals = max(d for d, _, _ in visited), max(2 * d**m for d, m, _ in visited)
     chunk = max(1, SAMPLE_CHUNK_AMPLITUDES // most_normals)
-    rows = []
+    rows, kept = [], _Kept()
     for lo in range(0, cfg.trials, chunk):
         seeds = [cfg.seed * 1_000_003 + 2 * i for i in range(lo, min(lo + chunk, cfg.trials))]
         weights = uniforms(seeds, most_coeffs)
@@ -272,7 +278,7 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple[dict, dict]:
             d, m, n = point(i)
             chan = ChannelSpec(d, n, m, _coeffs_from_uniforms(u[:d]))
             inp = InputStateSpec._from_normals(d, m, z)
-            p, theory = _success_probability(inp, chan), theoretical_success_probability(chan)
+            p, theory = _stage_one_success(inp, chan, kept), theoretical_success_probability(chan)
             coeffs = ";".join(repr(abs(c)) for c in chan.coeffs)
             rows.append((i, d, m, n, coeffs, p, theory, abs(p - theory)))
     names = ("index", "d", "m", "n", "coeffs", "success_probability", "theoretical", "abs_error")

@@ -16,7 +16,7 @@ import numpy as np
 from ._streams import uniforms
 from .decoy import EVE_ACTIONS
 from .primitives import ChannelSpec
-from .protocol import InputStateSpec, _check_branches, _check_input_size, _check_tables
+from .protocol import InputStateSpec, _check_input_size, _check_oracle
 from .state import _check_size, record
 
 KINDS = ("enumerate", "montecarlo", "decoy", "sweep")
@@ -72,7 +72,7 @@ def _coeffs_from_uniforms(u: np.ndarray) -> tuple[complex, ...]:
     """random_coeffs from its stream's first d random() values."""
     weights = 0.25 + (1.75 - 0.25) * u  # Generator.uniform(0.25, 1.75)
     weights *= len(u) / weights.sum()
-    return tuple(complex(v) for v in np.sqrt(weights))
+    return tuple(map(complex, np.sqrt(weights).tolist()))
 
 
 def _is_number(value) -> bool:
@@ -155,16 +155,16 @@ def resolve_beta(value, d: int, m: int) -> np.ndarray:
 def _check_point(kind: str, d: int, m: int, n: int) -> None:
     """The guards one (d, m, n) point of a campaign passes at load, before
     anything of its size is built: a decoy's d x d X basis and cross-basis
-    tables; otherwise, where every branch is listed or weighed (enumerate,
-    a sweep point), the enumeration guard and the oracle's per-copy
-    tables, then the input guard, in _stage_one's order."""
+    tables; where every branch is listed or weighed (enumerate, a sweep
+    point), every guard of the oracle (_check_oracle: branches, the copy
+    tensor and the channel copy, the input), so a sweep point runs stage
+    1 with no guard left; a montecarlo's input guard alone."""
     if kind == "decoy":
         _check_size(d * d, f"a decoy of dimension {d}")
-        return
-    if kind in ("enumerate", "sweep"):
-        _check_branches(d, m, n)
-        _check_tables(d, n)
-    _check_input_size(d, m)
+    elif kind in ("enumerate", "sweep"):
+        _check_oracle(d, m, n)
+    else:
+        _check_input_size(d, m)
 
 
 def _sweep_point(sweep: dict, i: int) -> tuple[int, int, int]:

@@ -7,9 +7,10 @@ system whose outcome 0 heralds success.
 Map: run_structured samples or forces runs in closed form (_sample_runs,
 in batches for the montecarlo campaign); run_protocol and _run are the
 dense reference on the state engine; enumerate_branches is the exact
-oracle (_stage_one, then _enumerate).  The guards (_check_input_size,
-_check_branches, _check_tables) run before any array of their size is
-built.
+oracle (_stage_one, then _enumerate), and a sweep point reads stage 1's
+success probability alone (_stage_one_success).  The guards
+(_check_input_size, and _check_oracle's _check_branches and
+_check_tables) run before any array of their size is built.
 """
 
 from __future__ import annotations
@@ -78,13 +79,15 @@ class InputStateSpec:
             raise ValueError(
                 f"beta length {beta.size} != d^m = {self.d ** self.m}"
             )
-        if not np.all(np.isfinite(beta)):
+        if not np.isfinite(beta).all():
             raise ValueError("beta amplitudes must be finite")
         with np.errstate(over="ignore"):  # an overflow fails the norm check
             norm = float(np.linalg.norm(beta))
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"beta violates sum|beta|^2 = 1: norm = {norm!r}")
         object.__setattr__(self, "beta", beta)
+        # Not a field: the norm make_state divides the register by.
+        object.__setattr__(self, "_norm", norm)
 
     @classmethod
     def basis(cls, d: int, m: int, index: int) -> "InputStateSpec":
@@ -575,30 +578,52 @@ def _check_branches(d: int, m: int, n: int) -> None:
 
 
 def _check_tables(d: int, n: int) -> None:
-    """The amplitude guard on the oracle's per-dimension tables: the GBS
-    basis (d^4 entries) and a copy's tensor T[k, g, rho, j] (d^4 entries,
-    d^5 with controllers).  Run after _check_branches, which bounds d."""
-    _check_size(d**4 * (d if n else 1), f"the oracle's copy tensor at d = {d}, n = {n}")
+    """The amplitude guard on the oracle's per-copy arrays, one reading of
+    the guard for both: a copy's tensor T[k, g, rho, j] (d^4 entries, d^5
+    with controllers; the GBS basis holds d^4) and the channel copy it is
+    made from (d^(n+2) amplitudes, more than the controllers' d x d^n
+    bras).  Run after _check_branches, which bounds d and n."""
+    limit = max_amplitudes()
+    _check_size(d**4 * (d if n else 1), f"the oracle's copy tensor at d = {d}, n = {n}", limit)
+    _check_size(d ** (n + 2), f"the oracle's channel copy at d = {d}, n = {n}", limit)
+
+
+def _check_oracle(d: int, m: int, n: int) -> None:
+    """Every guard of the oracle at (d, m, n), before anything of its size
+    is built: the enumeration guard, the per-copy arrays, the input."""
+    _check_branches(d, m, n)
+    _check_tables(d, n)
+    _check_input_size(d, m)
 
 
 @lru_cache(maxsize=DIMENSION_CACHE_SIZE)
-def _copy_bras(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_copy_tensor's bras for one (d, n), built once, read-only.
+def _bell_entries(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_copy_tensor's sender tables for one d, built once, read-only.
 
-    controllers -- the n controllers' conjugated X bras onto the outcomes
-                   (rho, 0, ..., 0), one Kronecker product (rho, d^n);
-                   ones((1, 1)) with no controllers
-    column      -- column[k, g] = (k + s) mod d for g = r d + s: the one
-                   sender digit on which GBS bra g meets input digit k
-    sender      -- sender[k, g]: the conjugated GBS bra's entry there
-    """
-    x_bra = x_basis_matrix(d).conj()
-    controllers = reduce(np.kron, [x_bra[:1]] * (n - 1), x_bra) if n else np.ones((1, 1))
+    column     -- column[k, g] = (k + s) mod d for g = r d + s: the one
+                  sender digit on which GBS bra g meets input digit k
+    real, imag -- the conjugated GBS bra's entry there, shaped
+                  (d, d^2, 1, 1) to broadcast over a copy's (rho, j)
+
+    The entries are read from gbs_basis_matrix: each of its rows is
+    divided by its norm, which is not exactly 1 (at d = 2 for every
+    row), so the dense row's sum decides their bits."""
     k = np.arange(d)
-    column = (k[:, None] + np.tile(k, d)) % d
+    column = (k[:, None] + np.arange(d * d) % d) % d
     bras = gbs_basis_matrix(d).reshape(d * d, d, d)  # [g, k, sender]
-    sender = bras[np.arange(d * d), k[:, None], column].conj()
-    return tuple(map(_read_only, (controllers, column, sender)))
+    sender = bras[np.arange(d * d), k[:, None], column].conj()[..., None, None]
+    return tuple(map(_read_only, (column, sender.real, sender.imag)))
+
+
+@lru_cache(maxsize=DIMENSION_CACHE_SIZE)
+def _controller_bras(d: int, n: int) -> np.ndarray:
+    """The n controllers' conjugated X bras onto the outcomes (rho, 0,
+    ..., 0), one Kronecker product (rho, d^n), built once per (d, n),
+    read-only; ones((1, 1)) with no controllers."""
+    if not n:
+        return _read_only(np.ones((1, 1)))
+    x_bra = x_basis_matrix(d).conj()
+    return _read_only(reduce(np.kron, [x_bra[:1]] * (n - 1), x_bra))
 
 
 def _copy_tensor(spec: ChannelSpec) -> np.ndarray:
@@ -618,15 +643,36 @@ def _copy_tensor(spec: ChannelSpec) -> np.ndarray:
     dense bras gives them.
     """
     d, n = spec.d, spec.n
-    controllers, column, sender = _copy_bras(d, n)
+    column, br, bi = _bell_entries(d)
     # (sender, controllers, receiver) -> (sender, rho, receiver)
-    copy = controllers @ _channel_amps(spec).reshape(d, d**n, d)
+    copy = _controller_bras(d, n) @ _channel_amps(spec).reshape(d, d**n, d)
     rows = copy[column]  # [k, g, rho, j]
-    br, bi = sender.real[..., None, None], sender.imag[..., None, None]
     out = np.empty(rows.shape, dtype=complex)
     out.real = br * rows.real - bi * rows.imag + 0.0
     out.imag = br * rows.imag + bi * rows.real + 0.0
     return out
+
+
+class _Kept:
+    """Stage 1's two large temporaries, kept across the points of one
+    sweep run: the last matmul's complex output and the real density in
+    group order.  take() hands out the front of the kept array of a
+    dtype and makes a new one only when a point needs more, so points of
+    one size fault those pages in once.  The arrays go when the run
+    drops this object; no module holds one."""
+
+    def __init__(self):
+        self._arrays: dict[type, np.ndarray] = {}
+
+    def take(self, shape, dtype: type) -> np.ndarray:
+        """A C-ordered array of shape and dtype; its contents are stale."""
+        size = math.prod(shape)
+        kept = self._arrays.pop(dtype, None)
+        if kept is None or kept.size < size:
+            del kept  # the smaller array goes before the larger is made
+            kept = np.empty(size, dtype)
+        self._arrays[dtype] = kept
+        return kept[:size].reshape(shape)
 
 
 def _product(input_amps: np.ndarray, tensors) -> np.ndarray:
@@ -656,52 +702,69 @@ def _joint_amplitudes(input_amps: np.ndarray, tensors) -> np.ndarray:
     return _product(input_amps, tensors).reshape(shape).transpose(order).reshape(sizes)
 
 
-def _joint_weights(input_amps: np.ndarray, tensors, extraction: np.ndarray) -> np.ndarray:
+def _joint_weights(
+    input_amps: np.ndarray, tensors, extraction: np.ndarray, kept: _Kept | None = None
+) -> np.ndarray:
     """The weights of _joint_amplitudes' groups, the same floats, with no
     complex copy reordered: re^2 + im^2 is formed in place where the last
-    matmul wrote the amplitudes, and only that real density is reordered."""
+    matmul wrote the amplitudes, and only that real density is reordered.
+    The last matmul and the reordering write into kept's arrays; the
+    matmuls keep _product's shapes, and so its floats.  Without kept the
+    arrays are this call's own."""
     shape, order, sizes = _layout(tensors)
-    parts = _product(input_amps, tensors).view(float).reshape(shape + [2])
+    take = np.empty if kept is None else kept.take
+    *head, last = tensors
+    left = _product(input_amps, head).reshape(len(last), -1).T
+    right = last.reshape(len(last), -1)
+    parts = np.matmul(left, right, out=take((len(left), right.shape[1]), complex))
+    parts = parts.view(float).reshape(shape + [2])
     np.square(parts, out=parts)
     density = parts[..., 0]
     np.add(density, parts[..., 1], out=density)
-    grouped = np.ascontiguousarray(density.transpose(order)).reshape(sizes)
+    grouped = take([shape[axis] for axis in order], float)
+    np.copyto(grouped, density.transpose(order))
     del parts, density  # the amplitudes go before the weights are made
-    return grouped @ extraction
+    return grouped.reshape(sizes) @ extraction
+
+
+def _plan(spec: ChannelSpec) -> tuple[np.ndarray, int, int]:
+    """A point's copy tensor, its controller leaves per rho vector, and
+    how many trailing copies a chunk leaves free: all m where one chunk
+    covers every sender outcome, as at every point with d <= 4, m <= 2."""
+    d, m, n = spec.d, spec.m, spec.n
+    per_copy = _copy_tensor(spec)
+    sums = per_copy.shape[2] ** m  # rho vectors: d^m, or 1 with no controllers
+    budget = max(_branch_count(spec), ORACLE_CHUNK_AMPLITUDES)
+    free = next(q for q in range(m, -1, -1) if d ** (2 * q) * sums * d**m <= budget)
+    return per_copy, d ** (m * n) // sums, free
+
+
+def _chunks(per_copy: np.ndarray, m: int, free: int):
+    """Stage 1's chunks of sender outcomes, in order: per chunk its first
+    index and its copies' tensors, the leading m - free copies' outcomes
+    fixed and the last free copies' all present.  A generator."""
+    outcomes = per_copy.shape[1]  # g = r d + s
+    chunk = outcomes**free
+    for lo in range(0, outcomes**m, chunk):
+        # The leading copies' outcomes: lo // chunk in base d^2.
+        head, fixed = lo // chunk, []
+        for _ in range(m - free):
+            head, g = divmod(head, outcomes)
+            fixed.insert(0, per_copy[:, [g]])
+        yield lo, fixed + [per_copy] * free
 
 
 def _stage_one(input_spec: InputStateSpec, spec: ChannelSpec):
     """Stage 1 of the oracle: the guards, then the chunks of sender
     outcomes (the leading copies' fixed) that every (sender, rho, aux)
     group is weighed in.  Returns the input state, the controller leaves
-    per rho vector, and per chunk its first index and its copies'
-    tensors, from a generator: _joint_weights turns a chunk into its
-    weights (chunk, rho, aux), _weighed_amplitudes into its amplitudes
-    (chunk, rho, j) and weights."""
+    per rho vector, and _chunks' generator: _weighed_amplitudes turns a
+    chunk into its amplitudes (chunk, rho, j) and weights (chunk, rho,
+    aux), _joint_weights into its weights alone."""
     _validate_pair(input_spec, spec)
-    d, m, n = spec.d, spec.m, spec.n
-    _check_branches(d, m, n)
-    _check_tables(d, n)
-    _check_input_size(d, m)
-
-    input_state = input_spec.state()
-    per_copy = _copy_tensor(spec)
-    sums = per_copy.shape[2] ** m  # rho vectors: d^m, or 1 with no controllers
-    per_group = d ** (m * n) // sums
-    budget = max(_branch_count(spec), ORACLE_CHUNK_AMPLITUDES)
-    free = max(q for q in range(m + 1) if d ** (2 * q) * sums * d**m <= budget)
-    chunk = d ** (2 * free)
-
-    def chunks():
-        for lo in range(0, d ** (2 * m), chunk):
-            # The leading copies' outcomes g = r d + s: lo // chunk in base d^2.
-            head, fixed = lo // chunk, []
-            for _ in range(m - free):
-                head, g = divmod(head, d * d)
-                fixed.insert(0, per_copy[:, [g]])
-            yield lo, fixed + [per_copy] * free
-
-    return input_state, per_group, chunks()
+    _check_oracle(spec.d, spec.m, spec.n)
+    per_copy, per_group, free = _plan(spec)
+    return input_spec.state(), per_group, _chunks(per_copy, spec.m, free)
 
 
 def _weighed_amplitudes(input_amps: np.ndarray, chunks, extraction: np.ndarray):
@@ -720,14 +783,34 @@ def _weighed_amplitudes(input_amps: np.ndarray, chunks, extraction: np.ndarray):
 
 def _success_probability(input_spec: InputStateSpec, spec: ChannelSpec) -> float:
     """The oracle's success probability from stage 1 alone, no leaf built:
-    enumerate_branches' sum over every group in its order, the same float."""
-    input_state, per_group, chunks = _stage_one(input_spec, spec)
+    enumerate_branches' sum over every group in its order, the same float.
+    The guards run first; _stage_one_success is the rest."""
+    _validate_pair(input_spec, spec)
+    _check_oracle(spec.d, spec.m, spec.n)
+    return _stage_one_success(input_spec, spec)
+
+
+def _stage_one_success(
+    input_spec: InputStateSpec, spec: ChannelSpec, kept: _Kept | None = None
+) -> float:
+    """_success_probability at a point whose guards have passed (a sweep's
+    load walk checks every point it visits): stage 1 alone, its large
+    temporaries in kept's arrays.  It builds no input register: it
+    divides beta by the norm the spec's validation took, as make_state
+    divides it.  It runs no chunk generator where one chunk covers every
+    sender outcome."""
+    per_copy, per_group, free = _plan(spec)
+    amps = input_spec.beta / input_spec._norm
     extraction = _receiver_constants(spec)[1]
-    parts = (
-        np.sum(_joint_weights(input_state.amps, tensors, extraction)[..., 0], dtype=np.longdouble)
-        for _, tensors in chunks
-    )
-    return float(sum(parts, np.longdouble(0.0)) * per_group)
+    if free == spec.m:
+        chunks = [[per_copy] * free]
+    else:
+        chunks = (tensors for _, tensors in _chunks(per_copy, spec.m, free))
+    total = np.longdouble(0.0)
+    for tensors in chunks:
+        weights = _joint_weights(amps, tensors, extraction, kept)
+        total += weights[..., 0].sum(dtype=np.longdouble)
+    return float(total * per_group)
 
 
 def _enumerate(
@@ -738,7 +821,7 @@ def _enumerate(
     A leaf's receiver depends on its controllers only through their sums
     rho (see _copy_tensor).  Stage 1 (_stage_one's chunks) weighs every
     (sender, rho, aux) group, which alone gives the success probability
-    (_success_probability, all the sweep runs, from _joint_weights);
+    (_stage_one_success, all a sweep point runs, from _joint_weights);
     here _weighed_amplitudes also gives the amplitudes stage 2 reads.  Stage 2
     scores each group as a sampled run is scored: success against the
     input pulled back through the correction (one _pullback call, times

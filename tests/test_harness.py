@@ -211,7 +211,7 @@ def test_sweep_guards_run_before_any_enumeration(monkeypatch, capsys):
         raise AssertionError("a sweep point was enumerated before the guards ran")
 
     monkeypatch.setattr(campaign, "enumerate_branches", unreachable)
-    monkeypatch.setattr(campaign, "_success_probability", unreachable)
+    monkeypatch.setattr(campaign, "_stage_one_success", unreachable)
     # Point (2, 2, 3) fits, point (5, 2, 3) does not: nothing runs.
     assert main(["sweep", "--d", "2,5", "--m", "2", "--n", "3", "--trials", "2"]) == 2
     err = capsys.readouterr().err
@@ -299,8 +299,9 @@ def test_sweep_runs_only_the_oracles_stage_one(monkeypatch):
 
 
 def test_sweep_builds_no_channel_state_and_no_phase_rows(monkeypatch):
-    # Stage 1 reads the channel copy's amplitudes and the extraction
-    # weights: the sweep's only states are the points' input registers.
+    # Stage 1 reads the channel copy's amplitudes, the input's and the
+    # extraction weights: the sweep builds no state at all, not even a
+    # point's input register.
     from qteleport import protocol
     from qteleport.state import StateVector
 
@@ -320,8 +321,7 @@ def test_sweep_builds_no_channel_state_and_no_phase_rows(monkeypatch):
     monkeypatch.setattr(StateVector, "__init__", counted)
     monkeypatch.setattr(protocol, "_phase_rows", unreachable)
     assert to_json_text(run_campaign(load_config(doc))) == expected
-    assert len(built) == 18
-    assert all(label.startswith("chi_") for labels in built for label in labels)
+    assert built == []
 
 
 def test_reruns_are_byte_identical():
@@ -809,7 +809,7 @@ def test_oracle_tables_count_against_the_amplitude_guard(argv, need, monkeypatch
 
     monkeypatch.setenv("QTELEPORT_MAX_AMPLITUDES", "100000")
     monkeypatch.setattr(config, "resolve_coeffs", unreachable)
-    monkeypatch.setattr(campaign, "_success_probability", unreachable)
+    monkeypatch.setattr(campaign, "_stage_one_success", unreachable)
     assert main(argv) == 2
     assert capsys.readouterr() == (
         "",
@@ -839,6 +839,45 @@ def test_oracle_tables_guard_at_the_default_size(monkeypatch):
     spec = qteleport.ChannelSpec(20, 0, 1, (1.0,) * 20)
     with pytest.raises(SizeGuardError, match="copy tensor at d = 20, n = 0"):
         _success_probability(InputStateSpec.basis(20, 1, 0), spec)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--d", "2", "--m", "1", "--n", "0,9", "--trials", "2"],
+        ["enumerate", "--d", "2", "--m", "1", "--n", "9"],
+    ],
+)
+def test_the_channel_copy_counts_against_the_guard_at_load(argv, monkeypatch, capsys):
+    # A copy's d^(n+2) amplitudes outgrow its tensor's d^5 from n = 4 on
+    # (the controllers' d x d^n bras are fewer): refused at load, before
+    # the coefficients are drawn or the first sweep point runs.
+    from qteleport import protocol
+
+    def unreachable(*args):
+        raise AssertionError("the oracle ran before the channel copy was counted")
+
+    monkeypatch.setenv("QTELEPORT_MAX_AMPLITUDES", "1000")
+    monkeypatch.setattr(config, "resolve_coeffs", unreachable)
+    monkeypatch.setattr(protocol, "_copy_tensor", unreachable)
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: the oracle's channel copy at d = 2, n = 9 needs 2048 amplitudes and exceeds "
+        "the size guard of 1000 (override with QTELEPORT_MAX_AMPLITUDES)\n",
+    )
+
+
+def test_the_oracle_counts_the_channel_copy_when_called_directly(monkeypatch):
+    from qteleport.protocol import InputStateSpec, _success_probability, enumerate_branches
+
+    monkeypatch.setenv("QTELEPORT_MAX_AMPLITUDES", "1000")
+    spec = qteleport.ChannelSpec(2, 9, 1, (1.0, 1.0))
+    for oracle in (_success_probability, enumerate_branches):
+        with pytest.raises(SizeGuardError, match="channel copy at d = 2, n = 9 needs 2048"):
+            oracle(InputStateSpec.basis(2, 1, 0), spec)
+    monkeypatch.setenv("QTELEPORT_MAX_AMPLITUDES", "2048")
+    assert abs(_success_probability(InputStateSpec.basis(2, 1, 0), spec) - 1.0) < 1e-12
 
 
 def test_only_the_state_engine_raises_the_size_guard():
@@ -977,6 +1016,65 @@ def test_input_size_guard_reads_the_limit_once(monkeypatch):
     assert reads == ["32", "31"]
 
 
+def test_a_sweep_point_passes_each_guard_once(monkeypatch):
+    # The load walk decides every visited point's guards; the run repeats
+    # none of them, so the guard is read once per decision: the trials
+    # count, then each point's tables and input.
+    from collections import Counter
+
+    from qteleport import protocol, state
+
+    calls, reads = Counter(), []
+    for name in ("_check_branches", "_check_tables", "_check_input_size"):
+
+        def counted(*args, _name=name, _check=getattr(protocol, name)):
+            calls[_name] += 1
+            return _check(*args)
+
+        for module in (protocol, config):  # wherever a caller looks the check up
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+
+    def read():
+        reads.append(1)
+        return state.DEFAULT_MAX_AMPLITUDES
+
+    monkeypatch.setattr(protocol, "max_amplitudes", read)
+    monkeypatch.setattr(state, "max_amplitudes", read)
+    grid = {"d": [2, 3, 4], "m": [1, 2], "n": [0, 1, 2]}
+    run_campaign(load_config({"kind": "sweep", "trials": 18, "seed": 4, "sweep": grid}))
+    assert calls == {"_check_branches": 18, "_check_tables": 18, "_check_input_size": 18}
+    assert len(reads) == 1 + 2 * 18
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux's ru_minflt")
+def test_a_sweep_point_of_a_size_seen_before_faults_in_no_buffer():
+    # (4, 2, 2) needs stage 1's arrays at the size (4, 2, 1) made: the run
+    # keeps them, so the second point faults in almost no page (about 330
+    # when each point mapped its own).
+    script = (
+        "import json, resource, sys\n"
+        "from qteleport.campaign import run_campaign\n"
+        "from qteleport.config import load_config\n"
+        "n = json.loads(sys.argv[1])\n"
+        "cfg = load_config({'kind': 'sweep', 'trials': len(n), 'seed': 5,\n"
+        "                   'sweep': {'d': [4], 'm': [2], 'n': n}})\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "run_campaign(cfg)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(qteleport.__file__).parent.parent))
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+    def faults(n: list) -> int:
+        run = [sys.executable, "-c", script, json.dumps(n)]
+        return int(subprocess.run(run, env=env, capture_output=True, text=True, check=True).stdout)
+
+    one, both = faults([1]), faults([1, 2])
+    assert one > 256, one  # the first point maps its 1 MiB matmul output
+    assert both - one < 64, (one, both)
+
+
 @pytest.mark.parametrize(
     "argv, per_trial",
     [
@@ -1007,7 +1105,7 @@ def test_a_trials_count_past_the_guard_ends_before_any_allocation(kind, monkeypa
     def unreachable(*args):
         raise AssertionError("the campaign ran past the trials guard")
 
-    for name in ("detection_campaign", "_success_probability", "child_uniforms", "_sample_runs"):
+    for name in ("detection_campaign", "_stage_one_success", "child_uniforms", "_sample_runs"):
         monkeypatch.setattr(campaign, name, unreachable)
     argv = [kind, "--d", "2", "--m", "1", "--n", "0", "--trials", str(trials)]
     assert main(argv) == 2
