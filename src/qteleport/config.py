@@ -72,7 +72,7 @@ def _coeffs_from_uniforms(u: np.ndarray) -> tuple[complex, ...]:
     """random_coeffs from its stream's first d random() values."""
     weights = 0.25 + (1.75 - 0.25) * u  # Generator.uniform(0.25, 1.75)
     weights *= len(u) / weights.sum()
-    return tuple(map(complex, np.sqrt(weights).tolist()))
+    return tuple(complex(v) for v in np.sqrt(weights))
 
 
 def _is_number(value) -> bool:

@@ -62,14 +62,14 @@ class ChannelSpec:
         if len(coeffs) != self.d:
             raise ValueError(f"need {self.d} coefficients, got {len(coeffs)}")
         values = np.array(coeffs)
-        if not np.isfinite(values).all():
+        if not np.all(np.isfinite(values)):
             raise ValueError(f"coefficients must be finite, got {coeffs!r}")
         with np.errstate(over="ignore"):  # an overflow fails the norm check
             weights = np.abs(values) ** 2
             total = float(weights.sum()) / self.d
         # |c_j|^2, not a field: == and hash read the coefficients alone.
         object.__setattr__(self, "_weights", _read_only(weights))
-        if (weights < 1e-12).any():
+        if np.any(weights < 1e-12):
             raise ValueError(
                 "zero channel coefficient: the receiver's extraction unitary "
                 "does not exist and the success probability would be 0"
@@ -82,12 +82,12 @@ class ChannelSpec:
     @property
     def k_min(self) -> int:
         """Index of the smallest |c_j|^2, ties broken by smallest index."""
-        return int(self._weights.argmin())
+        return int(np.argmin(self._weights))
 
     @property
     def min_weight(self) -> float:
         """min_j |c_j|^2."""
-        return float(self._weights.min())
+        return float(np.min(self._weights))
 
 
 def gbs_vector(d: int, r: int, s: int) -> StateVector:
@@ -130,10 +130,8 @@ class _View(Sequence):
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
     """A fresh array's rows, each divided in place by its own norm, as
-    make_state divides a state: the floats of one state per row.  The
-    norms are np.linalg.norm's, sqrt(re . re + im . im), with one dot
-    per row and part, for every row in one call."""
-    rows /= np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))[:, None]
+    make_state divides a state: the floats of one state per row."""
+    rows /= np.array([np.linalg.norm(row) for row in rows])[:, None]
     return _read_only(rows)
 
 
@@ -194,9 +192,8 @@ def _channel_amps(spec: ChannelSpec) -> np.ndarray:
     size = spec.d ** (spec.n + 2)
     amps = np.zeros(size, dtype=complex)
     stride = (size - 1) // (spec.d - 1)  # index of |j,j,...,j> is j*stride
-    root = np.sqrt(spec.d)
     for j, c in enumerate(spec.coeffs):
-        amps[j * stride] = c / root  # Python's complex division, one c at a time
+        amps[j * stride] = c / np.sqrt(spec.d)
     return amps / np.linalg.norm(amps)
 
 

@@ -41,6 +41,7 @@ from .state import (
     StateVector,
     _check_size,
     _draw,
+    _normalized,
     _rng_from_seed,
     make_state,
     max_amplitudes,
@@ -79,15 +80,13 @@ class InputStateSpec:
             raise ValueError(
                 f"beta length {beta.size} != d^m = {self.d ** self.m}"
             )
-        if not np.isfinite(beta).all():
+        if not np.all(np.isfinite(beta)):
             raise ValueError("beta amplitudes must be finite")
         with np.errstate(over="ignore"):  # an overflow fails the norm check
             norm = float(np.linalg.norm(beta))
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"beta violates sum|beta|^2 = 1: norm = {norm!r}")
         object.__setattr__(self, "beta", beta)
-        # Not a field: the norm make_state divides the register by.
-        object.__setattr__(self, "_norm", norm)
 
     @classmethod
     def basis(cls, d: int, m: int, index: int) -> "InputStateSpec":
@@ -609,7 +608,7 @@ def _bell_entries(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     divided by its norm, which is not exactly 1 (at d = 2 for every
     row), so the dense row's sum decides their bits."""
     k = np.arange(d)
-    column = (k[:, None] + np.arange(d * d) % d) % d
+    column = (k[:, None] + np.tile(k, d)) % d
     bras = gbs_basis_matrix(d).reshape(d * d, d, d)  # [g, k, sender]
     sender = bras[np.arange(d * d), k[:, None], column].conj()[..., None, None]
     return tuple(map(_read_only, (column, sender.real, sender.imag)))
@@ -703,68 +702,56 @@ def _joint_amplitudes(input_amps: np.ndarray, tensors) -> np.ndarray:
 
 
 def _joint_weights(
-    input_amps: np.ndarray, tensors, extraction: np.ndarray, kept: _Kept | None = None
+    input_amps: np.ndarray, tensors, extraction: np.ndarray, kept: _Kept
 ) -> np.ndarray:
     """The weights of _joint_amplitudes' groups, the same floats, with no
     complex copy reordered: re^2 + im^2 is formed in place where the last
     matmul wrote the amplitudes, and only that real density is reordered.
-    The last matmul and the reordering write into kept's arrays; the
-    matmuls keep _product's shapes, and so its floats.  Without kept the
-    arrays are this call's own."""
+    The last matmul and the reordering write into kept's arrays, and the
+    weights go over the amplitudes once those are read; the matmuls keep
+    _product's shapes, and so its floats.  The weights are valid until
+    kept's next use."""
     shape, order, sizes = _layout(tensors)
-    take = np.empty if kept is None else kept.take
     *head, last = tensors
     left = _product(input_amps, head).reshape(len(last), -1).T
     right = last.reshape(len(last), -1)
-    parts = np.matmul(left, right, out=take((len(left), right.shape[1]), complex))
+    parts = np.matmul(left, right, out=kept.take((len(left), right.shape[1]), complex))
     parts = parts.view(float).reshape(shape + [2])
     np.square(parts, out=parts)
     density = parts[..., 0]
     np.add(density, parts[..., 1], out=density)
-    grouped = take([shape[axis] for axis in order], float)
+    grouped = kept.take([shape[axis] for axis in order], float)
     np.copyto(grouped, density.transpose(order))
-    del parts, density  # the amplitudes go before the weights are made
-    return grouped.reshape(sizes) @ extraction
+    weights = parts.reshape(-1)[: sizes[0] * sizes[1] * extraction.shape[1]]
+    return np.matmul(grouped.reshape(sizes), extraction, out=weights.reshape(*sizes[:2], -1))
 
 
-def _plan(spec: ChannelSpec) -> tuple[np.ndarray, int, int]:
-    """A point's copy tensor, its controller leaves per rho vector, and
-    how many trailing copies a chunk leaves free: all m where one chunk
-    covers every sender outcome, as at every point with d <= 4, m <= 2."""
+def _stage_one(spec: ChannelSpec):
+    """Stage 1 of the oracle at a point whose guards have passed: the
+    chunks of sender outcomes (the leading copies' fixed) that every
+    (sender, rho, aux) group is weighed in.  Returns the controller leaves
+    per rho vector, and per chunk its first index and its copies'
+    tensors, from a generator: _joint_weights turns a chunk into its
+    weights (chunk, rho, aux), _weighed_amplitudes into its amplitudes
+    (chunk, rho, j) and weights, each given the input's amplitudes."""
     d, m, n = spec.d, spec.m, spec.n
     per_copy = _copy_tensor(spec)
     sums = per_copy.shape[2] ** m  # rho vectors: d^m, or 1 with no controllers
+    per_group = d ** (m * n) // sums
     budget = max(_branch_count(spec), ORACLE_CHUNK_AMPLITUDES)
-    free = next(q for q in range(m, -1, -1) if d ** (2 * q) * sums * d**m <= budget)
-    return per_copy, d ** (m * n) // sums, free
+    free = max(q for q in range(m + 1) if d ** (2 * q) * sums * d**m <= budget)
+    chunk = d ** (2 * free)
 
+    def chunks():
+        for lo in range(0, d ** (2 * m), chunk):
+            # The leading copies' outcomes g = r d + s: lo // chunk in base d^2.
+            head, fixed = lo // chunk, []
+            for _ in range(m - free):
+                head, g = divmod(head, d * d)
+                fixed.insert(0, per_copy[:, [g]])
+            yield lo, fixed + [per_copy] * free
 
-def _chunks(per_copy: np.ndarray, m: int, free: int):
-    """Stage 1's chunks of sender outcomes, in order: per chunk its first
-    index and its copies' tensors, the leading m - free copies' outcomes
-    fixed and the last free copies' all present.  A generator."""
-    outcomes = per_copy.shape[1]  # g = r d + s
-    chunk = outcomes**free
-    for lo in range(0, outcomes**m, chunk):
-        # The leading copies' outcomes: lo // chunk in base d^2.
-        head, fixed = lo // chunk, []
-        for _ in range(m - free):
-            head, g = divmod(head, outcomes)
-            fixed.insert(0, per_copy[:, [g]])
-        yield lo, fixed + [per_copy] * free
-
-
-def _stage_one(input_spec: InputStateSpec, spec: ChannelSpec):
-    """Stage 1 of the oracle: the guards, then the chunks of sender
-    outcomes (the leading copies' fixed) that every (sender, rho, aux)
-    group is weighed in.  Returns the input state, the controller leaves
-    per rho vector, and _chunks' generator: _weighed_amplitudes turns a
-    chunk into its amplitudes (chunk, rho, j) and weights (chunk, rho,
-    aux), _joint_weights into its weights alone."""
-    _validate_pair(input_spec, spec)
-    _check_oracle(spec.d, spec.m, spec.n)
-    per_copy, per_group, free = _plan(spec)
-    return input_spec.state(), per_group, _chunks(per_copy, spec.m, free)
+    return per_group, chunks()
 
 
 def _weighed_amplitudes(input_amps: np.ndarray, chunks, extraction: np.ndarray):
@@ -784,33 +771,26 @@ def _weighed_amplitudes(input_amps: np.ndarray, chunks, extraction: np.ndarray):
 def _success_probability(input_spec: InputStateSpec, spec: ChannelSpec) -> float:
     """The oracle's success probability from stage 1 alone, no leaf built:
     enumerate_branches' sum over every group in its order, the same float.
-    The guards run first; _stage_one_success is the rest."""
+    The guards run first; _stage_one_success is the rest, its large
+    temporaries this call's own."""
     _validate_pair(input_spec, spec)
     _check_oracle(spec.d, spec.m, spec.n)
-    return _stage_one_success(input_spec, spec)
+    return _stage_one_success(input_spec, spec, _Kept())
 
 
-def _stage_one_success(
-    input_spec: InputStateSpec, spec: ChannelSpec, kept: _Kept | None = None
-) -> float:
+def _stage_one_success(input_spec: InputStateSpec, spec: ChannelSpec, kept: _Kept) -> float:
     """_success_probability at a point whose guards have passed (a sweep's
-    load walk checks every point it visits): stage 1 alone, its large
-    temporaries in kept's arrays.  It builds no input register: it
-    divides beta by the norm the spec's validation took, as make_state
-    divides it.  It runs no chunk generator where one chunk covers every
-    sender outcome."""
-    per_copy, per_group, free = _plan(spec)
-    amps = input_spec.beta / input_spec._norm
+    load walk checks every point it visits), stage 1's large temporaries
+    in kept's arrays.  It builds no input register: it reads beta
+    normalized as make_state normalizes the register (_normalized)."""
+    per_group, chunks = _stage_one(spec)
     extraction = _receiver_constants(spec)[1]
-    if free == spec.m:
-        chunks = [[per_copy] * free]
-    else:
-        chunks = (tensors for _, tensors in _chunks(per_copy, spec.m, free))
-    total = np.longdouble(0.0)
-    for tensors in chunks:
-        weights = _joint_weights(amps, tensors, extraction, kept)
-        total += weights[..., 0].sum(dtype=np.longdouble)
-    return float(total * per_group)
+    amps = _normalized(input_spec.beta)
+    parts = (
+        np.sum(_joint_weights(amps, tensors, extraction, kept)[..., 0], dtype=np.longdouble)
+        for _, tensors in chunks
+    )
+    return float(sum(parts, np.longdouble(0.0)) * per_group)
 
 
 def _enumerate(
@@ -835,7 +815,10 @@ def _enumerate(
     share its probability) in extended precision: the leaves' exact sums
     to within a rounding.
     """
-    input_state, per_group, chunks = _stage_one(input_spec, spec)
+    _validate_pair(input_spec, spec)
+    _check_oracle(spec.d, spec.m, spec.n)
+    input_state = input_spec.state()
+    per_group, chunks = _stage_one(spec)
     d, m, n = spec.d, spec.m, spec.n
 
     # Per controller leaf: the rho vector of all its controllers, which

@@ -170,16 +170,24 @@ def make_state(dims, amps, labels=None) -> StateVector:
     amps = np.asarray(amps, dtype=complex).reshape(-1)
     if amps.size != total:
         raise ValueError(f"amplitude length {amps.size} != prod(dims) = {total}")
-    norm = np.linalg.norm(amps)
-    if norm < 1e-12:
-        raise ValueError("cannot normalize the zero vector")
+    amps = _normalized(amps)
     if labels is None:
         labels = tuple(f"q{i}" for i in range(len(dims)))
     else:
         labels = tuple(labels)
         if len(labels) != len(dims):
             raise ValueError("labels/dims length mismatch")
-    return StateVector(dims=dims, amps=amps / norm, labels=labels)
+    return StateVector(dims=dims, amps=amps, labels=labels)
+
+
+def _normalized(amps: np.ndarray) -> np.ndarray:
+    """amps divided by their 2-norm: a state's amplitudes, as make_state
+    builds them.  The one rule for a register and for the oracle's input
+    read without one."""
+    norm = np.linalg.norm(amps)
+    if norm < 1e-12:
+        raise ValueError("cannot normalize the zero vector")
+    return amps / norm
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:

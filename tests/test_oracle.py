@@ -39,6 +39,7 @@ from qteleport.protocol import (
     _enumerate,
     _joint_amplitudes,
     _joint_weights,
+    _Kept,
     _stage_one,
     _success_probability,
     enumerate_branches,
@@ -168,14 +169,14 @@ def _assert_weights_have_the_complex_routes_bits(inp, spec):
     # The reference reorders the complex amplitudes, then squares them:
     # what _enumerate reads.  _joint_weights squares where the matmul
     # wrote them and reorders the real density.
-    state, _, chunks = _stage_one(inp, spec)
+    state, (_, chunks) = inp.state(), _stage_one(spec)
     extraction = _receiver_constants(spec)[1]
     for _, tensors in chunks:
         amps = _joint_amplitudes(state.amps, tensors)
         density = amps.real**2
         density += amps.imag**2
         expected = density @ extraction
-        weights = _joint_weights(state.amps, tensors, extraction)
+        weights = _joint_weights(state.amps, tensors, extraction, _Kept())
         assert weights.shape == expected.shape
         assert np.array_equal(weights.view(np.uint64), expected.view(np.uint64))
 

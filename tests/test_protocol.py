@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_edges import edge_coefficients
 
+from qteleport import protocol
 from qteleport.config import random_coeffs
 from qteleport.protocol import (
     ENUMERATION_GUARD,
@@ -16,6 +17,8 @@ from qteleport.protocol import (
     ForcedBranch,
     InputStateSpec,
     _branch_count,
+    _Kept,
+    _stage_one_success,
     _success_probability,
     enumerate_branches,
     fidelity_without_control,
@@ -333,6 +336,29 @@ def test_stage_one_success_equals_the_full_oracle_on_the_sweep_grid(d, m, n):
         inp = InputStateSpec.random(d, m, 100 * seed + m)
         report = enumerate_branches(inp, spec)
         assert _success_probability(inp, spec) == report.success_probability
+
+
+# Sizes that grow, shrink and repeat: a point takes the front of arrays a
+# larger earlier point made, or makes larger ones.  (3, 3, 1), (4, 3, 0)
+# and (5, 2, 1) run in several chunks at the default chunk floor.
+KEPT_SEQUENCE = [
+    (4, 2, 1), (2, 1, 0), (4, 2, 2), (3, 3, 1), (2, 2, 1), (5, 2, 1),
+    (4, 3, 0), (3, 2, 2), (5, 2, 0), (4, 2, 1), (2, 2, 0),
+]
+
+
+@pytest.mark.parametrize("floor", [1, protocol.ORACLE_CHUNK_AMPLITUDES])
+def test_stage_one_success_with_kept_arrays_equals_the_full_oracle(floor, monkeypatch):
+    # One _Kept serves every point, as in a sweep run: each point's float
+    # is the full oracle's, bit for bit.  A chunk floor of 1 fixes the
+    # leading copies wherever the leaf count allows.
+    monkeypatch.setattr(protocol, "ORACLE_CHUNK_AMPLITUDES", floor)
+    kept = _Kept()
+    for i, (d, m, n) in enumerate(KEPT_SEQUENCE):
+        spec = ChannelSpec(d, n, m, random_coeffs(d, 30 + i))
+        inp = InputStateSpec.random(d, m, 60 + i)
+        expected = enumerate_branches(inp, spec).success_probability
+        assert _stage_one_success(inp, spec, kept) == expected, (d, m, n)
 
 
 GUARDED_SHAPES = [
