@@ -7,11 +7,8 @@ Generator(Philox(seed)).  This module computes them bit for bit, for
 many streams at once:
 
   * A key is SeedSequence's generate_state(2, uint64) of its 4-word
-    pool.  A seed's 32-bit words (zero-padded to 4) are hashed into the
-    pool once, in Python ints, all the seeds of a call side by side in
-    64-bit lanes (_seed_pools); a child's index, its spawn word, is one
-    more word, mixed in for all the children as one uint32 array
-    (_child_keys).
+    pool: a seed's words are hashed into the pool (_seed_pools), and a
+    child's index, its spawn word, is one more word (_child_keys).
   * Block b of a stream is Philox4x64-10 (Salmon et al., SC 2011) of
     counter (b, 0, 0, 0) under the key, from b = 1: numpy increments the
     counter before each block.  Each round's two 64x64 -> 128-bit

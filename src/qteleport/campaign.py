@@ -3,16 +3,11 @@
 Every campaign is deterministic given its config and master seed; the
 serialized output (JSON or CSV) is byte-identical across reruns.  Wall
 clock timing is kept on the in-memory record only, never serialized.
-An undefined value (no success to average, or the fidelity of a branch
-under the oracle's floor) is None: null in JSON, an empty field in CSV, so
-the JSON stays strict.
 
 A runner returns its aggregate and its rows as columns: arrays, text
 columns as codes into a vocabulary (_Column), ranges, or a sweep's short
-lists; indexing one gives a Python scalar.  One writer streams every
-kind: the head, then ROW_CHUNK rows at a time, each chunk one join of
-vocabulary takes, one per run of small columns.  The text is what
-json.dumps(indent=2) gives for the whole document, or csv.writer.
+lists; indexing one gives a Python scalar.  One writer (_chunks) streams
+every kind, as json.dumps(indent=2) or csv.writer writes it.
 """
 
 from __future__ import annotations
@@ -259,12 +254,8 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple[dict, dict]:
     reads all its channels' uniforms in one _streams call and all its
     inputs' normals in another, each row as long as the longest visited
     point's, which load_config checked (a spec reads its stream's first
-    values), at most SAMPLE_CHUNK_AMPLITUDES normals a chunk.
-
-    load_config ran every visited point's guards, so a point runs stage
-    1 alone (_stage_one_success), with no second pass of them.  Its large
-    temporaries live in one _Kept for the run, so points of one size
-    reuse them; they go when the run returns."""
+    values), at most SAMPLE_CHUNK_AMPLITUDES normals a chunk.  Every
+    point runs _stage_one_success with the run's one _Kept."""
     point = partial(_sweep_point, cfg.sweep)
     visited = list(map(point, range(min(cfg.trials, math.prod(map(len, cfg.sweep.values()))))))
     most_coeffs, most_normals = max(d for d, _, _ in visited), max(2 * d**m for d, m, _ in visited)

@@ -1,14 +1,8 @@
-"""Command-line interface.
+"""Command-line interface: enumerate, montecarlo, decoy, sweep, selftest.
 
-Subcommands: enumerate, montecarlo, decoy, sweep, selftest.  Campaigns
-take either --config <json> or inline flag overrides; inline flags win
-over the config file.  One table, FLAGS, holds the campaign flags: main
-reads a well-formed campaign argv straight from it, and argparse, built
-from it, reads every other argv and renders help and usage errors.
-argparse is imported only then, so a well-formed campaign never loads it.
-Exit codes: 0 success, 1 validation error or unreadable/unwritable
-file, 2 size/enumeration guard exceeded (or, from argparse, a rejected
-argv), 3 selftest failure.
+Campaigns take --config <json> and inline flags, which win over the
+config file.  argparse is imported only for an argv that _read_campaign
+cannot read, so a well-formed campaign never loads it.
 """
 
 from __future__ import annotations
@@ -196,9 +190,6 @@ def main(argv=None) -> int:
         cfg = load_config(_build_doc(args))
         record = run_campaign(cfg)
         write_output(record, cfg.out, cfg.fmt)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD

@@ -11,10 +11,9 @@ adversary's basis for an action.  The public per-step API
 (prepare_decoy, eavesdrop, check_decoy) runs on them.
 
 detection_campaign computes the rounds that API draws from one seeded
-generator as arrays, straight from the generator's raw 64-bit words
-(its docstring gives where each draw lies), with outcomes from the
-closed-form cross-basis tables (_cross_tables, _born_draws).  The
-rounds stay columns (_Rounds); a DecoyRound is built only when read.
+generator as arrays (its docstring gives where each draw lies), with
+outcomes from the cross-basis tables (_born_draws), and keeps them as
+columns (_Rounds).
 """
 
 from __future__ import annotations

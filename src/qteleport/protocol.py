@@ -5,12 +5,11 @@ channel copy, n controllers, and a receiver with a two-level auxiliary
 system whose outcome 0 heralds success.
 
 Map: run_structured samples or forces runs in closed form (_sample_runs,
-in batches for the montecarlo campaign); run_protocol and _run are the
-dense reference on the state engine; enumerate_branches is the exact
-oracle (_stage_one, then _enumerate), and a sweep point reads stage 1's
-success probability alone (_stage_one_success).  The guards
-(_check_input_size, and _check_oracle's _check_branches and
-_check_tables) run before any array of their size is built.
+in batches for the montecarlo campaign); run_protocol is the dense
+reference on the state engine (_run); enumerate_branches is the exact
+oracle (_enumerate), and a sweep point runs its stage 1 alone
+(_stage_one_success).  The guards (_check_input_size, _check_oracle) run
+before any array of their size is built.
 """
 
 from __future__ import annotations
@@ -68,7 +67,8 @@ class EnumerationGuardError(SizeGuardError):
 
 @record
 class InputStateSpec:
-    """The unknown m-qudit state to teleport: d^m amplitudes, unit norm."""
+    """The unknown m-qudit state to teleport: d^m finite amplitudes, unit
+    norm.  The one validator of beta, as ChannelSpec is of coeffs."""
 
     d: int
     m: int
@@ -77,15 +77,13 @@ class InputStateSpec:
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=complex).reshape(-1)
         if beta.size != self.d**self.m:
-            raise ValueError(
-                f"beta length {beta.size} != d^m = {self.d ** self.m}"
-            )
+            raise ValueError(f"length must be d^m = {self.d**self.m}, got {beta.size}")
         if not np.all(np.isfinite(beta)):
-            raise ValueError("beta amplitudes must be finite")
+            raise ValueError("amplitudes must be finite")
         with np.errstate(over="ignore"):  # an overflow fails the norm check
             norm = float(np.linalg.norm(beta))
         if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"beta violates sum|beta|^2 = 1: norm = {norm!r}")
+            raise ValueError(f"amplitudes must satisfy sum|beta|^2 = 1, got {norm**2!r}")
         object.__setattr__(self, "beta", beta)
 
     @classmethod
@@ -161,7 +159,7 @@ class BranchRecord:
 
 class _Branches(_View):
     """Read-only view of an enumeration's leaves, in (gbs, controllers,
-    aux) product order.  A BranchRecord is built only when a leaf is read.
+    aux) product order.
 
     probability -- per-leaf branch probability
     fidelity    -- per-leaf output fidelity, NaN where the branch is empty
@@ -272,10 +270,13 @@ def _pullback(input_state: StateVector, spec: ChannelSpec, shifts) -> np.ndarray
     The correction on copy l, U_{u, d-s} diag(e^{-i phi}), maps psi_k to
     omega^{u(k+s)} e^{-i phi_(k+s)} psi_(k+s); its adjoint maps x_j to
     omega^(-u j) e^{i phi_j} x_(j-s), a shift by s and a phase row.  So
-    |<row|psi>|^2 is the fidelity of the corrected receiver psi.  A
-    sampled run pulls back through (r + rho, s); the oracle through
-    (r, s), and _omega_table supplies every rho's omega^(-rho j).
-    shifts has shape (..., m, 2), the result (..., d^m): one _gather.
+    |<row|psi>|^2 is the fidelity of the corrected receiver psi, and no
+    runner applies the correction: a success scores the receiver against
+    the pulled-back input, a failure (a diagnostic only: the uncorrected
+    leftover) against the input itself.  A sampled run pulls back
+    through (r + rho, s); the oracle through (r, s), and _omega_table
+    supplies every rho's omega^(-rho j).  shifts has shape (..., m, 2),
+    the result (..., d^m): one _gather.
     """
     shifts = np.asarray(shifts)
     flat = shifts.reshape(-1, spec.m, 2)
@@ -389,10 +390,7 @@ def _run(
     already holds it, so on the input alone the full register never
     exists.  Every measurement reads one uniform of the seed's stream or
     the next forced outcome, in _sample_runs' order.  Then come the
-    extraction and the aux measurement.  The receiver is scored, not
-    corrected: on success against the input pulled back through the
-    correction, on failure (a diagnostic only: the uncorrected leftover)
-    against the input.
+    extraction, the aux measurement and the score (_pullback).
     """
     draws = _forced_draws(spec, seed, forced)
     rng = _rng_from_seed(seed) if draws is None else None
@@ -463,9 +461,7 @@ def _sampler_constants(spec: ChannelSpec) -> tuple[np.ndarray, ...]:
     """The sampler's sender-side tables, built once per spec, read-only
     (the receiver's are _receiver_constants' and _phase_rows').
 
-    cross    -- cross[t, s] = a_(t+s) = |c_(t+s)|^2 / d^2, symmetric:
-                P(r, s) is (p @ cross)[s] for a digit's marginal p, any
-                r, and row s contracts the digit once s is drawn
+    cross    -- cross[t, s] = a_(t+s) = |c_(t+s)|^2 / d^2, symmetric
     outcomes -- the s of each sender outcome r d + s
     sender   -- sender[u, j] = omega^(-u j) c_j / d: the sender's and the
                 controllers' factor on digit j when r + rho = u
@@ -488,12 +484,10 @@ def _sample_runs(input_state: StateVector, spec: ChannelSpec, draws) -> _Samples
 
     Row i of draws (batch, _draw_count(spec)) holds one run's draws in
     the copy loop's order: per copy the sender's, then its n
-    controllers'; the aux last.  Uniforms (float) are sampled by
-    state._sample_rows, the state engine's rule, so a seed's stream
-    gives the copy loop's outcomes.  Outcome indices (int) force the
-    branch: the sender's r d + s, each controller's x, the aux.  A
-    forced outcome holding less than state.FORCED_OUTCOME_FLOOR of its
-    row's weight raises ValueError, as measure_in_basis does.
+    controllers'; the aux last.  Each is read by state._draw, the state
+    engine's rule: a uniform (float), so a seed's stream gives the copy
+    loop's outcomes, or a forced outcome index (int): the sender's
+    r d + s, each controller's x, the aux.
 
     Copy l's sender measurement moves input digit l to the receiver.
     Per copy, in closed form:
@@ -540,9 +534,7 @@ def _sample_runs(input_state: StateVector, spec: ChannelSpec, draws) -> _Samples
     aux = _draw(weights, draws[:, -1])
     weight = weights[np.arange(batch), aux]
     receiver *= rotation[aux]
-    # Success scores against the pulled-back input, failure (a
-    # diagnostic only) against the input itself.
-    refs[aux == 1] = amps
+    refs[aux == 1] = amps  # a failure scores against the input (_pullback)
     overlap = np.einsum("bj,bj->b", np.conjugate(refs, out=refs), receiver)
     fidelity = np.minimum(1.0, np.abs(overlap) ** 2 / weight)
     probability = weight * float(d) ** (-m * n)
@@ -630,10 +622,10 @@ def _copy_tensor(spec: ChannelSpec) -> np.ndarray:
     outcome g and its controllers onto X outcomes summing to rho, as a
     map from input digit k to receiver digit j.
 
-    Controller q's X outcome x puts omega^(-x j)/sqrt(d) on the GHZ
-    digit j, so the copy's controllers act only through rho = sum x mod
-    d: the outcomes (rho, 0, ..., 0) stand for every outcome with that
-    sum.  With n = 0 there is only rho = 0.
+    The copy's controllers act only through rho = sum x mod d, the
+    phase omega^(-rho j) their outcomes put on GHZ digit j (_sample_runs):
+    the outcomes (rho, 0, ..., 0) stand for every outcome with that sum.
+    With n = 0 there is only rho = 0.
 
     GBS bra g meets input digit k on one sender digit, so T is that bra
     entry times the copy's row on that digit.  The complex product is
@@ -771,8 +763,7 @@ def _weighed_amplitudes(input_amps: np.ndarray, chunks, extraction: np.ndarray):
 def _success_probability(input_spec: InputStateSpec, spec: ChannelSpec) -> float:
     """The oracle's success probability from stage 1 alone, no leaf built:
     enumerate_branches' sum over every group in its order, the same float.
-    The guards run first; _stage_one_success is the rest, its large
-    temporaries this call's own."""
+    The guards run first, then _stage_one_success with a _Kept of its own."""
     _validate_pair(input_spec, spec)
     _check_oracle(spec.d, spec.m, spec.n)
     return _stage_one_success(input_spec, spec, _Kept())
@@ -780,9 +771,9 @@ def _success_probability(input_spec: InputStateSpec, spec: ChannelSpec) -> float
 
 def _stage_one_success(input_spec: InputStateSpec, spec: ChannelSpec, kept: _Kept) -> float:
     """_success_probability at a point whose guards have passed (a sweep's
-    load walk checks every point it visits), stage 1's large temporaries
-    in kept's arrays.  It builds no input register: it reads beta
-    normalized as make_state normalizes the register (_normalized)."""
+    load walk checks every point it visits, so no guard runs again), stage
+    1's large temporaries in kept's arrays.  It builds no input register:
+    it reads beta normalized as make_state normalizes the register."""
     per_group, chunks = _stage_one(spec)
     extraction = _receiver_constants(spec)[1]
     amps = _normalized(input_spec.beta)
@@ -801,13 +792,11 @@ def _enumerate(
     A leaf's receiver depends on its controllers only through their sums
     rho (see _copy_tensor).  Stage 1 (_stage_one's chunks) weighs every
     (sender, rho, aux) group, which alone gives the success probability
-    (_stage_one_success, all a sweep point runs, from _joint_weights);
-    here _weighed_amplitudes also gives the amplitudes stage 2 reads.  Stage 2
-    scores each group as a sampled run is scored: success against the
-    input pulled back through the correction (one _pullback call, times
-    _omega_table's row for the sums the receiver knows), failure against
-    the input; a group below 1e-18 of its sender outcome's weight scores
-    NaN.  Then the leaves are gathered.
+    (_stage_one_success); here _weighed_amplitudes also gives the
+    amplitudes stage 2 reads.  Stage 2 scores each group as _pullback
+    says (one _pullback call, times _omega_table's row for the sums the
+    receiver knows); a group below 1e-18 of its sender outcome's weight
+    scores NaN.  Then the leaves are gathered.
 
     The correction misses the withheld controllers' outcomes, which
     changes only success fidelities.  Returns the leaves and the success
@@ -864,11 +853,8 @@ def enumerate_branches(
     input_spec: InputStateSpec, spec: ChannelSpec
 ) -> BranchReport:
     """Exact oracle: every (sender, controller, aux) outcome with its
-    exact probability and output fidelity.
-
-    report.branches is a read-only sequence that builds each
-    BranchRecord when it is read; len() costs nothing.
-    """
+    exact probability and output fidelity, in report.branches: a
+    read-only sequence that builds a BranchRecord only when one is read."""
     branches, success_probability, total = _enumerate(input_spec, spec)
     return BranchReport(
         branches=branches,

@@ -302,10 +302,8 @@ def branch_outcomes(state: StateVector, targets, basis) -> list[MeasurementOutco
 
 def _rng_from_seed(seed) -> np.random.Generator:
     """The Philox stream of an int seed or a SeedSequence; an int seeds
-    through SeedSequence(seed).  Its users are the decoy campaign (its
-    raw words), the dense reference loop (protocol._run) and seeded
-    run_structured; the campaigns' other values come from _streams,
-    which computes the same numbers without importing numpy.random."""
+    through SeedSequence(seed).  _streams computes the same numbers
+    without importing numpy.random."""
     return np.random.Generator(np.random.Philox(seed))
 
 

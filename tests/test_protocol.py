@@ -38,11 +38,11 @@ def test_input_spec_validation():
     InputStateSpec(2, 1, [0.6, 0.8])
     with pytest.raises(ValueError, match="length"):
         InputStateSpec(2, 2, [1.0, 0.0])
-    with pytest.raises(ValueError, match=r"norm = 1.4142135623730951$"):
+    with pytest.raises(ValueError, match=r"sum\|beta\|\^2 = 1, got 2.0000000000000004$"):
         InputStateSpec(2, 1, [1.0, 1.0])
     # Squaring 1e308 overflows: the norm check rejects it, with no numpy
     # warning before the error.
-    with pytest.raises(ValueError, match=r"norm = inf$"):
+    with pytest.raises(ValueError, match=r"sum\|beta\|\^2 = 1, got inf$"):
         InputStateSpec(2, 1, [1e308, 1e308])
 
 

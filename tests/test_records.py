@@ -220,9 +220,9 @@ def test_channel_spec_messages(args, message):
 @pytest.mark.parametrize(
     "args, message",
     [
-        ((2, 1, [1, 0, 0]), "beta length 3 != d^m = 2"),
-        ((2, 1, [1, float("nan")]), "beta amplitudes must be finite"),
-        ((2, 1, [1, 1]), "beta violates sum|beta|^2 = 1: norm = 1.4142135623730951"),
+        ((2, 1, [1, 0, 0]), "length must be d^m = 2, got 3"),
+        ((2, 1, [1, float("nan")]), "amplitudes must be finite"),
+        ((2, 1, [1, 1]), "amplitudes must satisfy sum|beta|^2 = 1, got 2.0000000000000004"),
     ],
 )
 def test_input_spec_messages(args, message):
