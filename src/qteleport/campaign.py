@@ -37,6 +37,7 @@ from .protocol import (
     _digits,
     _draw_count,
     _Kept,
+    _random_amplitudes,
     _sample_runs,
     _stage_one_success,
     enumerate_branches,
@@ -268,7 +269,7 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple[dict, dict]:
         for i, u, z in zip(range(lo, lo + chunk), weights, normals):
             d, m, n = point(i)
             chan = ChannelSpec(d, n, m, _coeffs_from_uniforms(u[:d]))
-            inp = InputStateSpec._from_normals(d, m, z)
+            inp = InputStateSpec(d, m, _random_amplitudes(z, d**m))
             p, theory = _stage_one_success(inp, chan, kept), theoretical_success_probability(chan)
             coeffs = ";".join(repr(abs(c)) for c in chan.coeffs)
             rows.append((i, d, m, n, coeffs, p, theory, abs(p - theory)))

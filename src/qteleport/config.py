@@ -13,10 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ._streams import uniforms
+from ._streams import standard_normals, uniforms
 from .decoy import EVE_ACTIONS
 from .primitives import ChannelSpec
-from .protocol import InputStateSpec, _check_input_size, _check_oracle
+from .protocol import InputStateSpec, _check_input_size, _check_oracle, _random_amplitudes
 from .state import _check_size, record
 
 KINDS = ("enumerate", "montecarlo", "decoy", "sweep")
@@ -36,7 +36,7 @@ class ExperimentConfig:
     """Validated campaign description.
 
     For kind "sweep", channel/input are generated per sweep point and
-    coeffs/beta stay None; otherwise both are fully resolved here.
+    coeffs/beta stay None; otherwise both are resolved and validated here.
     """
 
     kind: str
@@ -53,10 +53,17 @@ class ExperimentConfig:
     sweep: dict | None = None
 
     def channel_spec(self) -> ChannelSpec:
-        return ChannelSpec(self.d, self.n, self.m, self.coeffs)
+        return self._record(ChannelSpec, d=self.d, n=self.n, m=self.m, coeffs=self.coeffs)
 
     def input_spec(self) -> InputStateSpec:
-        return InputStateSpec(self.d, self.m, self.beta)
+        return self._record(InputStateSpec, d=self.d, m=self.m, beta=self.beta)
+
+    def _record(self, cls, **fields):
+        """cls(**fields), kept outside the fields while each is the kept record's own object."""
+        kept = self.__dict__.get(cls.__name__)
+        if kept is None or any(getattr(kept, k) is not v for k, v in fields.items()):
+            kept = self.__dict__[cls.__name__] = cls(**fields)
+        return kept
 
 
 def random_coeffs(d: int, seed: int) -> tuple[complex, ...]:
@@ -109,22 +116,18 @@ def parse_directive_index(value: str, fieldname: str) -> int:
 
 
 def resolve_coeffs(value, d: int) -> tuple[complex, ...]:
-    """Expand "uniform" / "random:<seed>" / explicit list into c_0..c_{d-1}."""
+    """Expand "uniform" / "random:<seed>" / a list into c_0..c_{d-1}, unchecked."""
     if value == "uniform" or value is None:
         return (complex(1.0),) * d
     if isinstance(value, str) and value.startswith("random:"):
         return random_coeffs(d, parse_directive_index(value, "coeffs"))
     if isinstance(value, str):
         raise ConfigError(f"coeffs: unknown directive {value!r}")
-    coeffs = _as_complex_list(value, "coeffs")
-    if len(coeffs) != d:
-        raise ConfigError(f"coeffs: need exactly d = {d} entries, got {len(coeffs)}")
-    return tuple(coeffs)
+    return tuple(_as_complex_list(value, "coeffs"))
 
 
 def resolve_beta(value, d: int, m: int) -> np.ndarray:
-    """Expand explicit amplitudes, {"basis": k}, or "random:<seed>"; the
-    amplitudes are InputStateSpec's to validate."""
+    """Expand explicit amplitudes, {"basis": k} or "random:<seed>", unchecked."""
     size = d**m
     if value is None:
         value = {"basis": 0}
@@ -136,9 +139,10 @@ def resolve_beta(value, d: int, m: int) -> np.ndarray:
             raise ConfigError(
                 f"beta.basis: index {value['basis']!r} out of range for d^m = {size}"
             )
-        return InputStateSpec.basis(d, m, k).beta
+        return np.eye(1, size, k, dtype=complex)[0]  # the basis vector k
     if isinstance(value, str) and value.startswith("random:"):
-        return InputStateSpec.random(d, m, parse_directive_index(value, "beta")).beta
+        seed = parse_directive_index(value, "beta")
+        return _random_amplitudes(standard_normals([seed], 2 * size)[0], size)
     if isinstance(value, str):
         raise ConfigError(f"beta: unknown directive {value!r}")
     return np.asarray(_as_complex_list(value, "beta"))
@@ -261,12 +265,12 @@ def load_config(source) -> ExperimentConfig:
         _check_size(held * trials, f"trials: a montecarlo of {trials} rows")
     cfg.coeffs = resolve_coeffs(doc.get("coeffs"), cfg.d)
     try:
-        cfg.channel_spec()
+        cfg.coeffs = cfg.channel_spec().coeffs  # the record's own tuple, so it is kept
     except ValueError as exc:
         raise ConfigError(f"coeffs: {exc}") from None
     cfg.beta = resolve_beta(doc.get("beta"), cfg.d, cfg.m)
     try:
-        cfg.input_spec()
+        cfg.beta = cfg.input_spec().beta
     except ValueError as exc:
         raise ConfigError(f"beta: {exc}") from None
     return cfg

@@ -60,7 +60,7 @@ class ChannelSpec:
         coeffs = tuple(complex(c) for c in self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
         if len(coeffs) != self.d:
-            raise ValueError(f"need {self.d} coefficients, got {len(coeffs)}")
+            raise ValueError(f"need exactly d = {self.d} entries, got {len(coeffs)}")
         values = np.array(coeffs)
         if not np.all(np.isfinite(values)):
             raise ValueError(f"coefficients must be finite, got {coeffs!r}")

@@ -84,29 +84,17 @@ class InputStateSpec:
             norm = float(np.linalg.norm(beta))
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"amplitudes must satisfy sum|beta|^2 = 1, got {norm**2!r}")
-        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "beta", _read_only(beta))
 
     @classmethod
     def basis(cls, d: int, m: int, index: int) -> "InputStateSpec":
-        beta = np.zeros(d**m, dtype=complex)
-        beta[index] = 1.0
-        return cls(d, m, beta)
+        return cls(d, m, np.eye(1, d**m, index, dtype=complex)[0])
 
     @classmethod
     def random(cls, d: int, m: int, seed: int) -> "InputStateSpec":
         """Haar-like random state: Generator(Philox(seed)).standard_normal
         called twice for the d^m real and imaginary parts, normalized."""
-        return cls._from_normals(d, m, standard_normals([seed], 2 * d**m)[0])
-
-    @classmethod
-    def _from_normals(cls, d: int, m: int, normals: np.ndarray) -> "InputStateSpec":
-        """random's state from its stream's first 2 d^m normals: the sum
-        re + 1j * im and its normalization made in place, the same floats."""
-        size = d**m
-        raw = 1j * normals[size : 2 * size]
-        raw += normals[:size]
-        raw /= np.linalg.norm(raw)
-        return cls(d, m, raw)
+        return cls(d, m, _random_amplitudes(standard_normals([seed], 2 * d**m)[0], d**m))
 
     def state(self) -> StateVector:
         """The input register chi_1..chi_m; built once per spec, read-only."""
@@ -118,6 +106,14 @@ class InputStateSpec:
         register = make_state((self.d,) * self.m, self.beta, labels)
         _read_only(register.amps)
         return register
+
+
+def _random_amplitudes(normals: np.ndarray, size: int) -> np.ndarray:
+    """InputStateSpec.random's amplitudes from 2 size normals, summed and scaled in place."""
+    raw = 1j * normals[size : 2 * size]
+    raw += normals[:size]
+    raw /= np.linalg.norm(raw)
+    return raw
 
 
 @record

@@ -2,13 +2,18 @@
 criterion 9 config and of the four benchmark workloads' configs at seed 1.
 
 A change that moves one float's last bit, or one byte of the writer's text,
-fails here.  The digests were taken with numpy 2.4 on OpenBLAS; a numpy or
-BLAS build that rounds a matmul differently gives other bits.
+fails here.  The digests were taken with numpy 2.4 on OpenBLAS's SkylakeX
+kernel; a numpy build, BLAS build or kernel that rounds a matmul
+differently gives other bits, so a mismatch names the ones in use.
 """
 
+import ctypes
+import functools
 import hashlib
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qteleport import load_config, run_campaign, to_csv_text, to_json_text
@@ -77,6 +82,20 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+@functools.cache
+def _openblas_core() -> str:
+    """The kernel numpy's bundled OpenBLAS picked at load, or "unknown"."""
+    root = Path(np.__file__).parent
+    for path in [*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]:
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def test_every_config_has_its_digests():
     assert len(DETERMINISTIC_DOCS) == 4 and CONFIGS.keys() == DIGESTS.keys()
 
@@ -84,4 +103,6 @@ def test_every_config_has_its_digests():
 @pytest.mark.parametrize("name", DIGESTS)
 def test_output_bytes_are_pinned(name):
     record = run_campaign(load_config(dict(CONFIGS[name])))
-    assert (_sha256(to_json_text(record)), _sha256(to_csv_text(record))) == DIGESTS[name]
+    assert (_sha256(to_json_text(record)), _sha256(to_csv_text(record))) == DIGESTS[name], (
+        f"bytes differ under numpy {np.__version__}, OpenBLAS core {_openblas_core()}"
+    )

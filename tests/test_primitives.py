@@ -103,7 +103,7 @@ def test_channel_spec_validates():
         ChannelSpec(2, 1, 1, (1.0, 1.5))
     with pytest.raises(ValueError, match="zero"):
         ChannelSpec(2, 1, 1, (np.sqrt(2.0), 0.0))
-    with pytest.raises(ValueError, match="coefficients"):
+    with pytest.raises(ValueError, match="need exactly d = 3 entries"):
         ChannelSpec(3, 1, 1, (1.0, 1.0))
     with pytest.raises(ValueError, match="d must"):
         ChannelSpec(1, 0, 1, (1.0,))

@@ -1,11 +1,14 @@
 """The public record types: construction, defaults, repr, equality,
 hashing and immutability, pinned for every record class."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from qteleport.campaign import ResultRecord
-from qteleport.config import ExperimentConfig
+from qteleport.cli import main
+from qteleport.config import ExperimentConfig, load_config, resolve_coeffs
 from qteleport.decoy import DecoyRound, DetectionReport
 from qteleport.primitives import ChannelSpec
 from qteleport.protocol import (
@@ -204,7 +207,7 @@ def test_input_spec_caches_its_register_outside_the_fields():
         ((1, 0, 1, (1,)), "d must be >= 2, got 1"),
         ((2, -1, 1, (1, 1)), "n must be >= 0, got -1"),
         ((2, 0, 0, (1, 1)), "m must be >= 1, got 0"),
-        ((2, 0, 1, (1,)), "need 2 coefficients, got 1"),
+        ((2, 0, 1, (1,)), "need exactly d = 2 entries, got 1"),
         ((2, 0, 1, (1, float("inf"))), "coefficients must be finite, got ((1+0j), (inf+0j))"),
         ((2, 0, 1, (0, 2**0.5)), "zero channel coefficient: the receiver's extraction unitary "
                                  "does not exist and the success probability would be 0"),
@@ -237,3 +240,87 @@ def test_validated_records_coerce_their_values():
     assert all(type(c) is complex for c in spec.coeffs)
     beta = InputStateSpec(2, 1, [[1], [0]]).beta
     assert beta.dtype == complex and beta.shape == (2,)
+
+
+# ------------------------------------------------- a config's own records
+
+RECORD_INITS = {
+    ChannelSpec.__post_init__.__code__: "channel",
+    InputStateSpec.__post_init__.__code__: "input",
+}
+
+
+def _validations(argv):
+    """How often each record's __post_init__ runs in one cli.main."""
+    counts = {"channel": 0, "input": 0}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in RECORD_INITS:
+            counts[RECORD_INITS[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        status = main(argv)
+    finally:
+        sys.setprofile(previous)
+    assert status == 0
+    return counts["channel"], counts["input"]
+
+
+MC = ["montecarlo", "--d", "3", "--m", "1", "--n", "2", "--trials", "20", "--format", "csv"]
+
+
+@pytest.mark.parametrize(
+    "argv, validations",
+    [
+        (MC + ["--beta", "random:7"], (1, 1)),
+        (MC + ["--beta", "basis:2"], (1, 1)),
+        (MC + ["--beta", "0.6,0.8j,0"], (1, 1)),
+        (MC, (1, 1)),
+        (["enumerate", "--d", "3", "--n", "1", "--beta", "random:7"], (1, 1)),
+        (["enumerate", "--d", "2", "--beta", "0.6,0.8"], (1, 1)),
+        (["sweep", "--d", "2,3,4", "--m", "1,2", "--n", "0,1,2", "--trials", "18"], (18, 18)),
+        (["decoy", "--d", "5", "--trials", "10"], (0, 0)),
+    ],
+)
+def test_each_record_is_validated_once_per_run(argv, validations, capsys):
+    assert _validations(argv) == validations
+    assert capsys.readouterr().err == ""
+
+
+def test_a_loaded_config_returns_the_records_it_validated():
+    cfg = load_config({"kind": "montecarlo", "d": 2, "m": 2, "n": 1, "beta": "random:3"})
+    assert cfg.channel_spec() is cfg.channel_spec()
+    assert cfg.input_spec() is cfg.input_spec()
+    assert cfg.input_spec().beta is cfg.beta  # one copy of the amplitudes
+    assert cfg.channel_spec().coeffs is cfg.coeffs
+    assert "Spec" not in repr(cfg)  # kept outside the fields
+    with pytest.raises(ValueError, match="read-only"):
+        cfg.beta[0] = 1.0  # the kept record's amplitudes change only by reassignment
+
+
+def test_a_reassigned_field_gets_a_new_validated_record():
+    cfg = load_config({"kind": "enumerate", "d": 2, "m": 1, "n": 1})
+    loaded = cfg.channel_spec()
+    cfg.coeffs = (2**0.5, 0.0)
+    with pytest.raises(ValueError, match="zero channel coefficient"):
+        cfg.channel_spec()
+    cfg.coeffs = (1.5**0.5, 0.5**0.5)
+    assert cfg.channel_spec() == ChannelSpec(2, 1, 1, (1.5**0.5, 0.5**0.5))
+    cfg.d = 3
+    with pytest.raises(ValueError, match="need exactly d = 3 entries, got 2"):
+        cfg.channel_spec()
+    cfg.d, cfg.coeffs = 3, (1, 1, 1)
+    assert cfg.channel_spec() == ChannelSpec(3, 1, 1, (1, 1, 1)) != loaded
+    cfg.m, cfg.beta = 2, KET
+    with pytest.raises(ValueError, match="length must be d\\^m = 9, got 2"):
+        cfg.input_spec()
+    cfg.beta = np.full(9, 1 / 3)
+    assert cfg.input_spec().beta.tolist() == [1 / 3] * 9
+
+
+def test_the_coefficient_count_is_the_channels_to_check(capsys):
+    assert resolve_coeffs([1], 2) == (1 + 0j,)  # parsed, not yet checked
+    assert main(["enumerate", "--d", "2", "--coeffs", "1"]) == 1
+    assert capsys.readouterr() == ("", "error: coeffs: need exactly d = 2 entries, got 1\n")
