@@ -106,7 +106,7 @@ class _Rows(_View):
         return {name: values[i] for name, values in self._data.items()}
 
 
-@record(frozen=False)
+@record
 class ResultRecord:
     """One campaign's outcome: config echo, aggregate stats, row data.
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ._streams import standard_normals, uniforms
-from .decoy import EVE_ACTIONS
+from .decoy import EVE_ACTIONS, _check_dimension
 from .primitives import ChannelSpec
 from .protocol import InputStateSpec, _check_input_size, _check_oracle, _random_amplitudes
 from .state import _check_size, record
@@ -31,12 +31,11 @@ class ConfigError(ValueError):
     """Malformed or constraint-violating experiment configuration."""
 
 
-@record(frozen=False)
+@record
 class ExperimentConfig:
-    """Validated campaign description.
-
-    For kind "sweep", channel/input are generated per sweep point and
-    coeffs/beta stay None; otherwise both are resolved and validated here.
+    """Validated campaign description.  load_config runs every guard of
+    its campaign; a config built by hand checks only coeffs and beta.  A
+    sweep (a fresh channel and input per point) and a decoy leave both None.
     """
 
     kind: str
@@ -52,18 +51,31 @@ class ExperimentConfig:
     fmt: str = "json"
     sweep: dict | None = None
 
-    def channel_spec(self) -> ChannelSpec:
-        return self._record(ChannelSpec, d=self.d, n=self.n, m=self.m, coeffs=self.coeffs)
+    def __post_init__(self):
+        """The records of coeffs and beta, built once and kept outside the
+        fields, as an InputStateSpec keeps its register."""
+        channel = self._validated("coeffs", ChannelSpec, self.d, self.n, self.m)
+        inp = self._validated("beta", InputStateSpec, self.d, self.m)
+        object.__setattr__(self, "_specs", (channel, inp))
 
-    def input_spec(self) -> InputStateSpec:
-        return self._record(InputStateSpec, d=self.d, m=self.m, beta=self.beta)
+    def channel_spec(self) -> ChannelSpec | None:
+        return self._specs[0]
 
-    def _record(self, cls, **fields):
-        """cls(**fields), kept outside the fields while each is the kept record's own object."""
-        kept = self.__dict__.get(cls.__name__)
-        if kept is None or any(getattr(kept, k) is not v for k, v in fields.items()):
-            kept = self.__dict__[cls.__name__] = cls(**fields)
-        return kept
+    def input_spec(self) -> InputStateSpec | None:
+        return self._specs[1]
+
+    def _validated(self, name: str, cls, *args):
+        """cls(*args, field name's value), or None without one; the field
+        becomes the record's own value (one copy of the amplitudes), and a
+        ValueError a ConfigError naming the field."""
+        if getattr(self, name) is None:
+            return None
+        try:
+            spec = cls(*args, getattr(self, name))
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}") from None
+        object.__setattr__(self, name, getattr(spec, name))
+        return spec
 
 
 def random_coeffs(d: int, seed: int) -> tuple[complex, ...]:
@@ -150,12 +162,12 @@ def resolve_beta(value, d: int, m: int) -> np.ndarray:
 
 def _check_point(kind: str, d: int, m: int, n: int) -> None:
     """The guards one (d, m, n) point of a campaign passes at load, before
-    anything of its size is built: a decoy's d x d X basis and cross-basis
-    tables; where every branch is listed or weighed (enumerate, a sweep
+    anything of its size is built: a decoy's, decoy._check_dimension;
+    where every branch is listed or weighed (enumerate, a sweep
     point), every guard of the oracle (_check_oracle); a montecarlo's
     input guard alone."""
     if kind == "decoy":
-        _check_size(d * d, f"a decoy of dimension {d}")
+        _check_dimension(d)
     elif kind in ("enumerate", "sweep"):
         _check_oracle(d, m, n)
     else:
@@ -229,13 +241,13 @@ def load_config(source) -> ExperimentConfig:
     if out is not None and not isinstance(out, str):
         raise ConfigError(f"out: expected a path string, got {out!r}")
 
-    cfg = ExperimentConfig(kind=kind, trials=trials, seed=seed, out=out, fmt=fmt)
+    common = {"trials": trials, "seed": seed, "out": out, "fmt": fmt}
 
     if kind == "sweep":
         sweep = doc.get("sweep")
         if not isinstance(sweep, dict):
             raise ConfigError('sweep: kind "sweep" requires a "sweep" object')
-        cfg.sweep = {}
+        grid = {}
         for key, minimum in (("d", 2), ("m", 1), ("n", 0)):
             values = sweep.get(key)
             values = [_integer(v) for v in values] if isinstance(values, list) else []
@@ -243,34 +255,25 @@ def load_config(source) -> ExperimentConfig:
                 raise ConfigError(
                     f"sweep.{key}: expected a non-empty list of integers >= {minimum}"
                 )
-            cfg.sweep[key] = values
-        for i in range(min(trials, math.prod(map(len, cfg.sweep.values())))):
-            _check_point(kind, *_sweep_point(cfg.sweep, i))
-        return cfg
+            grid[key] = values
+        for i in range(min(trials, math.prod(map(len, grid.values())))):
+            _check_point(kind, *_sweep_point(grid, i))
+        return ExperimentConfig(kind, sweep=grid, **common)
 
-    cfg.d = _expect_int(doc, "d", 2, 2)
-    cfg.m = _expect_int(doc, "m", 1, 1)
-    cfg.n = _expect_int(doc, "n", 0, 0)
+    d = _expect_int(doc, "d", 2, 2)
+    m = _expect_int(doc, "m", 1, 1)
+    n = _expect_int(doc, "n", 0, 0)
 
     if kind == "decoy":
         eve = doc.get("eve", "random_basis_resend")
         if eve not in EVE_ACTIONS:
             raise ConfigError(f"eve: expected one of {EVE_ACTIONS}, got {eve!r}")
-        cfg.eve = eve
-    _check_point(kind, cfg.d, cfg.m, cfg.n)
+    _check_point(kind, d, m, n)
     if kind == "decoy":
-        return cfg
+        return ExperimentConfig(kind, d, m, n, eve=eve, **common)
     if kind == "montecarlo":  # gbs 2m, controllers m n, r_sums m, aux, fidelity, probability
-        held = cfg.m * (cfg.n + 3) + 3
+        held = m * (n + 3) + 3
         _check_size(held * trials, f"trials: a montecarlo of {trials} rows")
-    cfg.coeffs = resolve_coeffs(doc.get("coeffs"), cfg.d)
-    try:
-        cfg.coeffs = cfg.channel_spec().coeffs  # the record's own tuple, so it is kept
-    except ValueError as exc:
-        raise ConfigError(f"coeffs: {exc}") from None
-    cfg.beta = resolve_beta(doc.get("beta"), cfg.d, cfg.m)
-    try:
-        cfg.beta = cfg.input_spec().beta
-    except ValueError as exc:
-        raise ConfigError(f"beta: {exc}") from None
-    return cfg
+    coeffs = resolve_coeffs(doc.get("coeffs"), d)
+    beta = resolve_beta(doc.get("beta"), d, m)
+    return ExperimentConfig(kind, d, m, n, coeffs, beta, **common)

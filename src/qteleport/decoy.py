@@ -18,13 +18,20 @@ columns (_Rounds).
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
 
-from .state import StateVector, _draw, _rng_from_seed, _sample_rows, make_state, record
+from .state import (
+    StateVector,
+    _check_size,
+    _draw,
+    _rng_from_seed,
+    _sample_rows,
+    make_state,
+    record,
+)
 from .primitives import DIMENSION_CACHE_SIZE, _read_only, _View, x_basis_matrix
 
 EVE_ACTIONS = ("none", "measure_Z_resend", "measure_X_resend", "random_basis_resend")
@@ -153,6 +160,14 @@ def _z_score(hits: int, trials: int, p: float) -> float:
 DECOY_CHUNK_ROUNDS = 2**14
 
 
+def _check_dimension(d: int) -> None:
+    """The guards a decoy campaign of dimension d passes before anything
+    of its size is built: d >= 2, and its d x d X basis and cross-basis tables."""
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
+    _check_size(d * d, f"a decoy of dimension {d}")
+
+
 @lru_cache(maxsize=DIMENSION_CACHE_SIZE)
 def _cross_tables(d: int) -> np.ndarray:
     """Cumulative Born weights of the cross-basis measurements, [ket
@@ -254,8 +269,7 @@ def _campaign_columns(d: int, eve_action: str, rounds: int, seed: int):
 
 class _Rounds(_View):
     """Read-only view of a campaign's rounds, held as columns.  A
-    DecoyRound is built only when a round is read; the view equals any
-    sequence of the same rounds.
+    DecoyRound is built only when a round is read.
 
     basis    -- 0 for a Z preparation, 1 for X
     value    -- the prepared value, in the smallest unsigned dtype for d
@@ -270,13 +284,6 @@ class _Rounds(_View):
 
     def __len__(self) -> int:
         return self.basis.size
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    __hash__ = None
 
     def _item(self, i: int) -> DecoyRound:
         return DecoyRound(
@@ -306,6 +313,7 @@ def detection_campaign(
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
+    _check_dimension(d)
     expected = analytic_detection_rate(d, eve_action)
     played = _Rounds(eve_action, *_campaign_columns(d, eve_action, rounds, seed))
     detections = int(np.count_nonzero(played.detected))

@@ -114,7 +114,8 @@ def _read_only(mat: np.ndarray) -> np.ndarray:
 
 class _View(Sequence):
     """Read-only sequence that builds item i (_item) only when it is
-    read; a view defines __len__ and _item."""
+    read; a view defines __len__ and _item.  It equals any sequence of
+    equal items, as a list does, and is unhashable."""
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -126,6 +127,13 @@ class _View(Sequence):
 
     def __iter__(self):
         return map(self._item, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:

@@ -67,19 +67,17 @@ class FrozenRecordError(AttributeError):
     """Assignment to or deletion of a frozen record's attribute."""
 
 
-def record(cls=None, /, *, frozen: bool = True):
-    """Class decorator: a record of the fields cls annotates, in order; a
-    class attribute of a field's name is its default.
+def record(cls):
+    """Class decorator: a frozen record of the fields cls annotates, in
+    order; a class attribute of a field's name is its default.
 
     The record takes its fields by position or keyword, then calls any
     __post_init__.  Its repr lists them, and == holds between instances of
-    one class with equal fields.  A frozen record refuses assignment and
-    deletion and hashes its fields; a mutable one is unhashable.  The
-    methods are closures over the field names, so creating a record class
-    generates and compiles no code.
+    one class whose fields are equal, numpy arrays by value.  It refuses
+    assignment and deletion and hashes its fields.  The methods are
+    closures over the field names, so creating a record class generates
+    and compiles no code.
     """
-    if cls is None:
-        return lambda cls: record(cls, frozen=frozen)
     names = tuple(cls.__dict__.get("__annotations__", {}))
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     fields, values = dict.fromkeys(names).keys(), operator.attrgetter(*names)
@@ -108,16 +106,23 @@ def record(cls=None, /, *, frozen: bool = True):
 
     def __eq__(self, other):
         same = other.__class__ is self.__class__
-        return values(self) == values(other) if same else NotImplemented
+        return all(map(_equal, values(self), values(other))) if same else NotImplemented
 
     def refuse(self, name, *value):  # __setattr__ and __delattr__
         raise FrozenRecordError(f"cannot assign to or delete {name!r} of a frozen record")
 
     cls.__init__, cls.__repr__, cls.__eq__ = __init__, __repr__, __eq__
-    cls.__hash__ = (lambda self: hash(values(self))) if frozen else None
-    if frozen:
-        cls.__setattr__ = cls.__delattr__ = refuse
+    cls.__hash__ = lambda self: hash(values(self))
+    cls.__setattr__ = cls.__delattr__ = refuse
     return cls
+
+
+def _equal(a, b) -> bool:
+    """== between two record fields, numpy arrays compared by value (NaN
+    unequal, as a float NaN is)."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
 
 
 @record

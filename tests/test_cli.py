@@ -224,3 +224,13 @@ def test_campaign_imports_neither_argparse_nor_dataclasses(argv, tmp_path):
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "\n")
+
+
+def test_both_value_fields_parse_before_their_records_validate(capsys):
+    # The coeffs hold a zero coefficient and the beta directive does not
+    # parse: the parse fault is reported, since the records validate last.
+    argv = ["montecarlo", "--coeffs", "1.4142135623730951,0", "--beta", "random:x"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", "error: beta: malformed directive 'random:x'\n")
+    assert cli.main(argv[:3]) == 1
+    assert capsys.readouterr().err.startswith("error: coeffs: zero channel coefficient")

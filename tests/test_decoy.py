@@ -18,7 +18,7 @@ from qteleport.decoy import (
     prepare_decoy,
 )
 from qteleport.primitives import x_basis_vector
-from qteleport.state import _sample_rows
+from qteleport.state import SizeGuardError, _sample_rows
 
 
 def test_prepare_forced():
@@ -111,6 +111,17 @@ def test_campaign_deterministic_in_seed():
 def test_campaign_validates_rounds():
     with pytest.raises(ValueError, match="rounds"):
         detection_campaign(2, "none", 0, seed=1)
+
+
+def test_campaign_refuses_the_dimensions_a_decoy_config_refuses(monkeypatch):
+    with pytest.raises(ValueError, match="^d must be >= 2, got 1$"):
+        detection_campaign(1, "random_basis_resend", 5, 1)
+    with pytest.raises(ValueError):
+        prepare_decoy(1, np.random.default_rng(1))  # the draws the campaign reproduces
+    monkeypatch.setenv("QTELEPORT_MAX_AMPLITUDES", "1000")
+    with mock.patch.object(decoy, "_campaign_columns", side_effect=AssertionError("built")):
+        with pytest.raises(SizeGuardError, match="^a decoy of dimension 40 needs 1600 amp"):
+            detection_campaign(40, "none", 10, 1)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])

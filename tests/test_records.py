@@ -6,9 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from qteleport.campaign import ResultRecord
+from qteleport.campaign import ResultRecord, run_campaign
 from qteleport.cli import main
-from qteleport.config import ExperimentConfig, load_config, resolve_coeffs
+from qteleport.config import ConfigError, ExperimentConfig, load_config, resolve_coeffs
 from qteleport.decoy import DecoyRound, DetectionReport
 from qteleport.primitives import ChannelSpec
 from qteleport.protocol import (
@@ -17,8 +17,9 @@ from qteleport.protocol import (
     ForcedBranch,
     InputStateSpec,
     Transcript,
+    enumerate_branches,
 )
-from qteleport.state import MeasurementOutcome, StateVector
+from qteleport.state import MeasurementOutcome, SizeGuardError, StateVector
 
 KET = np.array([1, 0], dtype=complex)
 
@@ -91,9 +92,14 @@ SAMPLES = [
     ),
 ]
 IDS = [cls.__name__ for cls, *_ in SAMPLES]
-FROZEN = [sample for sample in SAMPLES if sample[0] not in (ExperimentConfig, ResultRecord)]
-# Every field of these is hashable, so the record is.
-HASHABLE = [s for s in FROZEN if s[0] not in (StateVector, InputStateSpec)]
+FIELDS = {cls: names for cls, names, *_ in SAMPLES}
+# Every record is frozen.
+FROZEN = SAMPLES
+# Every field of these is hashable, so the record is; the others hold an
+# array or a dict.
+HASHABLE = [
+    s for s in FROZEN if s[0] not in (StateVector, InputStateSpec, ExperimentConfig, ResultRecord)
+]
 
 
 @pytest.mark.parametrize("cls, names, values, text", SAMPLES, ids=IDS)
@@ -140,8 +146,6 @@ def test_equality_needs_the_same_class(cls, names, values, text):
     assert record != twin(*values) and twin(*values) != record
     assert not record == twin(*values)
     assert record != tuple(values)
-    if cls is InputStateSpec:
-        return  # the coerced array is a new one per instance
     assert record == cls(*values)
     assert not record != cls(*values)
 
@@ -183,16 +187,41 @@ def test_frozen_records_refuse_assignment_and_deletion(cls, names, values, text)
     assert repr(record) == text
 
 
-def test_mutable_records_stay_assignable_and_unhashable():
-    cfg = ExperimentConfig("montecarlo")
-    cfg.d, cfg.sweep = 5, {"d": [2]}
-    assert (cfg.d, cfg.sweep) == (5, {"d": [2]})
-    record = ResultRecord({}, {}, {"x": [1]}, 0.0)
-    record.elapsed_seconds = 2.0
-    assert record.elapsed_seconds == 2.0 and record.columns == ["x"]
-    for value in (cfg, record):
+def test_records_compare_arrays_by_value():
+    assert StateVector((2,), KET.copy()) == StateVector((2,), KET.copy())
+    assert StateVector((2,), KET) != StateVector((2,), KET[::-1].copy())
+    assert StateVector((2,), KET) != StateVector((2, 1), KET)
+    assert InputStateSpec(2, 1, KET) == InputStateSpec(2, 1, [1, 0])
+    doc = {"kind": "montecarlo", "beta": [0.6, 0.8]}
+    assert load_config(doc) == load_config(doc)
+    assert load_config(doc) != load_config({**doc, "beta": [0.8, 0.6]})
+    undefined = MeasurementOutcome(0, float("nan"), None)
+    assert undefined != MeasurementOutcome(0, float("nan"), None)  # as nan != nan
+    vague = StateVector((2,), np.array([np.nan, 1]))
+    assert vague != StateVector((2,), np.array([np.nan, 1]))
+
+
+def test_two_reports_of_one_input_compare_equal():
+    inp, chan = InputStateSpec(2, 1, [0.6, 0.8]), ChannelSpec(2, 1, 1, (1.5**0.5, 0.5**0.5))
+    first, second = enumerate_branches(inp, chan), enumerate_branches(inp, chan)
+    assert first == second and first.branches is not second.branches
+    assert first.branches == list(second.branches) and first.branches == tuple(second.branches)
+    assert first.branches != list(second.branches)[:-1]
+    assert first != enumerate_branches(InputStateSpec(2, 1, [0.8, 0.6]), chan)
+    with pytest.raises(TypeError):
+        hash(first)  # a view is unhashable, as an array is
+
+
+def test_configs_and_results_with_dict_or_array_fields_stay_unhashable():
+    grid = {"d": [2], "m": [1], "n": [0]}
+    sweep = load_config({"kind": "sweep", "trials": 1, "sweep": grid})
+    montecarlo = load_config({"kind": "montecarlo", "trials": 5})
+    result = run_campaign(load_config({"kind": "decoy", "trials": 5}))
+    for value in (sweep, montecarlo, result, ExperimentConfig("sweep", sweep=grid)):
         with pytest.raises(TypeError):
             hash(value)
+    decoy = {"kind": "decoy", "d": 3, "trials": 5}
+    assert {load_config(decoy): 1}[load_config(decoy)] == 1  # every field hashable
 
 
 def test_input_spec_caches_its_register_outside_the_fields():
@@ -297,27 +326,69 @@ def test_a_loaded_config_returns_the_records_it_validated():
     assert cfg.channel_spec().coeffs is cfg.coeffs
     assert "Spec" not in repr(cfg)  # kept outside the fields
     with pytest.raises(ValueError, match="read-only"):
-        cfg.beta[0] = 1.0  # the kept record's amplitudes change only by reassignment
+        cfg.beta[0] = 1.0  # the kept record's amplitudes are read-only
 
 
-def test_a_reassigned_field_gets_a_new_validated_record():
+def test_a_config_built_with_other_fields_gets_newly_validated_records():
     cfg = load_config({"kind": "enumerate", "d": 2, "m": 1, "n": 1})
-    loaded = cfg.channel_spec()
-    cfg.coeffs = (2**0.5, 0.0)
-    with pytest.raises(ValueError, match="zero channel coefficient"):
-        cfg.channel_spec()
-    cfg.coeffs = (1.5**0.5, 0.5**0.5)
-    assert cfg.channel_spec() == ChannelSpec(2, 1, 1, (1.5**0.5, 0.5**0.5))
-    cfg.d = 3
-    with pytest.raises(ValueError, match="need exactly d = 3 entries, got 2"):
-        cfg.channel_spec()
-    cfg.d, cfg.coeffs = 3, (1, 1, 1)
-    assert cfg.channel_spec() == ChannelSpec(3, 1, 1, (1, 1, 1)) != loaded
-    cfg.m, cfg.beta = 2, KET
-    with pytest.raises(ValueError, match="length must be d\\^m = 9, got 2"):
-        cfg.input_spec()
-    cfg.beta = np.full(9, 1 / 3)
-    assert cfg.input_spec().beta.tolist() == [1 / 3] * 9
+    with pytest.raises(ConfigError, match="^coeffs: zero channel coefficient"):
+        ExperimentConfig("enumerate", 2, 1, 1, (2**0.5, 0.0), cfg.beta)
+    skewed = ExperimentConfig("enumerate", 2, 1, 1, (1.5**0.5, 0.5**0.5), cfg.beta)
+    assert skewed.channel_spec() == ChannelSpec(2, 1, 1, (1.5**0.5, 0.5**0.5))
+    assert skewed.channel_spec() != cfg.channel_spec()
+    assert skewed.input_spec() == cfg.input_spec() and skewed.input_spec() is not cfg.input_spec()
+    with pytest.raises(ConfigError, match="^coeffs: need exactly d = 3 entries, got 2$"):
+        ExperimentConfig("enumerate", 3, 1, 1, cfg.coeffs)
+    wider = ExperimentConfig("enumerate", 3, 1, 1, (1, 1, 1), [0, 1, 0])
+    assert wider.channel_spec() == ChannelSpec(3, 1, 1, (1, 1, 1))
+    assert wider.input_spec() == InputStateSpec(3, 1, [0, 1, 0])
+    assert wider.coeffs is wider.channel_spec().coeffs and wider.beta is wider.input_spec().beta
+    with pytest.raises(ConfigError, match="^beta: length must be d\\^m = 9, got 2$"):
+        ExperimentConfig("enumerate", 3, 2, 1, (1, 1, 1), KET)
+    with pytest.raises(ConfigError, match="^beta: amplitudes must be finite$"):
+        ExperimentConfig("enumerate", 2, 1, 1, cfg.coeffs, [1, np.nan])
+    spread = ExperimentConfig("enumerate", 3, 2, 1, (1, 1, 1), np.full(9, 1 / 3))
+    assert spread.input_spec().beta.tolist() == [1 / 3] * 9
+    bare = ExperimentConfig("decoy", 3)  # neither coeffs nor beta: no record
+    assert bare.channel_spec() is None and bare.input_spec() is None
+
+
+LOADED = {
+    "enumerate": {"kind": "enumerate", "d": 2, "n": 1, "beta": [0.6, 0.8]},
+    "montecarlo": {"kind": "montecarlo", "d": 3, "trials": 5, "beta": "random:2"},
+    "decoy": {"kind": "decoy", "d": 3, "trials": 5},
+    "sweep": {"kind": "sweep", "trials": 4, "sweep": {"d": [2, 3], "m": [1], "n": [0, 1]}},
+}
+
+
+@pytest.mark.parametrize("kind", LOADED)
+def test_a_loaded_config_and_its_result_refuse_assignment_and_deletion(kind):
+    cfg = load_config(LOADED[kind])
+    for record in (cfg, run_campaign(cfg)):
+        for name in FIELDS[type(record)]:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+
+
+def test_a_loaded_config_keeps_the_guards_it_passed(monkeypatch):
+    # Each campaign is refused at load; reassigning the field of a smaller
+    # loaded config would run it past the guard, so assignment is refused.
+    monkeypatch.setenv("QTELEPORT_MAX_AMPLITUDES", "1000")
+    grid = {"d": [2], "m": [1], "n": [9]}  # the channel's 2^11 amplitudes
+    refused = [
+        ("sweep", grid, {"kind": "sweep", "trials": 1, "sweep": {**grid, "n": [0]}}),
+        ("d", 40, {"kind": "decoy", "d": 2, "trials": 10}),
+        ("trials", 500, {"kind": "montecarlo", "d": 2, "trials": 10}),
+    ]
+    for name, value, doc in refused:
+        with pytest.raises(SizeGuardError):
+            load_config({**doc, name: value})
+        small = load_config(doc)
+        with pytest.raises(AttributeError):
+            setattr(small, name, value)
+        assert getattr(small, name) != value
 
 
 def test_the_coefficient_count_is_the_channels_to_check(capsys):
