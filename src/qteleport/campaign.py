@@ -140,7 +140,7 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
         "format": cfg.fmt,
     }
     if cfg.kind == "sweep":
-        echo["sweep"] = cfg.sweep
+        echo["sweep"] = {key: list(values) for key, values in cfg.sweep.items()}
         return echo
     echo.update({"d": cfg.d, "m": cfg.m, "n": cfg.n})
     if cfg.kind == "decoy":
@@ -182,26 +182,31 @@ def _run_enumerate(cfg: ExperimentConfig) -> tuple[dict, dict]:
 def _run_montecarlo(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Sampled runs, trial i on child i of SeedSequence(seed).spawn(trials).
 
-    The closed-form sampler runs the trials in chunks, fed by their
-    children's Philox streams computed at once (_streams), so a row
-    equals run_structured(seed=child) for its child.  A chunk's widest
-    array, the receiver or the sender's d^2 outcome weights, holds at
-    most SAMPLE_CHUNK_AMPLITUDES entries; a block of whole chunks, about
-    as many uniforms, shares one _streams call.
+    The closed-form sampler takes the trials a block at a time, fed by
+    their children's Philox streams computed at once (_streams), so a
+    row equals run_structured(seed=child) for its child.  Each unit holds
+    about SAMPLE_CHUNK_AMPLITUDES entries at most:
+      * a block (uniforms) is one _streams and one _sample_runs call, and
+        a whole number of chunks;
+      * a pass makes the sender's draws (d^2 weights a run) and the
+        controllers' (d a draw);
+      * a chunk runs the receiver (d^m amplitudes a run, d^2 at m = 1);
+        its (chunk, d^m) @ extraction matmul pins the floats, so every
+        block cuts the same chunks.
     """
     chan = cfg.channel_spec()
     input_state = cfg.input_spec().state()
-    width = max(chan.d**chan.m, chan.d * chan.d)
+    d, m, n = chan.d, chan.m, chan.n
     draws = _draw_count(chan)
-    chunk = max(1, SAMPLE_CHUNK_AMPLITUDES // width)
+    chunk = max(1, SAMPLE_CHUNK_AMPLITUDES // max(d**m, d * d))
+    span = max(1, SAMPLE_CHUNK_AMPLITUDES // (d * max(d, m * n)))
     block = chunk * max(1, SAMPLE_CHUNK_AMPLITUDES // (chunk * draws))
-    digit = np.min_scalar_type(chan.d - 1)
+    digit = np.min_scalar_type(d - 1)
     dtypes = (digit, digit, digit, np.uint8, float, float)
     samples = []
-    for start in range(0, cfg.trials, chunk):
-        if start % block == 0:
-            uniforms = child_uniforms(cfg.seed, start, min(start + block, cfg.trials), draws)
-        sample = _sample_runs(input_state, chan, uniforms[start % block :][:chunk])
+    for start in range(0, cfg.trials, block):
+        uniforms = child_uniforms(cfg.seed, start, min(start + block, cfg.trials), draws)
+        sample = _sample_runs(input_state, chan, uniforms, chunk, span)
         samples.append([a.astype(t, copy=False) for a, t in zip(sample, dtypes)])
     gbs, controllers, r_sums, aux, fidelity, probability = map(np.concatenate, zip(*samples))
     success = aux == 0

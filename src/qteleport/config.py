@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -49,7 +51,7 @@ class ExperimentConfig:
     eve: str = "random_basis_resend"
     out: str | None = None
     fmt: str = "json"
-    sweep: dict | None = None
+    sweep: Mapping | None = None  # loaded: read-only, a tuple per axis
 
     def __post_init__(self):
         """The records of coeffs and beta, built once and kept outside the
@@ -174,7 +176,7 @@ def _check_point(kind: str, d: int, m: int, n: int) -> None:
         _check_input_size(d, m)
 
 
-def _sweep_point(sweep: dict, i: int) -> tuple[int, int, int]:
+def _sweep_point(sweep: Mapping, i: int) -> tuple[int, int, int]:
     """Point i mod the grid size of a sweep's grid, in itertools.product(d, m, n) order."""
     d, m, n = sweep["d"], sweep["m"], sweep["n"]
     return d[i // (len(m) * len(n)) % len(d)], m[i // len(n) % len(m)], n[i % len(n)]
@@ -255,10 +257,11 @@ def load_config(source) -> ExperimentConfig:
                 raise ConfigError(
                     f"sweep.{key}: expected a non-empty list of integers >= {minimum}"
                 )
-            grid[key] = values
+            grid[key] = tuple(values)
         for i in range(min(trials, math.prod(map(len, grid.values())))):
             _check_point(kind, *_sweep_point(grid, i))
-        return ExperimentConfig(kind, sweep=grid, **common)
+        # Read-only, so the grid runs only the points checked here.
+        return ExperimentConfig(kind, sweep=MappingProxyType(grid), **common)
 
     d = _expect_int(doc, "d", 2, 2)
     m = _expect_int(doc, "m", 1, 1)

@@ -156,8 +156,10 @@ def _z_score(hits: int, trials: int, p: float) -> float:
 
 
 # The campaign's chunk: at most this many rounds, so memory stays
-# bounded however many rounds run.
-DECOY_CHUNK_ROUNDS = 2**14
+# bounded however many rounds run.  2^13 keeps a chunk's 8-byte columns
+# at 64 KiB, under glibc's 128 KiB mmap threshold, so they come from the
+# heap instead of being mapped and faulted in anew every chunk.
+DECOY_CHUNK_ROUNDS = 2**13
 
 
 def _check_dimension(d: int) -> None:

@@ -236,7 +236,7 @@ def _omega_table(d: int, m: int) -> np.ndarray:
     return reduce(np.kron, [single] * m)
 
 
-def _gather(amps: np.ndarray, d: int, shifts, tables) -> np.ndarray:
+def _gather(amps: np.ndarray, d: int, shifts, tables, kept: _Kept) -> np.ndarray:
     """The map the sender's outcomes leave, applied to amps, per table.
 
     shifts has shape (batch, m, 2): per run and copy a row index u and a
@@ -245,6 +245,12 @@ def _gather(amps: np.ndarray, d: int, shifts, tables) -> np.ndarray:
     source index and the row products grow by Kronecker products from
     the last copy backwards (the long axis stays the inner one), then
     amps is gathered once for every table.  Returns (tables, batch, d^m).
+
+    The levels alternate between kept's complex slots and the index
+    between its intp slots, the last of each in slot 0; the gathered
+    input goes to complex slot 1, which the last level has freed.  So a
+    kept reused across calls makes no array again, and the result is
+    valid until kept's next use.
     """
     batch, m = shifts.shape[:2]
     tables = np.stack(tables)
@@ -254,9 +260,14 @@ def _gather(amps: np.ndarray, d: int, shifts, tables) -> np.ndarray:
     for l in range(m - 1, -1, -1):
         u, s = shifts[:, l, 0] % d, shifts[:, l, 1]
         digit = (j - s[:, None]) % d * d ** (m - 1 - l)
-        index = (digit[:, :, None] + index[:, None]).reshape(batch, d ** (m - l))
-        rows = (tables[:, u, :, None] * rows[:, :, None]).reshape(-1, batch, d ** (m - l))
-    rows *= amps[index]
+        shape = (batch, d, d ** (m - 1 - l))
+        out = kept.take(shape, np.intp, l % 2)
+        index = np.add(digit[:, :, None], index[:, None], out=out).reshape(batch, -1)
+        out = kept.take((len(tables),) + shape, complex, l % 2)
+        rows = np.multiply(tables[:, u, :, None], rows[:, :, None], out=out)
+        rows = rows.reshape(len(tables), batch, -1)
+    # mode="clip" lets take write straight into out; every index is in range.
+    rows *= np.take(amps, index, out=kept.take(index.shape, complex, 1), mode="clip")
     return rows
 
 
@@ -276,7 +287,7 @@ def _pullback(input_state: StateVector, spec: ChannelSpec, shifts) -> np.ndarray
     """
     shifts = np.asarray(shifts)
     flat = shifts.reshape(-1, spec.m, 2)
-    (pulled,) = _gather(input_state.amps, spec.d, flat, (_phase_rows(spec),))
+    (pulled,) = _gather(input_state.amps, spec.d, flat, (_phase_rows(spec),), _Kept())
     return pulled.reshape(shifts.shape[:-2] + (spec.d**spec.m,))
 
 
@@ -475,7 +486,9 @@ def _sampler_constants(spec: ChannelSpec) -> tuple[np.ndarray, ...]:
     return tuple(map(_read_only, tables))
 
 
-def _sample_runs(input_state: StateVector, spec: ChannelSpec, draws) -> _Samples:
+def _sample_runs(
+    input_state: StateVector, spec: ChannelSpec, draws, chunk: int = 0, span: int = 0
+) -> _Samples:
     """Runs in closed form, with no state engine: one per row of draws.
 
     Row i of draws (batch, _draw_count(spec)) holds one run's draws in
@@ -497,41 +510,67 @@ def _sample_runs(input_state: StateVector, spec: ChannelSpec, draws) -> _Samples
         and the phases fold into omega^(-(r + rho) j), with rho their
         sum mod d: one row of the sender table.
     So the draws read only the density, kept in the input's frame as
-    rest (batch, d, d^(m-l-1)): its digit-l marginal is rest.sum(-1),
+    rest (rows, d, d^(m-l-1)): its digit-l marginal is rest.sum(-1),
     and after the draw digit l is contracted away with a_(t+s), so the
     array shrinks by d per copy.  One _gather then gives the receiver
     (sender rows) and the input pulled back through (r + rho, s) (phase
     rows).  Nothing is renormalized: a draw reads its weights relative
     to their total, so the aux weight is the branch probability up to
     the controllers' d^(-m n).
+
+    The rows of draws are one block (by default also one pass and chunk):
+      * a pass of at most span runs makes the controllers' and the
+        sender's draws; rest keeps a row per distinct prefix of s
+        outcomes (np.unique per copy: at most min(span, d^l) rows), and
+        every step is per row, so no float depends on the pass;
+      * a chunk of at most chunk runs goes through the receiver, whose
+        (chunk, d^m) @ extraction matmul pins the floats by its row
+        count: a run's are those of a call on its chunk alone.  _gather's
+        arrays and the squared moduli live in one _Kept for the call.
     """
     d, m, n = spec.d, spec.m, spec.n
     _check_input_size(d, m)
     cross, outcomes, sender_rows, controller = _sampler_constants(spec)
     rotation, extraction = _receiver_constants(spec)
-    batch = len(draws)
-    per_copy = draws[:, :-1].reshape(batch, m, n + 1)
-    controllers = _draw(controller, per_copy[..., 1:])
-    rho = controllers.sum(axis=-1) % d
-    gbs = np.empty((batch, m, 2), dtype=int)
+    runs = len(draws)
+    chunk, span = chunk or max(runs, 1), span or max(runs, 1)
+    per_copy = draws[:, :-1].reshape(runs, m, n + 1)
+    controllers = np.empty((runs, m, n), dtype=int)
+    gbs = np.empty((runs, m, 2), dtype=int)
 
     amps = input_state.amps
-    rest = (amps.real**2 + amps.imag**2)[None]  # one row until the first draw
-    for l in range(m):
-        rest = rest.reshape(len(rest), d, d ** (m - l - 1))
-        sender = (rest.sum(axis=-1) @ cross)[:, outcomes]
-        gbs[:, l, 0], gbs[:, l, 1] = np.divmod(_draw(sender, per_copy[:, l, 0]), d)
-        if l < m - 1:  # the last copy's contraction is read by no draw
-            rest = cross[gbs[:, l, 1]][:, None] @ rest
+    density = amps.real**2 + amps.imag**2
+    for lo in range(0, runs, span):
+        part = slice(lo, lo + span)
+        sent = per_copy[part, :, 0]
+        controllers[part] = _draw(controller, per_copy[part, :, 1:])
+        rest, group = density[None], np.zeros(len(sent), dtype=np.intp)
+        for l in range(m):
+            rest = rest.reshape(len(rest), d, d ** (m - l - 1))
+            sender = (rest.sum(axis=-1) @ cross)[:, outcomes]
+            drawn = _draw(sender if len(rest) == 1 else sender[group], sent[:, l])
+            gbs[part, l, 0], gbs[part, l, 1] = np.divmod(drawn, d)
+            if l < m - 1:  # the last copy's contraction is read by no draw
+                keys, group = np.unique(group * d + gbs[part, l, 1], return_inverse=True)
+                rest = cross[keys % d][:, None] @ (rest if len(rest) == 1 else rest[keys // d])
+    del density  # freed before the receiver's arrays are made
 
+    rho = controllers.sum(axis=-1) % d
     shifts = np.stack((gbs[..., 0] + rho, gbs[..., 1]), axis=-1)
-    receiver, refs = _gather(amps, d, shifts, (sender_rows, _phase_rows(spec)))
-    weights = (receiver.real**2 + receiver.imag**2) @ extraction
-    aux = _draw(weights, draws[:, -1])
-    weight = weights[np.arange(batch), aux]
-    receiver *= rotation[aux]
-    refs[aux == 1] = amps  # a failure scores against the input (_pullback)
-    overlap = np.einsum("bj,bj->b", np.conjugate(refs, out=refs), receiver)
+    tables, kept = (sender_rows, _phase_rows(spec)), _Kept()
+    aux, weight, overlap = np.empty(runs, dtype=int), np.empty(runs), np.empty(runs, complex)
+    for lo in range(0, runs, chunk):
+        part = slice(lo, lo + chunk)
+        receiver, refs = _gather(amps, d, shifts[part], tables, kept)
+        # re^2 and im^2 in complex slot 1, which _gather's last read freed
+        re2, im2 = kept.take(receiver.shape, complex, 1).view(float).reshape(2, *receiver.shape)
+        np.add(np.square(receiver.real, out=re2), np.square(receiver.imag, out=im2), out=re2)
+        weights = re2 @ extraction
+        aux[part] = chosen = _draw(weights, draws[part, -1])
+        weight[part] = weights[np.arange(len(chosen)), chosen]
+        receiver *= np.take(rotation, chosen, axis=0, out=im2, mode="clip")
+        refs[chosen == 1] = amps  # a failure scores against the input (_pullback)
+        overlap[part] = np.einsum("bj,bj->b", np.conjugate(refs, out=refs), receiver)
     fidelity = np.minimum(1.0, np.abs(overlap) ** 2 / weight)
     probability = weight * float(d) ** (-m * n)
     return _Samples(gbs, controllers, rho, aux, fidelity, probability)
@@ -641,24 +680,26 @@ def _copy_tensor(spec: ChannelSpec) -> np.ndarray:
 
 
 class _Kept:
-    """Stage 1's two large temporaries, kept across the points of one
-    sweep run: the last matmul's complex output and the real density in
-    group order.  take() hands out the front of the kept array of a
-    dtype and makes a new one only when a point needs more, so points of
-    one size fault those pages in once.  The arrays go when the run
-    drops this object; no module holds one."""
+    """Large temporaries kept across the points of one sweep run (stage
+    1's last matmul output and its real density in group order) or the
+    chunks of one _sample_runs call (_gather's levels, index and
+    gathered input, and the squared moduli).  take() hands out the front
+    of the kept array of a dtype and slot and makes a new one only when
+    a point or chunk needs more, so those of one size fault the pages in
+    once.  The arrays go when the caller drops this object; no module
+    holds one."""
 
     def __init__(self):
-        self._arrays: dict[type, np.ndarray] = {}
+        self._arrays: dict[tuple[type, int], np.ndarray] = {}
 
-    def take(self, shape, dtype: type) -> np.ndarray:
+    def take(self, shape, dtype: type, slot: int = 0) -> np.ndarray:
         """A C-ordered array of shape and dtype; its contents are stale."""
         size = math.prod(shape)
-        kept = self._arrays.pop(dtype, None)
+        kept = self._arrays.pop((dtype, slot), None)
         if kept is None or kept.size < size:
             del kept  # the smaller array goes before the larger is made
             kept = np.empty(size, dtype)
-        self._arrays[dtype] = kept
+        self._arrays[dtype, slot] = kept
         return kept[:size].reshape(shape)
 
 

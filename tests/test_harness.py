@@ -158,7 +158,7 @@ def test_integral_numbers_are_integers(capsys):
     sweep = {"d": [2.0], "m": [1.0], "n": [0.0]}
     doc = {"kind": "sweep", "trials": 1e0, "seed": 3.0, "sweep": sweep}
     cfg = load_config(doc)
-    assert (cfg.trials, cfg.seed, cfg.sweep) == (1, 3, {"d": [2], "m": [1], "n": [0]})
+    assert (cfg.trials, cfg.seed, cfg.sweep) == (1, 3, {"d": (2,), "m": (1,), "n": (0,)})
     assert type(cfg.trials) is int and type(cfg.sweep["d"][0]) is int
     assert load_config(dict(BASE, beta={"basis": 1.0})).beta.tolist() == [0, 1]
     assert main(["decoy", "--config", '{"d": 2.0, "trials": 1e1}']) == 0
@@ -187,7 +187,7 @@ def test_sweep_config_requires_grid():
     with pytest.raises(ConfigError, match="sweep.m"):
         load_config({"kind": "sweep", "sweep": {"d": [2], "m": [0], "n": [0]}})
     cfg = load_config({"kind": "sweep", "sweep": {"d": [2, 3], "m": [1], "n": [0, 1]}})
-    assert cfg.sweep == {"d": [2, 3], "m": [1], "n": [0, 1]}
+    assert cfg.sweep == {"d": (2, 3), "m": (1,), "n": (0, 1)}  # read-only, tuples
 
 
 @pytest.mark.parametrize(

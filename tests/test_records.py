@@ -391,6 +391,19 @@ def test_a_loaded_config_keeps_the_guards_it_passed(monkeypatch):
         assert getattr(small, name) != value
 
 
+def test_a_loaded_sweep_grid_refuses_changes(monkeypatch):
+    # Loading n = 9 is refused; changing a loaded n = 0 grid in place
+    # would run n = 9 past the guard, so the grid is read-only.
+    monkeypatch.setenv("QTELEPORT_MAX_AMPLITUDES", "1000")
+    cfg = load_config({"kind": "sweep", "trials": 1, "sweep": {"d": [2], "m": [1], "n": [0]}})
+    with pytest.raises(TypeError):
+        cfg.sweep["n"][0] = 9
+    with pytest.raises(TypeError):
+        cfg.sweep["n"] = (9,)
+    assert dict(cfg.sweep) == {"d": (2,), "m": (1,), "n": (0,)}
+    assert run_campaign(cfg).config["sweep"] == {"d": [2], "m": [1], "n": [0]}
+
+
 def test_the_coefficient_count_is_the_channels_to_check(capsys):
     assert resolve_coeffs([1], 2) == (1 + 0j,)  # parsed, not yet checked
     assert main(["enumerate", "--d", "2", "--coeffs", "1"]) == 1

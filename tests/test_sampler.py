@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_edges import edge_coefficients
 
-from qteleport import campaign
+from qteleport import campaign, protocol
 from qteleport._streams import child_uniforms
 from qteleport.campaign import run_campaign
 from qteleport.config import load_config, random_coeffs
@@ -33,7 +33,7 @@ from qteleport.protocol import (
     run_protocol,
     run_structured,
 )
-from qteleport.state import SizeGuardError
+from qteleport.state import SizeGuardError, _draw
 
 # Relative agreement of fidelity and probability with the copy loop.
 # Both are rounding-level; a failure row's fidelity is a small overlap,
@@ -163,6 +163,57 @@ def test_sampler_rows_do_not_depend_on_the_batch():
             assert np.array_equal(getattr(one, field)[0], getattr(whole, field)[i])
         assert one.fidelity[0] == pytest.approx(whole.fidelity[i], rel=1e-14)
         assert one.probability[0] == pytest.approx(whole.probability[i], rel=1e-14)
+
+
+# (d, m, n, trials a chunk) at 128 amplitudes a chunk: (2, 6, 1) runs
+# blocks of 4 chunks, (3, 3, 0) blocks of 8 chunks in passes of 14 runs,
+# (2, 4, 2) blocks of one chunk; controllers act in two, prefixes repeat.
+BLOCK_SHAPES = [(2, 6, 1, 2), (3, 3, 0, 4), (2, 4, 2, 8)]
+
+
+@pytest.mark.parametrize("d, m, n, chunk", BLOCK_SHAPES)
+def test_block_rows_equal_their_chunks_sampled_alone(monkeypatch, d, m, n, chunk):
+    # A campaign samples a block per call; each row must carry the bits
+    # of one _sample_runs call on its chunk's uniforms alone.
+    monkeypatch.setattr(campaign, "SAMPLE_CHUNK_AMPLITUDES", 128)
+    spec, seed, trials = _channel(d, m, n, True, 7 * d + m), 60 + 9 * d + m + n, 70
+    cfg = _config(spec, seed, trials)
+    record = run_campaign(cfg)
+    register = cfg.input_spec().state()
+    draws = _draw_count(spec)
+    parts = [
+        _sample_runs(register, spec, child_uniforms(seed, lo, min(lo + chunk, trials), draws))
+        for lo in range(0, trials, chunk)
+    ]
+    gbs, controllers, r_sums, aux, fidelity, probability = map(np.concatenate, zip(*parts))
+    rows = list(record.rows)
+    assert [row["gbs"] for row in rows] == [
+        ";".join(f"{r}:{s}" for r, s in g) for g in gbs.tolist()
+    ]
+    assert [row["controllers"] for row in rows] == [
+        "|".join(",".join(map(str, c)) for c in copies) for copies in controllers.tolist()
+    ]
+    assert [row["r_sums"] for row in rows] == [";".join(map(str, r)) for r in r_sums.tolist()]
+    assert np.array_equal(record.data["aux"].codes, aux)
+    assert np.array_equal(record.data["fidelity"].codes, fidelity, equal_nan=True)
+    assert np.array_equal(record.data["probability"].codes, probability)
+
+
+def test_a_sender_pass_stays_within_the_chunk_budget(monkeypatch):
+    # d = 64: 4,096 sender weights a run, so a pass holds 4 of the 600
+    # runs that form one block.  _sample_rows compares each draw with a
+    # whole row of weights, so that comparison is the size recorded.
+    seen = []
+
+    def recorded(weights, draws):
+        seen.append(max(weights.size, draws.size * weights.shape[-1]))
+        return _draw(weights, draws)
+
+    monkeypatch.setattr(protocol, "_draw", recorded)
+    doc = {"kind": "montecarlo", "d": 64, "m": 1, "n": 0, "trials": 600, "seed": 4}
+    record = run_campaign(load_config({**doc, "coeffs": "random:4", "beta": "random:4"}))
+    assert len(record.rows) == 600
+    assert 0 < max(seen) <= campaign.SAMPLE_CHUNK_AMPLITUDES
 
 
 def test_sampler_applies_the_amplitude_guard(monkeypatch):
