@@ -25,7 +25,10 @@ import numpy as np
 
 from ._streams import child_uniforms, standard_normals, uniforms
 from .config import (
+    ConfigError,
     ExperimentConfig,
+    _check_kind,
+    _check_point,
     _coeffs_from_uniforms,
     _sweep_point,
     random_coeffs,  # noqa: F401  (perfbench/tracer.py wraps it here)
@@ -261,9 +264,13 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple[dict, dict]:
     inputs' normals in another, each row as long as the longest visited
     point's, which load_config checked (a spec reads its stream's first
     values), at most SAMPLE_CHUNK_AMPLITUDES normals a chunk.  Every
-    point runs _stage_one_success with the run's one _Kept."""
+    point runs _stage_one_success with the run's one _Kept, once a
+    hand-built config's visited points pass load_config's guards."""
     point = partial(_sweep_point, cfg.sweep)
     visited = list(map(point, range(min(cfg.trials, math.prod(map(len, cfg.sweep.values()))))))
+    if not cfg._guarded:
+        for d, m, n in visited:
+            _check_point("sweep", d, m, n)
     most_coeffs, most_normals = max(d for d, _, _ in visited), max(2 * d**m for d, m, _ in visited)
     chunk = max(1, SAMPLE_CHUNK_AMPLITUDES // most_normals)
     rows, kept = [], _Kept()
@@ -283,18 +290,25 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple[dict, dict]:
     return {"specs": cfg.trials, "max_abs_error": max(data["abs_error"])}, data
 
 
+# Each kind's runner and the fields it reads that a config may leave None.
 _RUNNERS = {
-    "enumerate": _run_enumerate,
-    "montecarlo": _run_montecarlo,
-    "decoy": _run_decoy,
-    "sweep": _run_sweep,
+    "enumerate": (_run_enumerate, ("coeffs", "beta")),
+    "montecarlo": (_run_montecarlo, ("coeffs", "beta")),
+    "decoy": (_run_decoy, ()),
+    "sweep": (_run_sweep, ("sweep",)),
 }
 
 
 def run_campaign(cfg: ExperimentConfig) -> ResultRecord:
-    """Dispatch a validated config to its runner."""
+    """Dispatch a config to its runner; ConfigError names a field of a
+    hand-built config that it cannot run."""
     start = time.perf_counter()
-    aggregate, data = _RUNNERS[cfg.kind](cfg)
+    _check_kind(cfg.kind)
+    runner, needs = _RUNNERS[cfg.kind]
+    for name in needs:
+        if getattr(cfg, name) is None:
+            raise ConfigError(f"{name}: kind {cfg.kind!r} needs a value, got None")
+    aggregate, data = runner(cfg)
     return ResultRecord(
         config=_config_echo(cfg),
         aggregate=aggregate,

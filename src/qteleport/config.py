@@ -36,8 +36,9 @@ class ConfigError(ValueError):
 @record
 class ExperimentConfig:
     """Validated campaign description.  load_config runs every guard of
-    its campaign; a config built by hand checks only coeffs and beta.  A
-    sweep (a fresh channel and input per point) and a decoy leave both None.
+    its campaign; a config built by hand checks only coeffs and beta, and
+    run_campaign the rest it reads.  A sweep (a fresh channel and input
+    per point) and a decoy leave both None.
     """
 
     kind: str
@@ -52,6 +53,7 @@ class ExperimentConfig:
     out: str | None = None
     fmt: str = "json"
     sweep: Mapping | None = None  # loaded: read-only, a tuple per axis
+    _guarded = False  # not a field: load_config sets it once a sweep's points pass
 
     def __post_init__(self):
         """The records of coeffs and beta, built once and kept outside the
@@ -182,6 +184,11 @@ def _sweep_point(sweep: Mapping, i: int) -> tuple[int, int, int]:
     return d[i // (len(m) * len(n)) % len(d)], m[i // len(n) % len(m)], n[i % len(n)]
 
 
+def _check_kind(kind) -> None:
+    if kind not in KINDS:
+        raise ConfigError(f"kind: expected one of {KINDS}, got {kind!r}")
+
+
 def _integer(value) -> int | None:
     """A JSON Schema integer as an int: a number with no fractional part
     (2, 2.0, 1e3), but not a boolean, which Python counts as an int."""
@@ -228,8 +235,7 @@ def load_config(source) -> ExperimentConfig:
     doc = read_config(source)
 
     kind = doc.get("kind")
-    if kind not in KINDS:
-        raise ConfigError(f"kind: expected one of {KINDS}, got {kind!r}")
+    _check_kind(kind)
     fmt = doc.get("format", "json")
     if fmt not in FORMATS:
         raise ConfigError(f"format: expected one of {FORMATS}, got {fmt!r}")
@@ -261,7 +267,9 @@ def load_config(source) -> ExperimentConfig:
         for i in range(min(trials, math.prod(map(len, grid.values())))):
             _check_point(kind, *_sweep_point(grid, i))
         # Read-only, so the grid runs only the points checked here.
-        return ExperimentConfig(kind, sweep=MappingProxyType(grid), **common)
+        cfg = ExperimentConfig(kind, sweep=MappingProxyType(grid), **common)
+        object.__setattr__(cfg, "_guarded", True)  # so _run_sweep checks none again
+        return cfg
 
     d = _expect_int(doc, "d", 2, 2)
     m = _expect_int(doc, "m", 1, 1)

@@ -94,10 +94,8 @@ def gbs_vector(d: int, r: int, s: int) -> StateVector:
     """Generalized Bell state |psi_rs> on a qudit pair."""
     if not (0 <= r < d and 0 <= s < d):
         raise ValueError(f"(r, s) = ({r}, {s}) out of range for d = {d}")
-    amps = np.zeros(d * d, dtype=complex)
-    phases = _omega_powers(d, r)
-    for j in range(d):
-        amps[j * d + (j + s) % d] = phases[j]
+    amps, j = np.zeros(d * d, dtype=complex), np.arange(d)
+    amps[j * d + (j + s) % d] = _omega_powers(d, r)
     return make_state((d, d), amps / np.sqrt(d))
 
 
@@ -159,10 +157,8 @@ def u_uv(d: int, u: int, v: int) -> np.ndarray:
     """Qudit Pauli U_uv = sum_j omega^(uj) |j+v><j| (phase u, shift v)."""
     if not (0 <= u < d and 0 <= v < d):
         raise ValueError(f"(u, v) = ({u}, {v}) out of range for d = {d}")
-    op = np.zeros((d, d), dtype=complex)
-    phases = _omega_powers(d, u)
-    for j in range(d):
-        op[(j + v) % d, j] = phases[j]
+    op, j = np.zeros((d, d), dtype=complex), np.arange(d)
+    op[(j + v) % d, j] = _omega_powers(d, u)
     return op
 
 
@@ -253,9 +249,10 @@ def u_max_m(spec: ChannelSpec) -> np.ndarray:
     Built from coefficient moduli; phases of complex c_j are compensated
     separately during the correction step.
 
-    Reference matrix, (2 d^m)^2 entries and read-only: the protocol
-    applies the same direct sum of 2x2 rotations in closed form.
+    Reference matrix, (2 d^m)^2 entries under the amplitude guard, read-only:
+    run_protocol applies it, the closed forms its 2x2 rotations one by one.
     """
+    _check_size((2 * spec.d**spec.m) ** 2, f"u_max_m at d = {spec.d}, m = {spec.m}")
     gamma, gamma_plus = _receiver_constants(spec)[0]
     dm = gamma.size
     op = np.zeros((2 * dm, 2 * dm), dtype=complex)
@@ -281,7 +278,8 @@ def u_max(spec: ChannelSpec) -> np.ndarray:
 def correction_unitary(d: int, rho: int, sigma: int) -> np.ndarray:
     """Receiver's phase-and-shift correction; indices reduced mod d.
 
-    Reference matrix: the protocol pulls the input back through it by a gather.
+    Reference matrix: run_protocol applies it, and the closed forms pull
+    the input back through it by a gather (protocol._pullback).
     """
     return u_uv(d, rho % d, sigma % d)
 
@@ -291,21 +289,17 @@ def multi_correction_unitary(d: int, phase_indices, shifts) -> np.ndarray:
     omega^(sum_l j_l * rho_l) |j_1..j_m><j_1+s_1 .. j_m+s_m|.
 
     Equals the tensor product of per-copy correction_unitary(d, rho_l,
-    d-s_l) factors up to a global phase (verified in tests).
+    d-s_l) factors up to a global phase (verified in tests); (d^m)^2
+    entries under the amplitude guard.
     """
-    phase_indices = list(phase_indices)
-    shifts = list(shifts)
+    phase_indices = np.array(list(phase_indices), dtype=int)
+    shifts = np.array(list(shifts), dtype=int)
     m = len(phase_indices)
     if len(shifts) != m:
         raise ValueError("phase_indices and shifts must have equal length")
-    dm = d**m
-    op = np.zeros((dm, dm), dtype=complex)
-    for row in range(dm):
-        digits = np.unravel_index(row, (d,) * m)
-        col = 0
-        phase = 0
-        for j, rho, s in zip(digits, phase_indices, shifts):
-            col = col * d + (j + s) % d
-            phase += j * rho
-        op[row, col] = np.exp(2j * np.pi * phase / d)
+    _check_size(d ** (2 * m), f"multi_correction_unitary at d = {d}, m = {m}")
+    digits = np.indices((d,) * m).reshape(m, d**m)  # row j_1..j_m's digits
+    cols = np.ravel_multi_index(tuple((digits + shifts[:, None]) % d), (d,) * m)
+    op = np.zeros((d**m, d**m), dtype=complex)
+    op[np.arange(d**m), cols] = np.exp(2j * np.pi * (phase_indices @ digits) / d)
     return op

@@ -6,10 +6,11 @@ system whose outcome 0 heralds success.
 
 Map: run_structured samples or forces runs in closed form (_sample_runs,
 in batches for the montecarlo campaign); run_protocol is the dense
-reference on the state engine (_run); enumerate_branches is the exact
-oracle (_enumerate), and a sweep point runs its stage 1 alone
-(_stage_one_success).  The guards (_check_input_size, _check_oracle) run
-before any array of their size is built.
+reference on the state engine and the paper's matrices (_run);
+enumerate_branches is the exact oracle (_enumerate), and a sweep point
+runs its stage 1 alone (_stage_one_success).  The guards
+(_check_input_size, _check_oracle) run before any array of their size
+is built.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from .primitives import (
     _receiver_constants,
     _View,
     channel_state,
+    correction_unitary,
     gbs_basis_matrix,
+    u_max_m,
     x_basis_matrix,
 )
 from .state import (
@@ -42,6 +45,8 @@ from .state import (
     _draw,
     _normalized,
     _rng_from_seed,
+    apply,
+    fidelity,
     make_state,
     max_amplitudes,
     measure_in_basis,
@@ -49,11 +54,9 @@ from .state import (
     tensor,
 )
 
-# Not used here: the reference matrices, the dense apply and fidelity
-# and the branch listing stay importable from this module because
-# perfbench/tracer.py wraps them under these names.
-from .primitives import correction_unitary, u_max_m  # noqa: F401
-from .state import apply, branch_outcomes, fidelity  # noqa: F401
+# Not used here: the branch listing stays importable from this module
+# because perfbench/tracer.py wraps it under this name.
+from .state import branch_outcomes  # noqa: F401
 
 ENUMERATION_GUARD = 10**6
 # The oracle's arrays hold at most this many entries or the leaf count:
@@ -206,29 +209,6 @@ def theoretical_success_probability(spec: ChannelSpec) -> float:
     return spec.min_weight**spec.m
 
 
-def _extract(state: StateVector, spec: ChannelSpec) -> StateVector:
-    """Attach the aux qubit in |0> and run the collective extraction.
-
-    U_max^m is a direct sum of 2x2 rotations, one per receiver index J
-    (the receiver qudits a_{n+1}_l read in copy order): it sends
-    psi_J |J>|0> to gamma_J psi_J |J>|0> + gamma+_J psi_J |J>|1>, with
-    gamma+ = sqrt(1 - gamma^2).  Any other subsystems still attached
-    only broadcast.  The aux qubit is appended last.
-    """
-    _check_size(2 * state.amps.size)
-    receivers = [state.index_of(f"a_{spec.n + 1}_{l}") for l in range(1, spec.m + 1)]
-    shape = [1] * state.num_subsystems
-    for t in receivers:
-        shape[t] = spec.d
-    # Receivers sit in copy order, so gamma's copy-major layout carries over.
-    gamma, gamma_plus = _receiver_constants(spec)[0]
-    amps = state.amps.reshape(state.dims)
-    out = np.stack(
-        (gamma.reshape(shape) * amps, gamma_plus.reshape(shape) * amps), axis=-1
-    )
-    return StateVector(state.dims + (2,), out.reshape(-1), state.labels + ("aux",))
-
-
 def _omega_table(d: int, m: int) -> np.ndarray:
     """m-fold Kronecker power of F[rho, j] = omega^(-rho j), copy-major."""
     j = np.arange(d)
@@ -278,12 +258,12 @@ def _pullback(input_state: StateVector, spec: ChannelSpec, shifts) -> np.ndarray
     omega^{u(k+s)} e^{-i phi_(k+s)} psi_(k+s); its adjoint maps x_j to
     omega^(-u j) e^{i phi_j} x_(j-s), a shift by s and a phase row.  So
     |<row|psi>|^2 is the fidelity of the corrected receiver psi, and no
-    runner applies the correction: a success scores the receiver against
-    the pulled-back input, a failure (a diagnostic only: the uncorrected
-    leftover) against the input itself.  A sampled run pulls back
-    through (r + rho, s); the oracle through (r, s), and _omega_table
-    supplies every rho's omega^(-rho j).  shifts has shape (..., m, 2),
-    the result (..., d^m): one _gather.
+    closed form applies the correction: a success scores the receiver
+    against the pulled-back input, a failure (a diagnostic only: the
+    uncorrected leftover) against the input itself.  A sampled run pulls
+    back through (r + rho, s); the oracle through (r, s), and
+    _omega_table supplies every rho's omega^(-rho j).  shifts has shape
+    (..., m, 2), the result (..., d^m): one _gather.
     """
     shifts = np.asarray(shifts)
     flat = shifts.reshape(-1, spec.m, 2)
@@ -396,8 +376,10 @@ def _run(
     tensored in just before its measurements unless the register
     already holds it, so on the input alone the full register never
     exists.  Every measurement reads one uniform of the seed's stream or
-    the next forced outcome, in _sample_runs' order.  Then come the
-    extraction, the aux measurement and the score (_pullback).
+    the next forced outcome, in _sample_runs' order.  Then u_max_m acts
+    on the aux in |0> and the receivers, the aux is measured, a success
+    gets correction_unitary(d, r + rho, d - s) diag(e^{-i phi}) per copy,
+    and either is scored by its fidelity with the input.
     """
     draws = _forced_draws(spec, seed, forced)
     rng = _rng_from_seed(seed) if draws is None else None
@@ -425,15 +407,17 @@ def _run(
             copy_ctrl.append(out.value)
         ctrl_outcomes.append(tuple(copy_ctrl))
 
-    # Only the receiver's qudits remain, in copy order; the aux joins last.
+    # The receivers remain, in copy order; u_max_m's basis puts the aux first.
     r_sums = tuple(sum(c) % d for c in ctrl_outcomes)
-    out = measure_in_basis(_extract(state, spec), [m], np.eye(2), rng, next(picks))
+    state = tensor(state, make_state((2,), [1.0, 0.0], ("aux",)))
+    state = apply(state, u_max_m(spec), [m, *range(m)])
+    out = measure_in_basis(state, [m], np.eye(2), rng, next(picks))
     probability *= out.probability
+    received = out.post_state
     if out.value == 0:
-        shifts = [(r + rho, s) for (r, s), rho in zip(gbs_outcomes, r_sums)]
-        ref = _pullback(input_state, spec, shifts)
-    else:
-        ref = input_state.amps
+        phase_fix = np.diag(np.exp(-1j * np.angle(spec.coeffs)))
+        for l, ((r, s), rho) in enumerate(zip(gbs_outcomes, r_sums)):
+            received = apply(received, correction_unitary(d, r + rho, d - s) @ phase_fix, [l])
     return Transcript(
         seed=seed if isinstance(seed, int) else None,
         gbs=tuple(gbs_outcomes),
@@ -441,7 +425,7 @@ def _run(
         r_sums=r_sums,
         aux=out.value,
         success=out.value == 0,
-        fidelity=float(min(1.0, abs(np.vdot(ref, out.post_state.amps)) ** 2)),
+        fidelity=fidelity(input_state, received),
         probability=probability,
     )
 
@@ -694,12 +678,11 @@ class _Kept:
 
     def take(self, shape, dtype: type, slot: int = 0) -> np.ndarray:
         """A C-ordered array of shape and dtype; its contents are stale."""
-        size = math.prod(shape)
-        kept = self._arrays.pop((dtype, slot), None)
+        key, size = (dtype, slot), math.prod(shape)
+        kept = self._arrays.get(key)
         if kept is None or kept.size < size:
-            del kept  # the smaller array goes before the larger is made
-            kept = np.empty(size, dtype)
-        self._arrays[dtype, slot] = kept
+            kept = self._arrays[key] = None  # the smaller array goes before the larger is made
+            kept = self._arrays[key] = np.empty(size, dtype)
         return kept[:size].reshape(shape)
 
 

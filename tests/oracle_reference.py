@@ -1,27 +1,36 @@
 """The branch-by-branch enumeration oracle, kept as a test reference.
 
 This walks the sender's outcomes depth first on the state engine, one
-post-measurement state per sender branch, then extracts and projects
-every controller axis onto the X basis one d x d contraction at a time.
-It never uses the controllers' per-copy sums, so it checks the array
-oracle (protocol._enumerate), which does.
+post-measurement state per sender branch, then extracts with the dense
+u_max_m and projects every controller axis onto the X basis one d x d
+contraction at a time.  It never uses the controllers' per-copy sums, so
+it checks the array oracle (protocol._enumerate), which does.
 """
 
 from itertools import product
 
 import numpy as np
 
-from qteleport.primitives import gbs_basis_matrix, x_basis_matrix
+from qteleport.primitives import gbs_basis_matrix, u_max_m, x_basis_matrix
 from qteleport.protocol import (
     _attach_copy,
     _Branches,
     _digits,
-    _extract,
     _omega_table,
     _pullback,
     _validate_pair,
 )
-from qteleport.state import branch_outcomes
+from qteleport.state import apply, branch_outcomes, make_state, tensor
+
+
+def dense_extract(state, spec):
+    """The receiver's extraction on the state engine: |0>_aux tensored in
+    last, then u_max_m on (aux, receivers), its basis putting the aux first."""
+    joint = tensor(state, make_state((2,), [1.0, 0.0], labels=("aux",)))
+    targets = [joint.index_of("aux")] + [
+        joint.index_of(f"a_{spec.n + 1}_{l}") for l in range(1, spec.m + 1)
+    ]
+    return apply(joint, u_max_m(spec), targets)
 
 
 def _sender_branches(state, spec, gbs_mat, l=1, gbs=(), probability=1.0):
@@ -72,7 +81,7 @@ def reference_enumerate(input_spec, spec, correction_controllers=None):
     for gbs_outcomes, prob, state in _sender_branches(
         input_state, spec, gbs_basis_matrix(d)
     ):
-        extracted = _extract(state, spec)
+        extracted = dense_extract(state, spec)
         # Controllers first, then aux and receivers.  Each step contracts
         # the leading controller axis with the X bra and moves its
         # outcome last, so the outcomes end up copy-major at the back.

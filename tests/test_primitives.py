@@ -21,7 +21,7 @@ from qteleport.primitives import (
     x_basis_vector,
 )
 from qteleport.protocol import theoretical_success_probability
-from qteleport.state import apply, fidelity, is_unitary, make_state
+from qteleport.state import SizeGuardError, apply, fidelity, is_unitary, make_state
 
 
 def test_gbs_explicit_amplitudes_d3():
@@ -215,6 +215,23 @@ def test_multi_correction_factorizes_up_to_global_phase():
 def test_multi_correction_validates_lengths():
     with pytest.raises(ValueError, match="equal length"):
         multi_correction_unitary(3, (1, 2), (0,))
+
+
+def test_dense_matrices_apply_the_amplitude_guard(monkeypatch):
+    # (2 d^m)^2 entries for u_max_m, (d^m)^2 for multi_correction_unitary;
+    # a spec no other test builds, so u_max_m's cache cannot hold it.
+    spec = ChannelSpec(2, 7, 4, (1.0, 1.0))
+    monkeypatch.setenv("QTELEPORT_MAX_AMPLITUDES", "1023")
+    with pytest.raises(SizeGuardError, match="1024 amplitudes"):
+        u_max_m(spec)
+    monkeypatch.setenv("QTELEPORT_MAX_AMPLITUDES", "1024")
+    assert u_max_m(spec).shape == (32, 32)
+    monkeypatch.setenv("QTELEPORT_MAX_AMPLITUDES", "100")
+    with pytest.raises(SizeGuardError, match="256 amplitudes"):
+        u_max(ChannelSpec(8, 7, 2, (1.0,) * 8))
+    with pytest.raises(SizeGuardError, match="4096 amplitudes"):
+        multi_correction_unitary(2, [0] * 6, [0] * 6)
+    assert multi_correction_unitary(2, [0] * 3, [0] * 3).shape == (8, 8)
 
 
 def test_gbs_basis_list_matches_matrix():

@@ -1,22 +1,25 @@
 """The receiver's closed forms against the dense reference matrices.
 
-The protocol applies the extraction U_max^m as d^m independent 2x2
-rotations and never applies the correction: it scores the receiver
+The closed forms apply the extraction U_max^m as d^m independent 2x2
+rotations and never apply the correction: they score the receiver
 against the input pulled back through the correction (a shift plus a
-phase per copy).  These properties check the extraction, forced runs of
-both entry points and the enumeration's reference rows against the
-dense operators u_max_m and correction_unitary applied with the state
-engine, over d in 2..5, m in 1..3, n in 0..2, real and complex-phase
-channels and random inputs.  The enumeration oracle's records are
-checked against forced runs of the dense reference path.
+phase per copy).  run_protocol, the dense reference, applies u_max_m
+and correction_unitary with the state engine.  These properties check
+forced runs of both entry points and the enumeration's reference rows
+against those dense operators, over d in 2..5, m in 1..3, n in 0..2,
+real and complex-phase channels and random inputs.  The enumeration
+oracle's records are checked against forced runs of the dense reference
+path.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle_reference import dense_extract
 from test_edges import edge_coefficients
 
+from qteleport import protocol
 from qteleport.config import random_coeffs
 from qteleport.primitives import (
     ChannelSpec,
@@ -30,7 +33,6 @@ from qteleport.protocol import (
     ForcedBranch,
     InputStateSpec,
     _branch_count,
-    _extract,
     _omega_table,
     _pullback,
     enumerate_branches,
@@ -38,12 +40,10 @@ from qteleport.protocol import (
     run_structured,
 )
 from qteleport.state import (
-    SizeGuardError,
     StateVector,
     apply,
     branch_outcomes,
     fidelity,
-    make_state,
     measure_in_basis,
     tensor,
 )
@@ -93,48 +93,6 @@ def oracle_channels(draw):
     return ChannelSpec(d, n, m, draw(coefficients(d)))
 
 
-def _random_state(dims, labels, seed):
-    rng = np.random.default_rng(seed)
-    size = int(np.prod(dims))
-    return make_state(dims, rng.normal(size=size) + 1j * rng.normal(size=size), labels)
-
-
-def _dense_extract(state, spec):
-    """The dense path: tensor in |0>_aux, apply u_max_m (aux leading)."""
-    joint = tensor(state, make_state((2,), [1.0, 0.0], labels=("aux",)))
-    targets = [joint.index_of("aux")] + [
-        joint.index_of(f"a_{spec.n + 1}_{l}") for l in range(1, spec.m + 1)
-    ]
-    # The uncached function, so the examples do not fill u_max_m's cache.
-    return apply(joint, u_max_m.__wrapped__(spec), targets)
-
-
-def _receiver_labels(spec):
-    return tuple(f"a_{spec.n + 1}_{l}" for l in range(1, spec.m + 1))
-
-
-@SETTINGS
-@given(spec=channels(), seed=st.integers(0, 2**32 - 1))
-def test_extraction_matches_u_max_m_on_receiver_register(spec, seed):
-    state = _random_state((spec.d,) * spec.m, _receiver_labels(spec), seed)
-    fast, dense = _extract(state, spec), _dense_extract(state, spec)
-    assert fast.dims == dense.dims and fast.labels == dense.labels
-    assert np.max(np.abs(fast.amps - dense.amps)) < TOL
-
-
-@SETTINGS
-@given(spec=channels(), seed=st.integers(0, 2**32 - 1))
-def test_extraction_matches_u_max_m_with_controllers_interleaved(spec, seed):
-    # The enumeration layout: per copy, controllers a_1..a_n then the receiver.
-    labels = tuple(
-        f"a_{q}_{l}" for l in range(1, spec.m + 1) for q in range(1, spec.n + 2)
-    )
-    state = _random_state((spec.d,) * len(labels), labels, seed)
-    fast, dense = _extract(state, spec), _dense_extract(state, spec)
-    assert fast.dims == dense.dims and fast.labels == dense.labels
-    assert np.max(np.abs(fast.amps - dense.amps)) < TOL
-
-
 def _outcomes(d, m, seed):
     rng = np.random.default_rng(seed)
     gbs = [(int(rng.integers(d)), int(rng.integers(d))) for _ in range(m)]
@@ -169,7 +127,7 @@ def _dense_branches(inp, spec, gbs, controllers):
             out = measure_in_basis(out.post_state, target, x_basis_matrix(d), forced_outcome=x)
             probability *= out.probability
         state = out.post_state
-    joint = _dense_extract(state, spec)
+    joint = dense_extract(state, spec)
     results = []
     for out in branch_outcomes(joint, [joint.index_of("aux")], np.eye(2)):
         if out.probability < 1e-12:
@@ -259,17 +217,6 @@ def test_oracle_records_match_forced_dense_runs(spec, seed):
             assert abs(t.fidelity - rec.fidelity) < 1e-9
 
 
-def test_extraction_applies_the_amplitude_guard(monkeypatch):
-    # The receiver plus aux qubit holds 2 d^m amplitudes.
-    spec = ChannelSpec(3, 0, 2, random_coeffs(3, 4))
-    state = _random_state((3, 3), _receiver_labels(spec), 0)
-    monkeypatch.setenv("QTELEPORT_MAX_AMPLITUDES", "18")
-    assert _extract(state, spec).amps.size == 18
-    monkeypatch.setenv("QTELEPORT_MAX_AMPLITUDES", "17")
-    with pytest.raises(SizeGuardError):
-        _extract(state, spec)
-
-
 def test_campaign_paths_build_no_dense_operator():
     before = u_max_m.cache_info().misses
     for d, n, m, seed in ((2, 0, 3, 901), (3, 1, 2, 902), (4, 2, 1, 903)):
@@ -277,9 +224,25 @@ def test_campaign_paths_build_no_dense_operator():
         inp = InputStateSpec.random(d, m, seed)
         for run_seed in range(5):
             run_structured(inp, spec, seed=run_seed)
-        run_protocol(inp, spec, forced=ForcedBranch(((0, 0),) * m, ((0,) * n,) * m, 0))
         enumerate_branches(inp, spec)
     assert u_max_m.cache_info().misses == before
+
+
+def test_dense_reference_applies_u_max_m(monkeypatch):
+    built = []
+
+    def recorded(spec):
+        built.append(spec)
+        return u_max_m(spec)
+
+    monkeypatch.setattr(protocol, "u_max_m", recorded)
+    for d, n, m, seed in ((2, 0, 3, 904), (3, 1, 2, 905)):
+        spec = ChannelSpec(d, n, m, random_coeffs(d, seed))
+        inp = InputStateSpec.random(d, m, seed)
+        run_protocol(inp, spec, forced=ForcedBranch(((0, 0),) * m, ((0,) * n,) * m, 0))
+        run_protocol(inp, spec, seed=seed)
+        assert built == [spec, spec]
+        built.clear()
 
 
 def test_cached_matrices_are_read_only():

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from qteleport import campaign
 from qteleport.campaign import ResultRecord, run_campaign
 from qteleport.cli import main
 from qteleport.config import ConfigError, ExperimentConfig, load_config, resolve_coeffs
@@ -402,6 +403,44 @@ def test_a_loaded_sweep_grid_refuses_changes(monkeypatch):
         cfg.sweep["n"] = (9,)
     assert dict(cfg.sweep) == {"d": (2,), "m": (1,), "n": (0,)}
     assert run_campaign(cfg).config["sweep"] == {"d": [2], "m": [1], "n": [0]}
+
+
+def test_a_hand_built_sweep_runs_the_guards_a_loaded_one_ran(monkeypatch):
+    # load_config refuses the grid's n = 9 point; run_campaign refuses a
+    # hand-built config of it too, before any point runs.
+    monkeypatch.setenv("QTELEPORT_MAX_AMPLITUDES", "1000")
+    grid = {"d": [2], "m": [1], "n": [0, 9]}
+    with pytest.raises(SizeGuardError, match="channel copy at d = 2, n = 9") as loaded:
+        load_config({"kind": "sweep", "trials": 2, "sweep": grid})
+    ran = []
+    monkeypatch.setattr(campaign, "_stage_one_success", lambda *args: ran.append(args))
+    with pytest.raises(SizeGuardError) as hand_built:
+        run_campaign(ExperimentConfig("sweep", trials=2, sweep=grid))
+    assert str(hand_built.value) == str(loaded.value) and ran == []
+    monkeypatch.undo()
+    assert run_campaign(ExperimentConfig("sweep", trials=1, sweep=grid)).data["n"] == [0]
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        (
+            ExperimentConfig("bogus"),
+            "kind: expected one of ('enumerate', 'montecarlo', 'decoy', 'sweep'), got 'bogus'",
+        ),
+        (ExperimentConfig("montecarlo"), "coeffs: kind 'montecarlo' needs a value, got None"),
+        (
+            ExperimentConfig("enumerate", coeffs=(1, 1)),
+            "beta: kind 'enumerate' needs a value, got None",
+        ),
+        (ExperimentConfig("sweep"), "sweep: kind 'sweep' needs a value, got None"),
+    ],
+    ids=["kind", "coeffs", "beta", "sweep"],
+)
+def test_run_campaign_names_the_field_a_hand_built_config_cannot_run(cfg, message):
+    with pytest.raises(ConfigError) as refused:
+        run_campaign(cfg)
+    assert str(refused.value) == message
 
 
 def test_the_coefficient_count_is_the_channels_to_check(capsys):
