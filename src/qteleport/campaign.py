@@ -25,10 +25,8 @@ import numpy as np
 
 from ._streams import child_uniforms, standard_normals, uniforms
 from .config import (
-    ConfigError,
+    FORMATS,
     ExperimentConfig,
-    _check_kind,
-    _check_point,
     _coeffs_from_uniforms,
     _sweep_point,
     random_coeffs,  # noqa: F401  (perfbench/tracer.py wraps it here)
@@ -262,15 +260,11 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple[dict, dict]:
     input InputStateSpec.random(d, m, that seed + 1).  A chunk of specs
     reads all its channels' uniforms in one _streams call and all its
     inputs' normals in another, each row as long as the longest visited
-    point's, which load_config checked (a spec reads its stream's first
-    values), at most SAMPLE_CHUNK_AMPLITUDES normals a chunk.  Every
-    point runs _stage_one_success with the run's one _Kept, once a
-    hand-built config's visited points pass load_config's guards."""
+    point's, which the config checked when built (a spec reads its
+    stream's first values), at most SAMPLE_CHUNK_AMPLITUDES normals a
+    chunk.  Every point runs _stage_one_success with the run's one _Kept."""
     point = partial(_sweep_point, cfg.sweep)
     visited = list(map(point, range(min(cfg.trials, math.prod(map(len, cfg.sweep.values()))))))
-    if not cfg._guarded:
-        for d, m, n in visited:
-            _check_point("sweep", d, m, n)
     most_coeffs, most_normals = max(d for d, _, _ in visited), max(2 * d**m for d, m, _ in visited)
     chunk = max(1, SAMPLE_CHUNK_AMPLITUDES // most_normals)
     rows, kept = [], _Kept()
@@ -290,25 +284,18 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple[dict, dict]:
     return {"specs": cfg.trials, "max_abs_error": max(data["abs_error"])}, data
 
 
-# Each kind's runner and the fields it reads that a config may leave None.
 _RUNNERS = {
-    "enumerate": (_run_enumerate, ("coeffs", "beta")),
-    "montecarlo": (_run_montecarlo, ("coeffs", "beta")),
-    "decoy": (_run_decoy, ()),
-    "sweep": (_run_sweep, ("sweep",)),
+    "enumerate": _run_enumerate,
+    "montecarlo": _run_montecarlo,
+    "decoy": _run_decoy,
+    "sweep": _run_sweep,
 }
 
 
 def run_campaign(cfg: ExperimentConfig) -> ResultRecord:
-    """Dispatch a config to its runner; ConfigError names a field of a
-    hand-built config that it cannot run."""
+    """Dispatch a config, which passed its campaign's guards when built, to its runner."""
     start = time.perf_counter()
-    _check_kind(cfg.kind)
-    runner, needs = _RUNNERS[cfg.kind]
-    for name in needs:
-        if getattr(cfg, name) is None:
-            raise ConfigError(f"{name}: kind {cfg.kind!r} needs a value, got None")
-    aggregate, data = runner(cfg)
+    aggregate, data = _RUNNERS[cfg.kind](cfg)
     return ResultRecord(
         config=_config_echo(cfg),
         aggregate=aggregate,
@@ -465,7 +452,9 @@ def to_csv_text(record: ResultRecord) -> str:
 def write_output(record: ResultRecord, path: str | None, fmt: str) -> None:
     """Stream the document to stdout when path is None, else atomically:
     into a temp file, given the mode open(path, "w") would get, then
-    renamed over path."""
+    renamed over path.  A format not in FORMATS is refused first."""
+    if fmt not in FORMATS:
+        raise ValueError(f"format: expected one of {FORMATS}, got {fmt!r}")
     chunks = _chunks(record, fmt)
     if path is None:
         sys.stdout.writelines(chunks)

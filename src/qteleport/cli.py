@@ -58,7 +58,7 @@ def _int_list(text: str, fieldname: str) -> list[int]:
 
 def _int_flag(text: str) -> int | str:
     """An integer flag's value; unparsable text passes through unchanged,
-    so that load_config names the field it fails."""
+    so that the config, validated when built, names the field it fails."""
     try:
         return int(text)
     except ValueError:
@@ -155,7 +155,7 @@ def _build_doc(args) -> dict:
     doc = read_config(args.config) if args.config else {}
     doc["kind"] = args.command
     sweep = doc.get("sweep", {}) if args.command == "sweep" else None
-    if isinstance(sweep, dict):  # otherwise load_config names the bad value
+    if isinstance(sweep, dict):  # otherwise the config names the bad value
         sweep = doc["sweep"] = dict(sweep)
     for dest, _, _ in _READERS[args.command].values():
         value = getattr(args, dest)

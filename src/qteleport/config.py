@@ -27,6 +27,16 @@ FORMATS = ("json", "csv")
 # (its eight values) holds until the campaign writes them; a montecarlo
 # trial holds m (n + 3) + 3, checked once m and n are read.
 HELD_PER_TRIAL = {"decoy": 3, "sweep": 8}
+# The document keys each kind reads besides "kind", and the field of each
+# key not named for it.  A document's other keys are ignored.
+_COMMON = ("format", "seed", "trials", "out")
+KEYS = {
+    "enumerate": (*_COMMON, "d", "m", "n", "coeffs", "beta"),
+    "montecarlo": (*_COMMON, "d", "m", "n", "coeffs", "beta"),
+    "decoy": (*_COMMON, "d", "m", "n", "eve"),
+    "sweep": (*_COMMON, "sweep"),
+}
+FIELDS = {"format": "fmt"}
 
 
 class ConfigError(ValueError):
@@ -35,10 +45,12 @@ class ConfigError(ValueError):
 
 @record
 class ExperimentConfig:
-    """Validated campaign description.  load_config runs every guard of
-    its campaign; a config built by hand checks only coeffs and beta, and
-    run_campaign the rest it reads.  A sweep (a fresh channel and input
-    per point) and a decoy leave both None.
+    """Validated campaign description: a config is validated when built,
+    by load_config or by hand, with every guard of its campaign, in one
+    order.  Each field the kind reads becomes its checked value, and
+    coeffs / beta take a document's forms (None as left out: uniform,
+    basis 0).  A field the kind does not read stays as given, unused: a
+    decoy's and a sweep's coeffs and beta, a sweep's d, m and n.
     """
 
     kind: str
@@ -52,15 +64,42 @@ class ExperimentConfig:
     eve: str = "random_basis_resend"
     out: str | None = None
     fmt: str = "json"
-    sweep: Mapping | None = None  # loaded: read-only, a tuple per axis
-    _guarded = False  # not a field: load_config sets it once a sweep's points pass
+    sweep: Mapping | None = None  # checked: read-only, a tuple per axis
 
     def __post_init__(self):
-        """The records of coeffs and beta, built once and kept outside the
-        fields, as an InputStateSpec keeps its register."""
-        channel = self._validated("coeffs", ChannelSpec, self.d, self.n, self.m)
-        inp = self._validated("beta", InputStateSpec, self.d, self.m)
-        object.__setattr__(self, "_specs", (channel, inp))
+        """The guards, in the order a document's fields are read; the
+        records of coeffs and beta are kept outside the fields, as an
+        InputStateSpec keeps its register."""
+        kind, specs = self.kind, (None, None)
+        if kind not in KINDS:
+            raise ConfigError(f"kind: expected one of {KINDS}, got {kind!r}")
+        if self.fmt not in FORMATS:
+            raise ConfigError(f"format: expected one of {FORMATS}, got {self.fmt!r}")
+        self._int("seed", 0)
+        trials = self._int("trials", 1)
+        if kind == "montecarlo" and trials > 2**32:  # trial i is the seed's child i
+            raise ConfigError(f"trials: montecarlo runs at most 2^32 trials, got {trials}")
+        if kind in HELD_PER_TRIAL:
+            _check_size(HELD_PER_TRIAL[kind] * trials, f"trials: a {kind} of {trials} rows")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"out: expected a path string, got {self.out!r}")
+        if kind == "sweep":
+            grid = self._grid()
+            for i in range(min(trials, math.prod(map(len, grid.values())))):
+                _check_point(kind, *_sweep_point(grid, i))
+        else:
+            d, m, n = self._int("d", 2), self._int("m", 1), self._int("n", 0)
+            if kind == "decoy" and self.eve not in EVE_ACTIONS:
+                raise ConfigError(f"eve: expected one of {EVE_ACTIONS}, got {self.eve!r}")
+            _check_point(kind, d, m, n)
+            # A trial's gbs 2m, controllers m n, r_sums m, aux, fidelity, probability.
+            if kind == "montecarlo":
+                _check_size((m * (n + 3) + 3) * trials, f"trials: a montecarlo of {trials} rows")
+            if kind != "decoy":
+                coeffs, beta = resolve_coeffs(self.coeffs, d), resolve_beta(self.beta, d, m)
+                channel = self._record("coeffs", ChannelSpec, d, n, m, coeffs)
+                specs = channel, self._record("beta", InputStateSpec, d, m, beta)
+        object.__setattr__(self, "_specs", specs)
 
     def channel_spec(self) -> ChannelSpec | None:
         return self._specs[0]
@@ -68,14 +107,40 @@ class ExperimentConfig:
     def input_spec(self) -> InputStateSpec | None:
         return self._specs[1]
 
-    def _validated(self, name: str, cls, *args):
-        """cls(*args, field name's value), or None without one; the field
-        becomes the record's own value (one copy of the amplitudes), and a
-        ValueError a ConfigError naming the field."""
-        if getattr(self, name) is None:
-            return None
+    def _int(self, name: str, minimum: int) -> int:
+        """Field name as an int >= minimum (a JSON Schema integer), which
+        the field becomes."""
+        value = _integer(getattr(self, name))
+        if value is None or value < minimum:
+            raise ConfigError(
+                f"{name}: expected an integer >= {minimum}, got {getattr(self, name)!r}"
+            )
+        object.__setattr__(self, name, value)
+        return value
+
+    def _grid(self) -> Mapping:
+        """The sweep's (d, m, n) grid, read-only with a tuple of ints per
+        axis, which the field becomes: it runs only the points checked."""
+        sweep = self.sweep
+        if not isinstance(sweep, Mapping):
+            raise ConfigError('sweep: kind "sweep" requires a "sweep" object')
+        grid = {}
+        for key, minimum in (("d", 2), ("m", 1), ("n", 0)):
+            values = sweep.get(key)
+            values = [_integer(v) for v in values] if isinstance(values, (list, tuple)) else []
+            if not values or not all(v is not None and v >= minimum for v in values):
+                raise ConfigError(
+                    f"sweep.{key}: expected a non-empty list of integers >= {minimum}"
+                )
+            grid[key] = tuple(values)
+        object.__setattr__(self, "sweep", MappingProxyType(grid))
+        return grid
+
+    def _record(self, name: str, cls, *args):
+        """cls(*args), whose own value the field name becomes (one copy of
+        the amplitudes); a ValueError becomes a ConfigError naming it."""
         try:
-            spec = cls(*args, getattr(self, name))
+            spec = cls(*args)
         except ValueError as exc:
             raise ConfigError(f"{name}: {exc}") from None
         object.__setattr__(self, name, getattr(spec, name))
@@ -103,14 +168,18 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _as_complex_list(value, fieldname: str) -> list[complex]:
+def _as_complex_list(value, fieldname: str) -> list[complex] | np.ndarray:
+    """A document's list of numbers or [re, im] pairs as complex values;
+    a hand-built config may also give complex entries or an array."""
+    if isinstance(value, np.ndarray):
+        return value  # for the record to coerce
     if not isinstance(value, (list, tuple)):
         raise ConfigError(
             f"{fieldname}: expected a list of numbers or [re, im] pairs, got {value!r}"
         )
     out = []
     for i, entry in enumerate(value):
-        if _is_number(entry):
+        if _is_number(entry) or isinstance(entry, complex):
             out.append(complex(entry))
         elif (
             isinstance(entry, (list, tuple)) and len(entry) == 2
@@ -184,24 +253,14 @@ def _sweep_point(sweep: Mapping, i: int) -> tuple[int, int, int]:
     return d[i // (len(m) * len(n)) % len(d)], m[i // len(n) % len(m)], n[i % len(n)]
 
 
-def _check_kind(kind) -> None:
-    if kind not in KINDS:
-        raise ConfigError(f"kind: expected one of {KINDS}, got {kind!r}")
-
-
 def _integer(value) -> int | None:
     """A JSON Schema integer as an int: a number with no fractional part
-    (2, 2.0, 1e3), but not a boolean, which Python counts as an int."""
+    (2, 2.0, 1e3, or a numpy integer), but not a boolean, which Python
+    counts as an int."""
     if isinstance(value, float):
         return int(value) if value.is_integer() else None
-    return value if isinstance(value, int) and not isinstance(value, bool) else None
-
-
-def _expect_int(doc: dict, key: str, default: int, minimum: int) -> int:
-    value = _integer(doc.get(key, default))
-    if value is None or value < minimum:
-        raise ConfigError(f"{key}: expected an integer >= {minimum}, got {doc[key]!r}")
-    return value
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return int(value) if integral else None
 
 
 def read_config(source) -> dict:
@@ -231,60 +290,9 @@ def read_config(source) -> dict:
 
 
 def load_config(source) -> ExperimentConfig:
-    """Parse (see read_config) and validate a config."""
+    """The config of a document (see read_config): the keys its kind
+    reads (KEYS; "format" is the fmt field), validated when built."""
     doc = read_config(source)
-
     kind = doc.get("kind")
-    _check_kind(kind)
-    fmt = doc.get("format", "json")
-    if fmt not in FORMATS:
-        raise ConfigError(f"format: expected one of {FORMATS}, got {fmt!r}")
-    seed = _expect_int(doc, "seed", 0, 0)
-    trials = _expect_int(doc, "trials", 1000, 1)
-    if kind == "montecarlo" and trials > 2**32:  # trial i is the seed's child i
-        raise ConfigError(f"trials: montecarlo runs at most 2^32 trials, got {trials}")
-    if kind in HELD_PER_TRIAL:
-        _check_size(HELD_PER_TRIAL[kind] * trials, f"trials: a {kind} of {trials} rows")
-    out = doc.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError(f"out: expected a path string, got {out!r}")
-
-    common = {"trials": trials, "seed": seed, "out": out, "fmt": fmt}
-
-    if kind == "sweep":
-        sweep = doc.get("sweep")
-        if not isinstance(sweep, dict):
-            raise ConfigError('sweep: kind "sweep" requires a "sweep" object')
-        grid = {}
-        for key, minimum in (("d", 2), ("m", 1), ("n", 0)):
-            values = sweep.get(key)
-            values = [_integer(v) for v in values] if isinstance(values, list) else []
-            if not values or not all(v is not None and v >= minimum for v in values):
-                raise ConfigError(
-                    f"sweep.{key}: expected a non-empty list of integers >= {minimum}"
-                )
-            grid[key] = tuple(values)
-        for i in range(min(trials, math.prod(map(len, grid.values())))):
-            _check_point(kind, *_sweep_point(grid, i))
-        # Read-only, so the grid runs only the points checked here.
-        cfg = ExperimentConfig(kind, sweep=MappingProxyType(grid), **common)
-        object.__setattr__(cfg, "_guarded", True)  # so _run_sweep checks none again
-        return cfg
-
-    d = _expect_int(doc, "d", 2, 2)
-    m = _expect_int(doc, "m", 1, 1)
-    n = _expect_int(doc, "n", 0, 0)
-
-    if kind == "decoy":
-        eve = doc.get("eve", "random_basis_resend")
-        if eve not in EVE_ACTIONS:
-            raise ConfigError(f"eve: expected one of {EVE_ACTIONS}, got {eve!r}")
-    _check_point(kind, d, m, n)
-    if kind == "decoy":
-        return ExperimentConfig(kind, d, m, n, eve=eve, **common)
-    if kind == "montecarlo":  # gbs 2m, controllers m n, r_sums m, aux, fidelity, probability
-        held = m * (n + 3) + 3
-        _check_size(held * trials, f"trials: a montecarlo of {trials} rows")
-    coeffs = resolve_coeffs(doc.get("coeffs"), d)
-    beta = resolve_beta(doc.get("beta"), d, m)
-    return ExperimentConfig(kind, d, m, n, coeffs, beta, **common)
+    keys = KEYS[kind] if kind in KINDS else ()
+    return ExperimentConfig(kind, **{FIELDS.get(key, key): doc[key] for key in keys if key in doc})

@@ -791,9 +791,9 @@ def _success_probability(input_spec: InputStateSpec, spec: ChannelSpec) -> float
 
 def _stage_one_success(input_spec: InputStateSpec, spec: ChannelSpec, kept: _Kept) -> float:
     """_success_probability at a point whose guards have passed (a sweep's
-    load walk checks every point it visits, so no guard runs again), stage
-    1's large temporaries in kept's arrays.  It builds no input register:
-    it reads beta normalized as make_state normalizes the register."""
+    config checked every point it visits when built, so no guard runs
+    again), stage 1's large temporaries in kept's arrays.  It builds no
+    input register: it reads beta normalized as make_state normalizes it."""
     per_group, chunks = _stage_one(spec)
     extraction = _receiver_constants(spec)[1]
     amps = _normalized(input_spec.beta)

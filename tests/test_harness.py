@@ -153,6 +153,16 @@ def test_loader_and_schema_agree(patch, monkeypatch):
     assert loader_accepts == schema_accepts
 
 
+def test_the_loaders_key_table_is_the_schemas_properties():
+    # load_config passes a config only the keys its kind's table names, so
+    # a property the table misses would be ignored: the two must agree.
+    schema = json.loads(SCHEMA_PATH.read_text())
+    assert tuple(config.KEYS) == config.KINDS
+    assert {"kind"}.union(*config.KEYS.values()) == schema["properties"].keys()
+    fields = {config.FIELDS.get(key, key) for keys in config.KEYS.values() for key in keys}
+    assert fields <= set(config.ExperimentConfig.__annotations__)
+
+
 def test_integral_numbers_are_integers(capsys):
     # JSON Schema's integer is any number with no fractional part.
     sweep = {"d": [2.0], "m": [1.0], "n": [0.0]}
@@ -365,6 +375,16 @@ def test_write_output_atomic(tmp_path):
     assert path.read_text() == to_json_text(record)
     leftovers = [p for p in path.parent.iterdir() if p.name != "out.json"]
     assert leftovers == []
+
+
+def test_write_output_refuses_an_unknown_format(tmp_path, capsys):
+    record = run_campaign(load_config(dict(BASE)))
+    refused = "^format: expected one of \\('json', 'csv'\\), got 'xml'$"
+    with mock.patch.object(tempfile, "mkstemp", side_effect=AssertionError("temp file made")):
+        for path in (None, str(tmp_path / "out.xml")):
+            with pytest.raises(ValueError, match=refused):
+                write_output(record, path, "xml")
+    assert list(tmp_path.iterdir()) == [] and capsys.readouterr().out == ""
 
 
 def _reference_json(record):

@@ -2,11 +2,12 @@
 hashing and immutability, pinned for every record class."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from test_golden import WORKLOADS
 
-from qteleport import campaign
 from qteleport.campaign import ResultRecord, run_campaign
 from qteleport.cli import main
 from qteleport.config import ConfigError, ExperimentConfig, load_config, resolve_coeffs
@@ -20,9 +21,11 @@ from qteleport.protocol import (
     Transcript,
     enumerate_branches,
 )
+from qteleport.selftest import DETERMINISTIC_DOCS
 from qteleport.state import MeasurementOutcome, SizeGuardError, StateVector
 
 KET = np.array([1, 0], dtype=complex)
+GRID = {"d": [2], "m": [1], "n": [0]}
 
 # (class, field names in order, one sample's field values, its repr)
 SAMPLES = [
@@ -81,9 +84,10 @@ SAMPLES = [
     (
         ExperimentConfig,
         ("kind", "d", "m", "n", "coeffs", "beta", "trials", "seed", "eve", "out", "fmt", "sweep"),
-        ("sweep", 3, 2, 1, None, None, 6, 9, "none", "o.csv", "csv", {"d": [2]}),
+        ("sweep", 3, 2, 1, None, None, 6, 9, "none", "o.csv", "csv", GRID),
         "ExperimentConfig(kind='sweep', d=3, m=2, n=1, coeffs=None, beta=None, trials=6, "
-        "seed=9, eve='none', out='o.csv', fmt='csv', sweep={'d': [2]})",
+        "seed=9, eve='none', out='o.csv', fmt='csv', "
+        "sweep=mappingproxy({'d': (2,), 'm': (1,), 'n': (0,)}))",
     ),
     (
         ResultRecord, ("config", "aggregate", "data", "elapsed_seconds"),
@@ -109,7 +113,7 @@ def test_positional_and_keyword_construction(cls, names, values, text):
     by_keyword = cls(**dict(zip(names, values)))
     mixed = cls(*values[:1], **dict(zip(names[1:], values[1:])))
     assert repr(by_position) == repr(by_keyword) == repr(mixed) == text
-    coerced = cls in (ChannelSpec, InputStateSpec)  # their last field is coerced
+    coerced = cls in (ChannelSpec, InputStateSpec, ExperimentConfig)  # their last field is coerced
     for name, value in zip(names[:-1] if coerced else names, values):
         assert getattr(by_position, name) is getattr(by_keyword, name) is value
 
@@ -129,8 +133,9 @@ def test_wrong_arguments_raise_type_error(cls, names, values, text):
 def test_defaults():
     assert StateVector((2,), KET).labels == ()
     assert repr(ExperimentConfig("montecarlo")) == (
-        "ExperimentConfig(kind='montecarlo', d=2, m=1, n=0, coeffs=None, beta=None, "
-        "trials=1000, seed=0, eve='random_basis_resend', out=None, fmt='json', sweep=None)"
+        "ExperimentConfig(kind='montecarlo', d=2, m=1, n=0, coeffs=((1+0j), (1+0j)), "
+        "beta=array([1.+0.j, 0.+0.j]), trials=1000, seed=0, eve='random_basis_resend', "
+        "out=None, fmt='json', sweep=None)"
     )
     with pytest.raises(TypeError):
         ExperimentConfig()
@@ -406,41 +411,113 @@ def test_a_loaded_sweep_grid_refuses_changes(monkeypatch):
 
 
 def test_a_hand_built_sweep_runs_the_guards_a_loaded_one_ran(monkeypatch):
-    # load_config refuses the grid's n = 9 point; run_campaign refuses a
-    # hand-built config of it too, before any point runs.
+    # load_config refuses the grid's n = 9 point; building the config by
+    # hand refuses it too, with the same message, so no point can run.
     monkeypatch.setenv("QTELEPORT_MAX_AMPLITUDES", "1000")
     grid = {"d": [2], "m": [1], "n": [0, 9]}
     with pytest.raises(SizeGuardError, match="channel copy at d = 2, n = 9") as loaded:
         load_config({"kind": "sweep", "trials": 2, "sweep": grid})
-    ran = []
-    monkeypatch.setattr(campaign, "_stage_one_success", lambda *args: ran.append(args))
     with pytest.raises(SizeGuardError) as hand_built:
-        run_campaign(ExperimentConfig("sweep", trials=2, sweep=grid))
-    assert str(hand_built.value) == str(loaded.value) and ran == []
-    monkeypatch.undo()
+        ExperimentConfig("sweep", trials=2, sweep=grid)
+    assert str(hand_built.value) == str(loaded.value)
     assert run_campaign(ExperimentConfig("sweep", trials=1, sweep=grid)).data["n"] == [0]
 
 
+def _built(doc: dict) -> ExperimentConfig:
+    """The config of doc's fields, built by hand ("format" is fmt)."""
+    return ExperimentConfig(**{"fmt" if k == "format" else k: value for k, value in doc.items()})
+
+
+def _refusal(build, doc: dict) -> tuple[type, str]:
+    with pytest.raises(Exception) as refused:
+        build(doc)
+    return type(refused.value), str(refused.value)
+
+
 @pytest.mark.parametrize(
-    "cfg, message",
+    "doc",
     [
-        (
-            ExperimentConfig("bogus"),
-            "kind: expected one of ('enumerate', 'montecarlo', 'decoy', 'sweep'), got 'bogus'",
-        ),
-        (ExperimentConfig("montecarlo"), "coeffs: kind 'montecarlo' needs a value, got None"),
-        (
-            ExperimentConfig("enumerate", coeffs=(1, 1)),
-            "beta: kind 'enumerate' needs a value, got None",
-        ),
-        (ExperimentConfig("sweep"), "sweep: kind 'sweep' needs a value, got None"),
+        {"kind": "decoy", "trials": 500},
+        {"kind": "montecarlo", "coeffs": [1, 1], "beta": [1, 0], "trials": 500},
+        {"kind": "sweep", "trials": 500, "sweep": GRID},
     ],
-    ids=["kind", "coeffs", "beta", "sweep"],
+    ids=["decoy", "montecarlo", "sweep"],
 )
-def test_run_campaign_names_the_field_a_hand_built_config_cannot_run(cfg, message):
-    with pytest.raises(ConfigError) as refused:
-        run_campaign(cfg)
-    assert str(refused.value) == message
+def test_a_hand_built_config_runs_the_trial_guards(doc, monkeypatch):
+    # Each config's held columns exceed the guard, so it is refused when
+    # built, as when loaded, and no round of it runs.
+    monkeypatch.setenv("QTELEPORT_MAX_AMPLITUDES", "1000")
+    refusal = _refusal(load_config, doc)
+    assert refusal[0] is SizeGuardError and f"of {doc['trials']} rows" in refusal[1]
+    assert _refusal(_built, doc) == refusal
+
+
+def test_a_hand_built_montecarlo_is_held_to_the_trial_limit():
+    # Trial i is the seed's child i: past 2^32 the config is refused when
+    # built, before anything of the trials' size is allocated.
+    doc = {"kind": "montecarlo", "trials": 2**32 + 1}
+    refusal = _refusal(load_config, doc)
+    assert refusal == (ConfigError, f"trials: montecarlo runs at most 2^32 trials, got {2**32 + 1}")
+    tracemalloc.start()
+    try:
+        assert _refusal(_built, doc) == refusal
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "field, doc",
+    [
+        ("kind", {"kind": "bogus"}),
+        ("format", {"kind": "decoy", "format": "xml"}),
+        ("seed", {"kind": "montecarlo", "seed": -1}),
+        ("trials", {"kind": "montecarlo", "trials": 0}),
+        ("trials", {"kind": "sweep", "trials": 0, "sweep": GRID}),
+        ("out", {"kind": "enumerate", "out": 7}),
+        ("eve", {"kind": "decoy", "eve": "bogus"}),
+        ("n", {"kind": "enumerate", "n": -1}),
+        ("d", {"kind": "enumerate", "d": 1}),
+        ("m", {"kind": "montecarlo", "m": 1.5}),
+        ("sweep", {"kind": "sweep"}),
+        ("sweep.m", {"kind": "sweep", "sweep": {"d": [2], "n": [0]}}),
+        ("sweep.d", {"kind": "sweep", "sweep": {"d": [1], "m": [1], "n": [0]}}),
+        ("coeffs", {"kind": "enumerate", "coeffs": "random"}),
+        ("beta.basis", {"kind": "enumerate", "beta": {"basis": 2}}),
+    ],
+    ids=[
+        "kind", "format", "seed", "montecarlo-trials", "sweep-trials", "out", "eve", "n", "d",
+        "m", "sweep", "sweep.m", "sweep.d", "coeffs", "beta.basis",
+    ],
+)
+def test_a_hand_built_config_is_refused_as_its_document_is(field, doc):
+    refusal = _refusal(load_config, doc)
+    assert refusal[0] is ConfigError and refusal[1].startswith(field + ":")
+    assert _refusal(_built, doc) == refusal
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [*LOADED.values(), *DETERMINISTIC_DOCS, *WORKLOADS.values()],
+    ids=[*LOADED, *(doc["kind"] + "-selftest" for doc in DETERMINISTIC_DOCS), *WORKLOADS],
+)
+def test_a_config_rebuilt_from_its_fields_is_equal(doc):
+    cfg = load_config(dict(doc))
+    rebuilt = ExperimentConfig(*[getattr(cfg, name) for name in FIELDS[ExperimentConfig]])
+    assert rebuilt == cfg and repr(rebuilt) == repr(cfg)
+    assert rebuilt.channel_spec() == cfg.channel_spec()
+    assert rebuilt.input_spec() == cfg.input_spec()
+
+
+def test_a_hand_built_config_means_what_its_document_means():
+    assert ExperimentConfig("montecarlo") == load_config({"kind": "montecarlo"})
+    assert ExperimentConfig("decoy", 3, eve="none") == load_config(
+        {"kind": "decoy", "d": 3, "eve": "none", "coeffs": "bogus"}  # a decoy reads no coeffs
+    )
+    numpy_ints = ExperimentConfig("decoy", np.int64(3), trials=np.uint8(5))
+    assert numpy_ints == load_config({"kind": "decoy", "d": 3, "trials": 5})
+    assert type(numpy_ints.d) is int and type(numpy_ints.trials) is int
 
 
 def test_the_coefficient_count_is_the_channels_to_check(capsys):
