@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from ._streams import child_uniforms, standard_normals, uniforms
+from ._streams import standard_normals, uniforms
 from .config import (
     FORMATS,
     ExperimentConfig,
@@ -34,26 +34,18 @@ from .config import (
 from .decoy import _z_score, detection_campaign
 from .primitives import ChannelSpec, _View
 from .protocol import (
+    SAMPLE_CHUNK_AMPLITUDES,
     InputStateSpec,
     _digits,
-    _draw_count,
     _Kept,
     _random_amplitudes,
-    _sample_runs,
+    _sample_trials,
     _stage_one_success,
     enumerate_branches,
     run_structured,  # noqa: F401  (perfbench/tracer.py wraps it here)
     theoretical_success_probability,
 )
 from .state import record
-
-# The Monte Carlo chunk: at most this many entries in one array across a
-# chunk's trials (2^14 complex amplitudes, 256 KiB), so memory stays
-# bounded however many trials run.  The sampler holds a few such arrays
-# at once; at 2^16 they raised the peak RSS of a d=2 m=10 campaign by 8%.
-# A sweep's chunk of specs draws at most this many normals.
-SAMPLE_CHUNK_AMPLITUDES = 2**14
-
 
 ROW_CHUNK = 1000  # rows per chunk at most (500 was slower); chunks stop at multiples of 1,000
 FUSED_TEXTS = 4096  # texts in one run of small columns' vocabulary; a longer run splits
@@ -181,47 +173,22 @@ def _run_enumerate(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 
 def _run_montecarlo(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    """Sampled runs, trial i on child i of SeedSequence(seed).spawn(trials).
-
-    The closed-form sampler takes the trials a block at a time, fed by
-    their children's Philox streams computed at once (_streams), so a
-    row equals run_structured(seed=child) for its child.  Each unit holds
-    about SAMPLE_CHUNK_AMPLITUDES entries at most:
-      * a block (uniforms) is one _streams and one _sample_runs call, and
-        a whole number of chunks;
-      * a pass makes the sender's draws (d^2 weights a run) and the
-        controllers' (d a draw);
-      * a chunk runs the receiver (d^m amplitudes a run, d^2 at m = 1);
-        its (chunk, d^m) @ extraction matmul pins the floats, so every
-        block cuts the same chunks.
-    """
+    """Sampled runs (_sample_trials): trial i on child i of
+    SeedSequence(seed).spawn(trials), its row run_structured(seed=child)."""
     chan = cfg.channel_spec()
-    input_state = cfg.input_spec().state()
-    d, m, n = chan.d, chan.m, chan.n
-    draws = _draw_count(chan)
-    chunk = max(1, SAMPLE_CHUNK_AMPLITUDES // max(d**m, d * d))
-    span = max(1, SAMPLE_CHUNK_AMPLITUDES // (d * max(d, m * n)))
-    block = chunk * max(1, SAMPLE_CHUNK_AMPLITUDES // (chunk * draws))
-    digit = np.min_scalar_type(d - 1)
-    dtypes = (digit, digit, digit, np.uint8, float, float)
-    samples = []
-    for start in range(0, cfg.trials, block):
-        uniforms = child_uniforms(cfg.seed, start, min(start + block, cfg.trials), draws)
-        sample = _sample_runs(input_state, chan, uniforms, chunk, span)
-        samples.append([a.astype(t, copy=False) for a, t in zip(sample, dtypes)])
-    gbs, controllers, r_sums, aux, fidelity, probability = map(np.concatenate, zip(*samples))
-    success = aux == 0
+    runs = _sample_trials(cfg.input_spec().state(), chan, cfg.seed, cfg.trials)
+    success = runs.aux == 0
     data = {
         "trial": range(cfg.trials),
-        "gbs": _text_column(gbs, chan.d, ":", ";"),
-        "controllers": _text_column(controllers, chan.d, ",", "|"),
-        "r_sums": _text_column(r_sums[..., None], chan.d, "", ";"),
-        "aux": aux,
+        "gbs": _text_column(runs.gbs, chan.d, ":", ";"),
+        "controllers": _text_column(runs.controllers, chan.d, ",", "|"),
+        "r_sums": _text_column(runs.r_sums[..., None], chan.d, "", ";"),
+        "aux": runs.aux,
         "success": success.view(np.uint8),
-        "fidelity": fidelity,
-        "probability": probability,
+        "fidelity": runs.fidelity,
+        "probability": runs.probability,
     }
-    fidelities = fidelity[success]
+    fidelities = runs.fidelity[success]
     successes = len(fidelities)
     p = theoretical_success_probability(chan)
     aggregate = {

@@ -5,7 +5,8 @@ channel copy, n controllers, and a receiver with a two-level auxiliary
 system whose outcome 0 heralds success.
 
 Map: run_structured samples or forces runs in closed form (_sample_runs,
-in batches for the montecarlo campaign); run_protocol is the dense
+and _sample_trials a montecarlo campaign's, both cut by the one size
+rule, _sample_sizes); run_protocol is the dense
 reference on the state engine and the paper's matrices (_run);
 enumerate_branches is the exact oracle (_enumerate), and a sweep point
 runs its stage 1 alone (_stage_one_success).  The guards
@@ -22,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._streams import standard_normals
+from ._streams import child_uniforms, standard_normals
 from .primitives import (
     CHANNEL_CACHE_SIZE,
     DIMENSION_CACHE_SIZE,
@@ -62,6 +63,12 @@ ENUMERATION_GUARD = 10**6
 # The oracle's arrays hold at most this many entries or the leaf count:
 # d <= 4, m <= 2 runs in one chunk, and the enumeration guard bounds memory.
 ORACLE_CHUNK_AMPLITUDES = 2**16
+# The Monte Carlo chunk: at most this many entries in one array across a
+# chunk's trials (2^14 complex amplitudes, 256 KiB), so memory stays
+# bounded however many trials run.  The sampler holds a few such arrays
+# at once; at 2^16 they raised the peak RSS of a d=2 m=10 campaign by 8%.
+# A sweep's chunk of specs draws at most this many normals.
+SAMPLE_CHUNK_AMPLITUDES = 2**14
 
 
 class EnumerationGuardError(SizeGuardError):
@@ -447,6 +454,18 @@ def _draw_count(spec: ChannelSpec) -> int:
     return spec.m * (spec.n + 1) + 1
 
 
+def _sample_sizes(spec: ChannelSpec) -> tuple[int, int, int]:
+    """(chunk, pass, block) in runs, the sampler's one size rule, each of
+    about SAMPLE_CHUNK_AMPLITUDES entries at most: a chunk runs the
+    receiver (d^m amplitudes a run, d^2 at m = 1), a pass draws the
+    sender's (d^2 weights a run) and controllers' (d a draw), and a block
+    (uniforms) of _sample_trials is a whole number of chunks."""
+    d, m, n = spec.d, spec.m, spec.n
+    chunk = max(1, SAMPLE_CHUNK_AMPLITUDES // max(d**m, d * d))
+    span = max(1, SAMPLE_CHUNK_AMPLITUDES // (d * max(d, m * n)))
+    return chunk, span, chunk * max(1, SAMPLE_CHUNK_AMPLITUDES // (chunk * _draw_count(spec)))
+
+
 @lru_cache(maxsize=CHANNEL_CACHE_SIZE)
 def _sampler_constants(spec: ChannelSpec) -> tuple[np.ndarray, ...]:
     """The sampler's sender-side tables, built once per spec, read-only
@@ -470,9 +489,7 @@ def _sampler_constants(spec: ChannelSpec) -> tuple[np.ndarray, ...]:
     return tuple(map(_read_only, tables))
 
 
-def _sample_runs(
-    input_state: StateVector, spec: ChannelSpec, draws, chunk: int = 0, span: int = 0
-) -> _Samples:
+def _sample_runs(input_state: StateVector, spec: ChannelSpec, draws) -> _Samples:
     """Runs in closed form, with no state engine: one per row of draws.
 
     Row i of draws (batch, _draw_count(spec)) holds one run's draws in
@@ -502,22 +519,22 @@ def _sample_runs(
     to their total, so the aux weight is the branch probability up to
     the controllers' d^(-m n).
 
-    The rows of draws are one block (by default also one pass and chunk):
+    _sample_sizes cuts the rows of draws; no caller passes a size:
       * a pass of at most span runs makes the controllers' and the
         sender's draws; rest keeps a row per distinct prefix of s
         outcomes (np.unique per copy: at most min(span, d^l) rows), and
         every step is per row, so no float depends on the pass;
       * a chunk of at most chunk runs goes through the receiver, whose
         (chunk, d^m) @ extraction matmul pins the floats by its row
-        count: a run's are those of a call on its chunk alone.  _gather's
-        arrays and the squared moduli live in one _Kept for the call.
+        count: a run's are those of a call on its chunk alone, as in
+        _sample_trials.  _gather's arrays and the squared moduli live in
+        one _Kept for the call.
     """
     d, m, n = spec.d, spec.m, spec.n
     _check_input_size(d, m)
     cross, outcomes, sender_rows, controller = _sampler_constants(spec)
     rotation, extraction = _receiver_constants(spec)
-    runs = len(draws)
-    chunk, span = chunk or max(runs, 1), span or max(runs, 1)
+    runs, (chunk, span, _) = len(draws), _sample_sizes(spec)
     per_copy = draws[:, :-1].reshape(runs, m, n + 1)
     controllers = np.empty((runs, m, n), dtype=int)
     gbs = np.empty((runs, m, 2), dtype=int)
@@ -558,6 +575,21 @@ def _sample_runs(
     fidelity = np.minimum(1.0, np.abs(overlap) ** 2 / weight)
     probability = weight * float(d) ** (-m * n)
     return _Samples(gbs, controllers, rho, aux, fidelity, probability)
+
+
+def _sample_trials(input_state: StateVector, spec: ChannelSpec, seed: int, trials: int):
+    """Trial i on child i of SeedSequence(seed).spawn(trials), a block at
+    a time, each written into the columns: digits in the least dtype
+    holding d - 1, aux in uint8.  The montecarlo campaign's runs."""
+    m, draws, block = spec.m, _draw_count(spec), _sample_sizes(spec)[2]
+    digits = [np.empty((trials, *shape), np.min_scalar_type(spec.d - 1))
+              for shape in ((m, 2), (m, spec.n), (m,))]
+    columns = _Samples(*digits, np.empty(trials, np.uint8), np.empty(trials), np.empty(trials))
+    for lo in range(0, trials, block):
+        uniforms = child_uniforms(seed, lo, min(lo + block, trials), draws)
+        for column, values in zip(columns, _sample_runs(input_state, spec, uniforms)):
+            column[lo : lo + block] = values
+    return columns
 
 
 def _branch_count(spec: ChannelSpec) -> int:

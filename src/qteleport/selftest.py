@@ -13,12 +13,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import primitives as prim
-from ._streams import child_uniforms
 from .campaign import run_campaign, to_csv_text, to_json_text
 from .config import load_config, random_coeffs
 from .decoy import detection_campaign
 from .protocol import (
-    ForcedBranch, InputStateSpec, _draw_count, _sample_runs, enumerate_branches,
+    ForcedBranch, InputStateSpec, _sample_trials, enumerate_branches,
     fidelity_without_control, run_protocol, run_structured, theoretical_success_probability,
 )
 from .state import SizeGuardError, apply, fidelity
@@ -96,14 +95,15 @@ def degenerate_case(dims: tuple, copies: tuple):
 
 @_measured
 def monte_carlo_consistency(trials: int, replays: int):
-    """Criterion 4: the sampled success rate against the closed form, the
-    first rows replayed through run_structured, and 8 seeded runs against
-    the copy loop, 4 of them at m=3 with complex phases."""
+    """Criterion 4: the success rate sampled on the montecarlo campaign's
+    block path (_sample_trials) against the closed form, the first rows
+    replayed through run_structured, and 8 seeded runs against the copy
+    loop, 4 of them at m=3 with complex phases."""
     chan = prim.ChannelSpec(3, 2, 1, (np.sqrt(1.5), np.sqrt(1.0), np.sqrt(0.5)))
     inp = InputStateSpec.random(3, 1, 404)
     p = theoretical_success_probability(chan)
     # Trial i runs on child i of SeedSequence(404), as in a montecarlo campaign.
-    runs = _sample_runs(inp.state(), chan, child_uniforms(404, 0, trials, _draw_count(chan)))
+    runs = _sample_trials(inp.state(), chan, 404, trials)
     rate = int(np.sum(runs.aux == 0)) / trials
     children = np.random.SeedSequence(404).spawn(replays)
     replayed = [(t.aux, t.fidelity) for t in (run_structured(inp, chan, seed=c) for c in children)]

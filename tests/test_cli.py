@@ -226,6 +226,22 @@ def test_campaign_imports_neither_argparse_nor_dataclasses(argv, tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "\n")
 
 
+def test_python_dash_m_runs_the_command_line(capsys):
+    # `python -m qteleport` is cli.main: the same stdout and exit code.
+    argv = ["decoy", "--d", "2", "--trials", "5", "--seed", "1"]
+    src = os.path.dirname(os.path.dirname(qteleport.__file__))
+
+    def module(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "qteleport", *args],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+
+    code = main(argv)
+    proc = module(*argv)
+    assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out)
+    assert module("decoy", "--bogus").returncode == 2
+
 def test_both_value_fields_parse_before_their_records_validate(capsys):
     # The coeffs hold a zero coefficient and the beta directive does not
     # parse: the parse fault is reported, since the records validate last.

@@ -1125,7 +1125,7 @@ def test_a_trials_count_past_the_guard_ends_before_any_allocation(kind, monkeypa
     def unreachable(*args):
         raise AssertionError("the campaign ran past the trials guard")
 
-    for name in ("detection_campaign", "_stage_one_success", "child_uniforms", "_sample_runs"):
+    for name in ("detection_campaign", "_stage_one_success", "_sample_trials"):
         monkeypatch.setattr(campaign, name, unreachable)
     argv = [kind, "--d", "2", "--m", "1", "--n", "0", "--trials", str(trials)]
     assert main(argv) == 2

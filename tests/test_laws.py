@@ -23,12 +23,10 @@ from hypothesis import strategies as st
 from test_protocol import GUARDED_SHAPES, _oracle_cases
 
 from qteleport import decoy
-from qteleport._streams import child_uniforms
 from qteleport.primitives import ChannelSpec, channel_state
 from qteleport.protocol import (
     InputStateSpec,
-    _draw_count,
-    _sample_runs,
+    _sample_trials,
     enumerate_branches,
     fidelity_without_control,
 )
@@ -99,7 +97,7 @@ def test_sampled_leaves_follow_the_oracle(d, m, n, seed):
     inp = InputStateSpec.random(d, m, seed)
     chan = ChannelSpec(d, n, m, tuple(np.sqrt((1.0 + np.arange(d)) * 2 / (d + 1))))
     leaves = enumerate_branches(inp, chan).branches.probability
-    runs = _sample_runs(inp.state(), chan, child_uniforms(seed, 0, trials, _draw_count(chan)))
+    runs = _sample_trials(inp.state(), chan, seed, trials)
     # Leaf index: (sender digits, controller digits, aux), copy-major.
     sender = runs.gbs.reshape(trials, -1) @ d ** np.arange(2 * m - 1, -1, -1)
     ctrl = runs.controllers.reshape(trials, -1) @ d ** np.arange(m * n - 1, -1, -1)

@@ -9,6 +9,7 @@ from each child's generator, with fidelity and probability equal to
 rounding.
 """
 
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -17,9 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_edges import edge_coefficients
 
-from qteleport import campaign, protocol
+from qteleport import protocol
 from qteleport._streams import child_uniforms
-from qteleport.campaign import run_campaign
+from qteleport.campaign import _Column, run_campaign
 from qteleport.config import load_config, random_coeffs
 from qteleport.primitives import ChannelSpec, multi_correction_unitary
 from qteleport.protocol import (
@@ -128,7 +129,7 @@ SHAPES = [
 def test_campaign_rows_equal_per_trial_runs(monkeypatch, d, m, n, complex_phases):
     # A chunk of a few trials, so that the 23 trials cross chunk
     # boundaries at every shape.
-    monkeypatch.setattr(campaign, "SAMPLE_CHUNK_AMPLITUDES", 64)
+    monkeypatch.setattr(protocol, "SAMPLE_CHUNK_AMPLITUDES", 64)
     spec = _channel(d, m, n, complex_phases, 10 * d + m)
     seed = d * 100 + m * 10 + n
     cfg = _config(spec, seed, 23)
@@ -145,7 +146,7 @@ def test_campaign_rows_cross_the_default_chunk():
     # d^m = 128: 128 trials per chunk, so 130 trials take two chunks.
     spec = _channel(2, 7, 0, True, 77)
     cfg = _config(spec, 5, 130)
-    assert campaign.SAMPLE_CHUNK_AMPLITUDES // 2**7 < 130
+    assert protocol.SAMPLE_CHUNK_AMPLITUDES // 2**7 < 130
     record = run_campaign(cfg)
     register = cfg.input_spec().state()
     for row, child in zip(record.rows, np.random.SeedSequence(5).spawn(130)):
@@ -175,7 +176,7 @@ BLOCK_SHAPES = [(2, 6, 1, 2), (3, 3, 0, 4), (2, 4, 2, 8)]
 def test_block_rows_equal_their_chunks_sampled_alone(monkeypatch, d, m, n, chunk):
     # A campaign samples a block per call; each row must carry the bits
     # of one _sample_runs call on its chunk's uniforms alone.
-    monkeypatch.setattr(campaign, "SAMPLE_CHUNK_AMPLITUDES", 128)
+    monkeypatch.setattr(protocol, "SAMPLE_CHUNK_AMPLITUDES", 128)
     spec, seed, trials = _channel(d, m, n, True, 7 * d + m), 60 + 9 * d + m + n, 70
     cfg = _config(spec, seed, trials)
     record = run_campaign(cfg)
@@ -199,10 +200,32 @@ def test_block_rows_equal_their_chunks_sampled_alone(monkeypatch, d, m, n, chunk
     assert np.array_equal(record.data["probability"].codes, probability)
 
 
+# (d, m, n, trials): chunks of 202 and 655 runs, so each campaign cuts
+# its trials into more than one chunk.
+DIRECT_SHAPES = [(3, 4, 1, 500), (5, 2, 1, 700)]
+
+
+@pytest.mark.parametrize("seed", [1, 7, 23])
+@pytest.mark.parametrize("d, m, n, trials", DIRECT_SHAPES)
+def test_a_direct_call_gives_the_campaigns_bits(d, m, n, trials, seed):
+    # _sample_runs cuts its own chunks, so a call on all the campaign's
+    # uniforms at once gives the campaign's floats bit for bit.
+    doc = {"kind": "montecarlo", "d": d, "m": m, "n": n, "trials": trials, "seed": seed}
+    cfg = load_config({**doc, "coeffs": f"random:{seed}", "beta": f"random:{seed}"})
+    record = run_campaign(cfg)
+    spec = cfg.channel_spec()
+    uniforms = child_uniforms(seed, 0, trials, _draw_count(spec))
+    sample = _sample_runs(cfg.input_spec().state(), spec, uniforms)
+    assert np.array_equal(record.data["fidelity"].codes, sample.fidelity)
+    assert np.array_equal(record.data["probability"].codes, sample.probability)
+
+
 def test_a_sender_pass_stays_within_the_chunk_budget(monkeypatch):
     # d = 64: 4,096 sender weights a run, so a pass holds 4 of the 600
     # runs that form one block.  _sample_rows compares each draw with a
     # whole row of weights, so that comparison is the size recorded.
+    # Direct calls on 5,000 runs cut their own passes too: 3 controllers'
+    # draws of 2 weights a run, and 10 sender draws of 4 weights a run.
     seen = []
 
     def recorded(weights, draws):
@@ -213,7 +236,27 @@ def test_a_sender_pass_stays_within_the_chunk_budget(monkeypatch):
     doc = {"kind": "montecarlo", "d": 64, "m": 1, "n": 0, "trials": 600, "seed": 4}
     record = run_campaign(load_config({**doc, "coeffs": "random:4", "beta": "random:4"}))
     assert len(record.rows) == 600
-    assert 0 < max(seen) <= campaign.SAMPLE_CHUNK_AMPLITUDES
+    for d, m, n in ((2, 1, 3), (2, 10, 0)):
+        spec = _channel(d, m, n, False, 4)
+        uniforms = child_uniforms(4, 0, 5000, _draw_count(spec))
+        _sample_runs(InputStateSpec.random(d, m, 4).state(), spec, uniforms)
+    assert 0 < max(seen) <= protocol.SAMPLE_CHUNK_AMPLITUDES
+
+
+def test_a_long_campaign_holds_its_columns_once():
+    # Each block is written into the final columns: no block list and no
+    # concatenated copy of it, so the peak stays near the record's codes.
+    doc = {"kind": "montecarlo", "d": 2, "m": 1, "n": 2, "trials": 200_000, "seed": 11}
+    cfg = load_config({**doc, "coeffs": "random:11", "beta": "random:11"})
+    run_campaign(cfg)  # warm: tables and caches are built outside the trace
+    tracemalloc.start()
+    try:
+        record = run_campaign(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(c.codes.nbytes for c in record.data.values() if isinstance(c, _Column))
+    assert peak < 2.5 * held
 
 
 def test_sampler_applies_the_amplitude_guard(monkeypatch):
@@ -251,14 +294,14 @@ def test_forced_structured_runs_build_no_full_register(monkeypatch):
 def test_campaign_streams_come_a_block_of_whole_chunks_at_a_time(monkeypatch):
     # d^m = 9 and 3 draws per trial: chunks of 64 // 9 = 7 trials, and
     # blocks of 3 chunks (63 uniforms), so 50 trials cross both.
-    monkeypatch.setattr(campaign, "SAMPLE_CHUNK_AMPLITUDES", 64)
+    monkeypatch.setattr(protocol, "SAMPLE_CHUNK_AMPLITUDES", 64)
     calls = []
 
     def counted(*args):
         calls.append(args)
         return child_uniforms(*args)
 
-    monkeypatch.setattr(campaign, "child_uniforms", counted)
+    monkeypatch.setattr(protocol, "child_uniforms", counted)
     spec = _channel(3, 2, 0, True, 9)
     record = run_campaign(_config(spec, 31, 50))
     assert calls == [(31, 0, 21, 3), (31, 21, 42, 3), (31, 42, 50, 3)]
