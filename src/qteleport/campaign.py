@@ -4,10 +4,11 @@ Every campaign is deterministic given its config and master seed; the
 serialized output (JSON or CSV) is byte-identical across reruns.  Wall
 clock timing is kept on the in-memory record only, never serialized.
 
-A runner returns its aggregate and its rows as columns: arrays, text
-columns as codes into a vocabulary (_Column), ranges, or a sweep's short
-lists; indexing one gives a Python scalar.  One writer (_chunks) streams
-every kind, as json.dumps(indent=2) or csv.writer writes it.
+Each runner makes one engine call and formats what it returns: an
+aggregate, and the rows as columns (arrays, text columns as codes into a
+vocabulary (_Column), ranges, or a sweep's short lists; indexing one
+gives a Python scalar).  One writer (_chunks) streams every kind, as
+json.dumps(indent=2) or csv.writer writes it.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 import time
@@ -23,24 +25,18 @@ from functools import partial
 
 import numpy as np
 
-from ._streams import standard_normals, uniforms
 from .config import (
     FORMATS,
     ExperimentConfig,
-    _coeffs_from_uniforms,
     _sweep_point,
     random_coeffs,  # noqa: F401  (perfbench/tracer.py wraps it here)
 )
 from .decoy import _z_score, detection_campaign
-from .primitives import ChannelSpec, _View
+from .primitives import _View
 from .protocol import (
-    SAMPLE_CHUNK_AMPLITUDES,
-    InputStateSpec,
     _digits,
-    _Kept,
-    _random_amplitudes,
     _sample_trials,
-    _stage_one_success,
+    _sweep_trials,
     enumerate_branches,
     run_structured,  # noqa: F401  (perfbench/tracer.py wraps it here)
     theoretical_success_probability,
@@ -75,15 +71,16 @@ def _text_column(digits: np.ndarray, d: int, inner: str, sep: str) -> _Column:
     """Row i: its groups digits[i, j] (base-d digits joined by inner) joined
     by sep.  The vocabulary holds the groups that occur."""
     rows, k, w = digits.shape
-    groups = digits.reshape(rows * k, w)
-    keys = np.zeros(rows * k, np.intp)
-    for digit in groups.T:  # renumbered densely per digit, so no key overflows
+    keys, groups = np.zeros(rows * k, np.min_scalar_type(rows * k * d)), [()]
+    for digit in digits.reshape(rows * k, w).T:  # renumbered densely per digit, so no key overflows
         keys = keys * d + digit
-        keys = (np.cumsum(np.bincount(keys) > 0) - 1)[keys]
-    first = np.empty(keys.max() + 1, np.intp)
-    first[keys] = np.arange(keys.size)  # a row holding each group
-    codes = keys.astype(np.min_scalar_type(len(first))).reshape(rows, k)
-    return _Column(codes, [inner.join(map(str, g)) for g in groups[first].tolist()], sep)
+        present = np.zeros(len(groups) * d, bool)
+        present[keys] = True
+        keys = (np.cumsum(present) - 1).astype(keys.dtype)[keys]
+        prefix, last = np.divmod(np.flatnonzero(present), d)  # each new group's
+        groups = [groups[p] + (j,) for p, j in zip(prefix.tolist(), last.tolist())]
+    codes = keys.astype(np.min_scalar_type(len(groups))).reshape(rows, k)
+    return _Column(codes, [inner.join(map(str, g)) for g in groups], sep)
 
 
 class _Rows(_View):
@@ -176,19 +173,25 @@ def _run_montecarlo(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Sampled runs (_sample_trials): trial i on child i of
     SeedSequence(seed).spawn(trials), its row run_structured(seed=child)."""
     chan = cfg.channel_spec()
-    runs = _sample_trials(cfg.input_spec().state(), chan, cfg.seed, cfg.trials)
-    success = runs.aux == 0
+    gbs, controllers, r_sums, aux, fidelity, probability = _sample_trials(
+        cfg.input_spec().state(), chan, cfg.seed, cfg.trials
+    )
+    # Each digit column goes as soon as its text column's codes exist.
+    gbs = _text_column(gbs, chan.d, ":", ";")
+    controllers = _text_column(controllers, chan.d, ",", "|")
+    r_sums = _text_column(r_sums[..., None], chan.d, "", ";")
+    success = aux == 0
     data = {
         "trial": range(cfg.trials),
-        "gbs": _text_column(runs.gbs, chan.d, ":", ";"),
-        "controllers": _text_column(runs.controllers, chan.d, ",", "|"),
-        "r_sums": _text_column(runs.r_sums[..., None], chan.d, "", ";"),
-        "aux": runs.aux,
+        "gbs": gbs,
+        "controllers": controllers,
+        "r_sums": r_sums,
+        "aux": aux,
         "success": success.view(np.uint8),
-        "fidelity": runs.fidelity,
-        "probability": runs.probability,
+        "fidelity": fidelity,
+        "probability": probability,
     }
-    fidelities = runs.fidelity[success]
+    fidelities = fidelity[success]
     successes = len(fidelities)
     p = theoretical_success_probability(chan)
     aggregate = {
@@ -220,32 +223,14 @@ def _run_decoy(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 
 def _run_sweep(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    """Per grid point a fresh random channel and input, and the oracle's
-    exact success probability from its stage 1 alone: no leaf is built.
-
-    Spec i's channel is random_coeffs(d, seed * 1_000_003 + 2 i) and its
-    input InputStateSpec.random(d, m, that seed + 1).  A chunk of specs
-    reads all its channels' uniforms in one _streams call and all its
-    inputs' normals in another, each row as long as the longest visited
-    point's, which the config checked when built (a spec reads its
-    stream's first values), at most SAMPLE_CHUNK_AMPLITUDES normals a
-    chunk.  Every point runs _stage_one_success with the run's one _Kept."""
-    point = partial(_sweep_point, cfg.sweep)
-    visited = list(map(point, range(min(cfg.trials, math.prod(map(len, cfg.sweep.values()))))))
-    most_coeffs, most_normals = max(d for d, _, _ in visited), max(2 * d**m for d, m, _ in visited)
-    chunk = max(1, SAMPLE_CHUNK_AMPLITUDES // most_normals)
-    rows, kept = [], _Kept()
-    for lo in range(0, cfg.trials, chunk):
-        seeds = [cfg.seed * 1_000_003 + 2 * i for i in range(lo, min(lo + chunk, cfg.trials))]
-        weights = uniforms(seeds, most_coeffs)
-        normals = standard_normals([seed + 1 for seed in seeds], most_normals)
-        for i, u, z in zip(range(lo, lo + chunk), weights, normals):
-            d, m, n = point(i)
-            chan = ChannelSpec(d, n, m, _coeffs_from_uniforms(u[:d]))
-            inp = InputStateSpec(d, m, _random_amplitudes(z, d**m))
-            p, theory = _stage_one_success(inp, chan, kept), theoretical_success_probability(chan)
-            coeffs = ";".join(repr(abs(c)) for c in chan.coeffs)
-            rows.append((i, d, m, n, coeffs, p, theory, abs(p - theory)))
+    """The oracle's specs (_sweep_trials) at the grid's points (_sweep_point), as rows."""
+    grid = math.prod(map(len, cfg.sweep.values()))
+    points = [_sweep_point(cfg.sweep, i) for i in range(min(cfg.trials, grid))]
+    rows = []
+    for i, (chan, p) in enumerate(_sweep_trials(points, cfg.seed, cfg.trials)):
+        theory = theoretical_success_probability(chan)
+        coeffs = ";".join(repr(abs(c)) for c in chan.coeffs)
+        rows.append((i, chan.d, chan.m, chan.n, coeffs, p, theory, abs(p - theory)))
     names = ("index", "d", "m", "n", "coeffs", "success_probability", "theoretical", "abs_error")
     data = dict(zip(names, map(list, zip(*rows))))
     return {"specs": cfg.trials, "max_abs_error": max(data["abs_error"])}, data
@@ -417,25 +402,37 @@ def to_csv_text(record: ResultRecord) -> str:
 
 
 def write_output(record: ResultRecord, path: str | None, fmt: str) -> None:
-    """Stream the document to stdout when path is None, else atomically:
-    into a temp file, given the mode open(path, "w") would get, then
-    renamed over path.  A format not in FORMATS is refused first."""
+    """Stream the document to stdout when path is None, else where
+    open(path, "w") writes it: in place when path exists and is not a
+    regular file (a FIFO or a device), else atomically at its resolved
+    target (os.path.realpath), into a temp file renamed over it.  The
+    file keeps its mode, or a new one gets the mode open() would give.
+    A format not in FORMATS is refused first."""
     if fmt not in FORMATS:
         raise ValueError(f"format: expected one of {FORMATS}, got {fmt!r}")
     chunks = _chunks(record, fmt)
     if path is None:
         sys.stdout.writelines(chunks)
         return
-    directory = os.path.dirname(os.path.abspath(path))
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = stat.S_IFREG | (0o666 & ~umask)
+    if not stat.S_ISREG(mode):
+        with open(path, "w", newline="") as handle:
+            handle.writelines(chunks)
+        return
+    directory = os.path.dirname(target)
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qteleport-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(handle.fileno(), 0o666 & ~umask)
+            os.fchmod(handle.fileno(), stat.S_IMODE(mode))
             handle.writelines(chunks)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

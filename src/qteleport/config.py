@@ -17,7 +17,7 @@ import numpy as np
 
 from ._streams import standard_normals, uniforms
 from .decoy import EVE_ACTIONS, _check_dimension
-from .primitives import ChannelSpec
+from .primitives import ChannelSpec, _coeffs_from_uniforms
 from .protocol import InputStateSpec, _check_input_size, _check_oracle, _random_amplitudes
 from .state import _check_size, record
 
@@ -154,13 +154,6 @@ def random_coeffs(d: int, seed: int) -> tuple[complex, ...]:
     size=d), rescaled so that (1/d) * sum |c_j|^2 = 1.
     """
     return _coeffs_from_uniforms(uniforms([seed], d)[0])
-
-
-def _coeffs_from_uniforms(u: np.ndarray) -> tuple[complex, ...]:
-    """random_coeffs from its stream's first d random() values."""
-    weights = 0.25 + (1.75 - 0.25) * u  # Generator.uniform(0.25, 1.75)
-    weights *= len(u) / weights.sum()
-    return tuple(complex(v) for v in np.sqrt(weights))
 
 
 def _is_number(value) -> bool:

@@ -90,6 +90,13 @@ class ChannelSpec:
         return float(np.min(self._weights))
 
 
+def _coeffs_from_uniforms(u: np.ndarray) -> tuple[complex, ...]:
+    """random_coeffs from its stream's first d random() values."""
+    weights = 0.25 + (1.75 - 0.25) * u  # Generator.uniform(0.25, 1.75)
+    weights *= len(u) / weights.sum()
+    return tuple(complex(v) for v in np.sqrt(weights))
+
+
 def gbs_vector(d: int, r: int, s: int) -> StateVector:
     """Generalized Bell state |psi_rs> on a qudit pair."""
     if not (0 <= r < d and 0 <= s < d):

@@ -8,10 +8,10 @@ Map: run_structured samples or forces runs in closed form (_sample_runs,
 and _sample_trials a montecarlo campaign's, both cut by the one size
 rule, _sample_sizes); run_protocol is the dense
 reference on the state engine and the paper's matrices (_run);
-enumerate_branches is the exact oracle (_enumerate), and a sweep point
-runs its stage 1 alone (_stage_one_success).  The guards
-(_check_input_size, _check_oracle) run before any array of their size
-is built.
+enumerate_branches is the exact oracle (_enumerate), whose stage 1
+alone weighs a sweep's specs (_sweep_trials, _stage_one_success).  The
+guards (_check_input_size, _check_oracle) run before any array of their
+size is built.
 """
 
 from __future__ import annotations
@@ -23,12 +23,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._streams import child_uniforms, standard_normals
+from ._streams import child_uniforms, standard_normals, uniforms
 from .primitives import (
     CHANNEL_CACHE_SIZE,
     DIMENSION_CACHE_SIZE,
     ChannelSpec,
     _channel_amps,
+    _coeffs_from_uniforms,
     _phase_rows,
     _read_only,
     _receiver_constants,
@@ -590,6 +591,28 @@ def _sample_trials(input_state: StateVector, spec: ChannelSpec, seed: int, trial
         for column, values in zip(columns, _sample_runs(input_state, spec, uniforms)):
             column[lo : lo + block] = values
     return columns
+
+
+def _sweep_trials(points: Sequence[tuple[int, int, int]], seed: int, trials: int):
+    """A sweep's specs, spec i at (d, m, n) = points[i % len(points)]:
+    yields (channel, the oracle's exact success probability from stage 1).
+    Spec i's channel is random_coeffs(d, seed * 1_000_003 + 2 i) and its
+    input InputStateSpec.random(d, m, that seed + 1).  A chunk of specs
+    reads its channels' uniforms in one _streams call and its inputs'
+    normals in another, rows as long as the longest point's (the config
+    checked each point when built): a spec reads its streams' first values.
+    A chunk holds at most SAMPLE_CHUNK_AMPLITUDES normals; all share one _Kept."""
+    most_coeffs, most_normals = max(d for d, _, _ in points), max(2 * d**m for d, m, _ in points)
+    chunk, kept = max(1, SAMPLE_CHUNK_AMPLITUDES // most_normals), _Kept()
+    for lo in range(0, trials, chunk):
+        seeds = [seed * 1_000_003 + 2 * i for i in range(lo, min(lo + chunk, trials))]
+        weights = uniforms(seeds, most_coeffs)
+        normals = standard_normals([spec_seed + 1 for spec_seed in seeds], most_normals)
+        for i, u, z in zip(range(lo, lo + chunk), weights, normals):
+            d, m, n = points[i % len(points)]
+            chan = ChannelSpec(d, n, m, _coeffs_from_uniforms(u[:d]))
+            inp = InputStateSpec(d, m, _random_amplitudes(z, d**m))
+            yield chan, _stage_one_success(inp, chan, kept)
 
 
 def _branch_count(spec: ChannelSpec) -> int:

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qteleport
-from qteleport import campaign, config, selftest
+from qteleport import campaign, config, protocol, selftest
 from qteleport.campaign import run_campaign, to_csv_text, to_json_text, write_output
 from qteleport.cli import FLAGS, main
 from qteleport.config import ConfigError, load_config, random_coeffs, resolve_beta, resolve_coeffs
@@ -221,7 +221,7 @@ def test_sweep_guards_run_before_any_enumeration(monkeypatch, capsys):
         raise AssertionError("a sweep point was enumerated before the guards ran")
 
     monkeypatch.setattr(campaign, "enumerate_branches", unreachable)
-    monkeypatch.setattr(campaign, "_stage_one_success", unreachable)
+    monkeypatch.setattr(protocol, "_stage_one_success", unreachable)
     # Point (2, 2, 3) fits, point (5, 2, 3) does not: nothing runs.
     assert main(["sweep", "--d", "2,5", "--m", "2", "--n", "3", "--trials", "2"]) == 2
     err = capsys.readouterr().err
@@ -554,6 +554,57 @@ def test_write_output_file_gets_the_mode_open_would_give(tmp_path):
     assert stat.S_IMODE((tmp_path / "out.json").stat().st_mode) == 0o644
 
 
+_SMALL_DECOY = ["decoy", "--d", "2", "--trials", "2"]
+
+
+def _small_decoy_document(capsys) -> str:
+    assert main(_SMALL_DECOY) == 0
+    return capsys.readouterr().out
+
+
+def test_out_keeps_an_existing_files_mode(tmp_path, capsys):
+    path = tmp_path / "out.json"
+    path.write_text("old")
+    path.chmod(0o600)
+    assert main([*_SMALL_DECOY, "--out", str(path)]) == 0
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600  # open() keeps it too
+    assert path.read_text() == _small_decoy_document(capsys)
+
+
+def test_out_through_a_symlink_writes_its_target(tmp_path, capsys):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old")
+    link.symlink_to(target)
+    assert main([*_SMALL_DECOY, "--out", str(link)]) == 0
+    assert link.is_symlink() and target.read_text() == _small_decoy_document(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+
+def test_out_writes_a_fifo_in_place(tmp_path, capsys):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    # A non-blocking reader lets the writer's open() return at once, and
+    # reads end-of-file, not a hang, if no writer ever opens the FIFO.
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main([*_SMALL_DECOY, "--out", str(fifo)]) == 0
+        received = b""
+        while chunk := os.read(reader, 2**16):
+            received += chunk
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    document = _small_decoy_document(capsys)
+    assert len(document) < 2**16  # within the pipe's buffer: the writer never waits
+    assert received.decode() == document
+
+
+def test_out_at_a_directory_names_the_directory(tmp_path, capsys):
+    assert main([*_SMALL_DECOY, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 # The child's own peak RSS in bytes.  On Linux a started process's
 # ru_maxrss begins at its parent's mark (here the test runner's), so the
 # child reads its address space's mark, VmHWM, where the system has one.
@@ -829,7 +880,7 @@ def test_oracle_tables_count_against_the_amplitude_guard(argv, need, monkeypatch
 
     monkeypatch.setenv("QTELEPORT_MAX_AMPLITUDES", "100000")
     monkeypatch.setattr(config, "resolve_coeffs", unreachable)
-    monkeypatch.setattr(campaign, "_stage_one_success", unreachable)
+    monkeypatch.setattr(protocol, "_stage_one_success", unreachable)
     assert main(argv) == 2
     assert capsys.readouterr() == (
         "",
@@ -1125,7 +1176,7 @@ def test_a_trials_count_past_the_guard_ends_before_any_allocation(kind, monkeypa
     def unreachable(*args):
         raise AssertionError("the campaign ran past the trials guard")
 
-    for name in ("detection_campaign", "_stage_one_success", "_sample_trials"):
+    for name in ("detection_campaign", "_sweep_trials", "_sample_trials"):
         monkeypatch.setattr(campaign, name, unreachable)
     argv = [kind, "--d", "2", "--m", "1", "--n", "0", "--trials", str(trials)]
     assert main(argv) == 2

@@ -243,11 +243,14 @@ def test_a_sender_pass_stays_within_the_chunk_budget(monkeypatch):
     assert 0 < max(seen) <= protocol.SAMPLE_CHUNK_AMPLITUDES
 
 
-def test_a_long_campaign_holds_its_columns_once():
+@pytest.mark.parametrize(
+    "d, m, n, trials, seed", [(2, 1, 2, 200_000, 11), (3, 2, 2, 100_000, 3), (2, 3, 1, 100_000, 5)]
+)
+def test_a_long_campaign_holds_its_columns_once(d, m, n, trials, seed):
     # Each block is written into the final columns: no block list and no
     # concatenated copy of it, so the peak stays near the record's codes.
-    doc = {"kind": "montecarlo", "d": 2, "m": 1, "n": 2, "trials": 200_000, "seed": 11}
-    cfg = load_config({**doc, "coeffs": "random:11", "beta": "random:11"})
+    doc = {"kind": "montecarlo", "d": d, "m": m, "n": n, "trials": trials, "seed": seed}
+    cfg = load_config({**doc, "coeffs": f"random:{seed}", "beta": f"random:{seed}"})
     run_campaign(cfg)  # warm: tables and caches are built outside the trace
     tracemalloc.start()
     try:

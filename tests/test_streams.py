@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qteleport
-from qteleport import _streams, campaign
+from qteleport import _streams, protocol
 from qteleport._streams import standard_normals, uniforms
 from qteleport.campaign import run_campaign
 from qteleport.config import load_config, random_coeffs
@@ -111,13 +111,19 @@ def test_seeds_must_be_non_negative_ints():
     assert uniforms([], 3).shape == (0, 3)
 
 
-def test_sweep_chunks_read_each_specs_own_streams(monkeypatch):
-    # 64 normals a chunk: two d=4 m=2 specs (32 normals each) per chunk.
-    monkeypatch.setattr(campaign, "SAMPLE_CHUNK_AMPLITUDES", 64)
-    doc = {"kind": "sweep", "trials": 7, "seed": 3, "sweep": {"d": [2, 4], "m": [1, 2], "n": [0]}}
+@pytest.mark.parametrize("chunk_amplitudes", [1, 64, 2**14])
+@pytest.mark.parametrize(
+    "grid, trials",
+    [({"d": [2, 4], "m": [1, 2], "n": [0]}, 7), ({"d": [2, 3, 4], "m": [1, 2], "n": [0, 1]}, 29)],
+    ids=["no-controllers", "controllers"],
+)
+def test_sweep_chunks_read_each_specs_own_streams(monkeypatch, chunk_amplitudes, grid, trials):
+    # At 64 normals a chunk: two d=4 m=2 specs (32 normals each) per chunk.
+    monkeypatch.setattr(protocol, "SAMPLE_CHUNK_AMPLITUDES", chunk_amplitudes)
+    doc = {"kind": "sweep", "trials": trials, "seed": 3, "sweep": grid}
     for i, row in enumerate(run_campaign(load_config(doc)).rows):
         seed = 3 * 1_000_003 + 2 * i
-        chan = ChannelSpec(row["d"], 0, row["m"], random_coeffs(row["d"], seed))
+        chan = ChannelSpec(row["d"], row["n"], row["m"], random_coeffs(row["d"], seed))
         inp = InputStateSpec.random(row["d"], row["m"], seed + 1)
         assert row["coeffs"] == ";".join(repr(abs(c)) for c in chan.coeffs)
         assert row["success_probability"] == _success_probability(inp, chan)
