@@ -26,7 +26,9 @@ from functools import partial
 import numpy as np
 
 from .config import (
+    FIELDS,
     FORMATS,
+    KEYS,
     ExperimentConfig,
     _sweep_point,
     random_coeffs,  # noqa: F401  (perfbench/tracer.py wraps it here)
@@ -123,21 +125,17 @@ def _complex_pairs(values) -> list[list[float]]:
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
-    echo = {
-        "kind": cfg.kind,
-        "seed": cfg.seed,
-        "trials": cfg.trials,
-        "format": cfg.fmt,
-    }
-    if cfg.kind == "sweep":
-        echo["sweep"] = {key: list(values) for key, values in cfg.sweep.items()}
-        return echo
-    echo.update({"d": cfg.d, "m": cfg.m, "n": cfg.n})
-    if cfg.kind == "decoy":
-        echo["eve"] = cfg.eve
-        return echo
-    echo["coeffs"] = _complex_pairs(cfg.coeffs)
-    echo["beta"] = _complex_pairs(cfg.beta)
+    """The config block: "kind", then each key the kind reads but "out", in
+    KEYS order; complex values as [re, im] pairs, the grid's axes as lists."""
+    echo = {"kind": cfg.kind}
+    for key in KEYS[cfg.kind]:
+        value = getattr(cfg, FIELDS.get(key, key))
+        if key in ("coeffs", "beta"):
+            value = _complex_pairs(value)
+        elif key == "sweep":
+            value = {axis: list(values) for axis, values in value.items()}
+        if key != "out":
+            echo[key] = value
     return echo
 
 
@@ -426,8 +424,10 @@ def write_output(record: ResultRecord, path: str | None, fmt: str) -> None:
             handle.writelines(chunks)
         return
     directory = os.path.dirname(target)
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qteleport-", suffix=".tmp")
+    try:  # a missing directory is an error, named by the path, as open() gives it
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qteleport-", suffix=".tmp")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", newline="") as handle:
             os.fchmod(handle.fileno(), stat.S_IMODE(mode))

@@ -1,8 +1,9 @@
 """Command-line interface: enumerate, montecarlo, decoy, sweep, selftest.
 
-Campaigns take --config <json> and inline flags, which win over the
-config file.  argparse is imported only for an argv that _read_campaign
-cannot read, so a well-formed campaign never loads it.
+Campaigns take --config <json> and a flag per key their kind reads
+(config.KEYS), which wins over the config file.  argparse is imported
+only for an argv that _read_campaign cannot read, so a well-formed
+campaign never loads it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from types import SimpleNamespace
 
 from .campaign import run_campaign, write_output
 from .config import (
-    FORMATS, KINDS, ConfigError, load_config, parse_directive_index, read_config,
+    FORMATS, KEYS, ConfigError, load_config, parse_directive_index, read_config,
 )
 from .state import SizeGuardError
 
@@ -74,37 +75,38 @@ SUBCOMMANDS = {
     "selftest": "run the invariant battery",
 }
 
-_POINT = ("enumerate", "montecarlo", "decoy")
-_STATE = ("enumerate", "montecarlo")
-
-# Every campaign flag, in the order --help lists it: (flag, the campaigns
-# that take it, its add_argument keywords).  build_parser adds each
-# campaign's rows to its subparser, and main reads a well-formed campaign
-# argv straight from them (_read_campaign).
+# Every campaign flag, in the order --help lists it: (flag, the document
+# key it sets, its add_argument keywords).  A campaign takes --config,
+# which sets no key, and each row whose key its kind reads (config.KEYS);
+# a sweep's --d, --m and --n set the axes of "sweep".  build_parser adds
+# a campaign's rows to its subparser, and main reads a well-formed
+# campaign argv straight from them (_read_campaign).
 FLAGS = (
-    ("--config", KINDS, {"help": "path to a JSON experiment config"}),
-    ("--seed", KINDS, {"type": _int_flag, "help": "master seed"}),
-    ("--out", KINDS, {"help": "output file (default: stdout)"}),
-    ("--format", KINDS, {"choices": FORMATS, "dest": "fmt"}),
-    ("--trials", KINDS, {"type": _int_flag, "help": "trial/round/spec count"}),
-    ("--d", _POINT, {"type": _int_flag, "help": "qudit dimension"}),
-    ("--d", ("sweep",), {"help": "comma list of dimensions, e.g. 2,3,4"}),
-    ("--m", _POINT, {"type": _int_flag, "help": "copies of the channel"}),
-    ("--m", ("sweep",), {"help": "comma list of copy counts"}),
-    ("--n", _POINT, {"type": _int_flag, "help": "controller count"}),
-    ("--n", ("sweep",), {"help": "comma list of controller counts"}),
-    ("--coeffs", _STATE, {"help": '"uniform", "random:<seed>", or comma list'}),
-    ("--beta", _STATE, {"help": 'comma list, "basis:<k>", or "random:<seed>"'}),
-    ("--eve", ("decoy",), {"help": "adversary action"}),
+    ("--config", None, {"help": "path to a JSON experiment config"}),
+    ("--seed", "seed", {"type": _int_flag, "help": "master seed"}),
+    ("--out", "out", {"help": "output file (default: stdout)"}),
+    ("--format", "format", {"choices": FORMATS, "dest": "fmt"}),
+    ("--trials", "trials", {"type": _int_flag, "help": "trial/round/spec count"}),
+    ("--d", "d", {"type": _int_flag, "help": "qudit dimension"}),
+    ("--d", "sweep", {"help": "comma list of dimensions, e.g. 2,3,4"}),
+    ("--m", "m", {"type": _int_flag, "help": "copies of the channel"}),
+    ("--m", "sweep", {"help": "comma list of copy counts"}),
+    ("--n", "n", {"type": _int_flag, "help": "controller count"}),
+    ("--n", "sweep", {"help": "comma list of controller counts"}),
+    ("--coeffs", "coeffs", {"help": '"uniform", "random:<seed>", or comma list'}),
+    ("--beta", "beta", {"help": 'comma list, "basis:<k>", or "random:<seed>"'}),
+    ("--eve", "eve", {"help": "adversary action"}),
 )
+# The keys whose flag text _build_doc reads into a document's form.
+_FORMS = {"coeffs": _coeffs_flag, "beta": _beta_flag}
 
-# campaign -> {flag: (dest, type, choices)}, read off FLAGS.
+# campaign -> {flag: (dest, type, choices, key)}, read off the rows it takes.
 _READERS = {
     kind: {
-        flag: (options.get("dest", flag[2:]), options.get("type"), options.get("choices"))
-        for flag, kinds, options in FLAGS if kind in kinds
+        flag: (options.get("dest", flag[2:]), options.get("type"), options.get("choices"), key)
+        for flag, key, options in FLAGS if key in (None, *keys)
     }
-    for kind in KINDS
+    for kind, keys in KEYS.items()
 }
 
 
@@ -118,8 +120,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for kind, helptext in SUBCOMMANDS.items():
         p = sub.add_parser(kind, help=helptext)
-        for flag, kinds, options in FLAGS:
-            if kind in kinds:
+        for flag, key, options in FLAGS:
+            if kind in KEYS and key in (None, *KEYS[kind]):
                 p.add_argument(flag, **options)
     return parser
 
@@ -133,12 +135,12 @@ def _read_campaign(argv: list) -> SimpleNamespace | None:
     if flags is None or len(argv) % 2 == 0:
         return None
     values = {"command": argv[0]}
-    values.update((dest, None) for dest, _, _ in flags.values())
+    values.update((dest, None) for dest, _, _, _ in flags.values())
     for flag, text in zip(argv[1::2], argv[2::2]):
         reader = flags.get(flag)
         if reader is None or text.startswith("-"):
             return None
-        dest, convert, choices = reader
+        dest, convert, choices, _ = reader
         if choices is not None and text not in choices:
             return None
         values[dest] = text if convert is None else convert(text)
@@ -147,26 +149,22 @@ def _read_campaign(argv: list) -> SimpleNamespace | None:
 
 def _build_doc(args) -> dict:
     """The config file's object (unvalidated) with args' inline flags merged
-    over it, in FLAGS order; load_config validates the result once."""
-    # The flags whose config key or reader is not their dest's own.
-    fields = {
-        "fmt": ("format", None), "coeffs": ("coeffs", _coeffs_flag), "beta": ("beta", _beta_flag),
-    }
+    over it, in FLAGS order, each at its row's key; load_config validates
+    the result once."""
     doc = read_config(args.config) if args.config else {}
     doc["kind"] = args.command
-    sweep = doc.get("sweep", {}) if args.command == "sweep" else None
+    sweep = doc.get("sweep", {})
     if isinstance(sweep, dict):  # otherwise the config names the bad value
         sweep = doc["sweep"] = dict(sweep)
-    for dest, _, _ in _READERS[args.command].values():
+    for dest, _, _, key in _READERS[args.command].values():
         value = getattr(args, dest)
-        if value is None or dest == "config":
+        if value is None or key is None:
             continue
-        if args.command == "sweep" and dest in ("d", "m", "n"):
+        if key == "sweep":
             if isinstance(sweep, dict):
                 sweep[dest] = _int_list(value, f"sweep.{dest}")
         else:
-            key, read = fields.get(dest, (dest, None))
-            doc[key] = value if read is None else read(value)
+            doc[key] = _FORMS[key](value) if key in _FORMS else value
     return doc
 
 

@@ -27,9 +27,10 @@ FORMATS = ("json", "csv")
 # (its eight values) holds until the campaign writes them; a montecarlo
 # trial holds m (n + 3) + 3, checked once m and n are read.
 HELD_PER_TRIAL = {"decoy": 3, "sweep": 8}
-# The document keys each kind reads besides "kind", and the field of each
-# key not named for it.  A document's other keys are ignored.
-_COMMON = ("format", "seed", "trials", "out")
+# The document keys each kind reads besides "kind", in its JSON echo's
+# order (the CLI has a flag for each), and the field of each key not
+# named for it.  A document's other keys are ignored.
+_COMMON = ("seed", "trials", "format", "out")
 KEYS = {
     "enumerate": (*_COMMON, "d", "m", "n", "coeffs", "beta"),
     "montecarlo": (*_COMMON, "d", "m", "n", "coeffs", "beta"),
@@ -49,8 +50,8 @@ class ExperimentConfig:
     by load_config or by hand, with every guard of its campaign, in one
     order.  Each field the kind reads becomes its checked value, and
     coeffs / beta take a document's forms (None as left out: uniform,
-    basis 0).  A field the kind does not read stays as given, unused: a
-    decoy's and a sweep's coeffs and beta, a sweep's d, m and n.
+    basis 0).  A field whose key KEYS[kind] lacks stays as given, unused:
+    a decoy's and a sweep's coeffs and beta, a sweep's d, m and n.
     """
 
     kind: str
@@ -83,19 +84,19 @@ class ExperimentConfig:
             _check_size(HELD_PER_TRIAL[kind] * trials, f"trials: a {kind} of {trials} rows")
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError(f"out: expected a path string, got {self.out!r}")
-        if kind == "sweep":
+        if "sweep" in KEYS[kind]:
             grid = self._grid()
             for i in range(min(trials, math.prod(map(len, grid.values())))):
                 _check_point(kind, *_sweep_point(grid, i))
         else:
             d, m, n = self._int("d", 2), self._int("m", 1), self._int("n", 0)
-            if kind == "decoy" and self.eve not in EVE_ACTIONS:
+            if "eve" in KEYS[kind] and self.eve not in EVE_ACTIONS:
                 raise ConfigError(f"eve: expected one of {EVE_ACTIONS}, got {self.eve!r}")
             _check_point(kind, d, m, n)
             # A trial's gbs 2m, controllers m n, r_sums m, aux, fidelity, probability.
             if kind == "montecarlo":
                 _check_size((m * (n + 3) + 3) * trials, f"trials: a montecarlo of {trials} rows")
-            if kind != "decoy":
+            if "coeffs" in KEYS[kind]:
                 coeffs, beta = resolve_coeffs(self.coeffs, d), resolve_beta(self.beta, d, m)
                 channel = self._record("coeffs", ChannelSpec, d, n, m, coeffs)
                 specs = channel, self._record("beta", InputStateSpec, d, m, beta)

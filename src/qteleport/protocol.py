@@ -680,15 +680,18 @@ def _bell_entries(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(map(_read_only, (column, sender.real, sender.imag)))
 
 
-@lru_cache(maxsize=DIMENSION_CACHE_SIZE)
 def _controller_bras(d: int, n: int) -> np.ndarray:
     """The n controllers' conjugated X bras onto the outcomes (rho, 0,
-    ..., 0), one Kronecker product (rho, d^n), built once per (d, n),
-    read-only; ones((1, 1)) with no controllers."""
+    ..., 0), (rho, d^n): the Kronecker product of X bra rho and n - 1 X
+    bra 0s, broadcast (np.kron's floats); ones((1, 1)) with no
+    controllers.  Uncached: a sweep's (d, n) keys would cycle an LRU."""
     if not n:
-        return _read_only(np.ones((1, 1)))
-    x_bra = x_basis_matrix(d).conj()
-    return _read_only(reduce(np.kron, [x_bra[:1]] * (n - 1), x_bra))
+        return np.ones((1, 1))
+    bras = x_basis_matrix(d).conj()
+    x_bra = bras[0]
+    for _ in range(n - 1):
+        bras = (bras[:, :, None] * x_bra).reshape(d, -1)
+    return bras
 
 
 def _copy_tensor(spec: ChannelSpec) -> np.ndarray:

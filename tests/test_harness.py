@@ -163,6 +163,46 @@ def test_the_loaders_key_table_is_the_schemas_properties():
     assert fields <= set(config.ExperimentConfig.__annotations__)
 
 
+# One document of each kind, every key it reads but "out" set.
+ECHO_DOCS = {
+    "enumerate": {
+        "kind": "enumerate", "d": 3, "m": 1, "n": 1, "seed": 1, "trials": 2, "format": "csv",
+        "coeffs": [1.224744871391589, [0.6, 0.8], 0.7071067811865476], "beta": {"basis": 2},
+    },
+    "montecarlo": {
+        "kind": "montecarlo", "d": 3, "m": 2, "n": 1, "seed": 2, "trials": 5, "format": "json",
+        "coeffs": "random:4", "beta": "random:4",
+    },
+    "decoy": {
+        "kind": "decoy", "d": 5, "m": 3, "n": 2, "seed": 4, "trials": 10, "format": "json",
+        "eve": "measure_X_resend",
+    },
+    "sweep": {
+        "kind": "sweep", "seed": 3, "trials": 4, "format": "csv",
+        "sweep": {"d": [2, 3], "m": [1], "n": [0, 1]},
+    },
+}
+
+
+def test_every_key_a_kind_reads_has_a_flag_and_an_echo_entry():
+    # config.KEYS is the one list of what a kind reads: the CLI takes a
+    # flag for each key (a sweep's axes by its "sweep" rows), and the
+    # JSON document's config block writes each key but "out", in order.
+    assert {flag for flag, key, _ in FLAGS if key == "sweep"} == {"--d", "--m", "--n"}
+    assert tuple(ECHO_DOCS) == config.KINDS
+    for kind, doc in ECHO_DOCS.items():
+        keys = config.KEYS[kind]
+        assert {key for _, key, _ in FLAGS if key in keys} == set(keys)
+        echo = json.loads(to_json_text(run_campaign(load_config(doc))))["config"]
+        assert list(echo) == ["kind", *[key for key in keys if key != "out"]]
+
+
+@pytest.mark.parametrize("kind", sorted(ECHO_DOCS))
+def test_the_json_config_block_reloads_to_the_same_config(kind):
+    cfg = load_config(ECHO_DOCS[kind])
+    assert load_config(json.loads(to_json_text(run_campaign(cfg)))["config"]) == cfg
+
+
 def test_integral_numbers_are_integers(capsys):
     # JSON Schema's integer is any number with no fractional part.
     sweep = {"d": [2.0], "m": [1.0], "n": [0.0]}
@@ -371,6 +411,7 @@ def test_write_output_atomic(tmp_path):
     doc = dict(BASE)
     record = run_campaign(load_config(doc))
     path = tmp_path / "sub" / "out.json"
+    path.parent.mkdir()  # as for open(), the directory must exist
     write_output(record, str(path), "json")
     assert path.read_text() == to_json_text(record)
     leftovers = [p for p in path.parent.iterdir() if p.name != "out.json"]
@@ -602,6 +643,17 @@ def test_out_writes_a_fifo_in_place(tmp_path, capsys):
 def test_out_at_a_directory_names_the_directory(tmp_path, capsys):
     assert main([*_SMALL_DECOY, "--out", str(tmp_path)]) == 1
     assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_into_a_missing_directory_is_an_error(tmp_path, capsys):
+    # As for open(path, "w"): no directory is made, and the error names
+    # the path given, not the temp file the output would go through.
+    path = tmp_path / "nodir" / "sub" / "x.json"
+    assert main([*_SMALL_DECOY, "--out", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err and ".qteleport-" not in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -159,6 +159,27 @@ def test_copy_tensor_has_the_bits_of_the_dense_einsum(case):
     assert np.array_equal(fast.view(np.uint64), dense.view(np.uint64))
 
 
+def _kron_controller_bras(d, n):
+    """_controller_bras as np.kron builds it: X bra rho, then n - 1 copies of X bra 0."""
+    x_bra = x_basis_matrix(d).conj()
+    return reduce(np.kron, [x_bra[:1]] * (n - 1), x_bra) if n else np.ones((1, 1))
+
+
+@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("d", range(2, 8))
+def test_copy_tensor_has_the_bits_of_the_kronecker_bras(d, n, monkeypatch):
+    # The broadcast bras, signed zeros included, at controller counts no
+    # golden config reaches; complex coefficients, random per shape.
+    rng = np.random.default_rng(10 * d + n)
+    phases = np.exp(1j * rng.uniform(-np.pi, np.pi, d))
+    spec = ChannelSpec(d, n, 1, tuple(np.array(random_coeffs(d, 10 * d + n)) * phases))
+    fast = _copy_tensor(spec)
+    monkeypatch.setattr(protocol, "_controller_bras", _kron_controller_bras)
+    kron = _copy_tensor(spec)
+    assert fast.shape == kron.shape
+    assert np.array_equal(fast.view(np.uint64), kron.view(np.uint64))
+
+
 # The sweep's grid and the shapes where the in-place squares gain most.
 WEIGHT_SHAPES = [
     (d, m, n) for d in (2, 3, 4) for m in (1, 2) for n in (0, 1, 2)
