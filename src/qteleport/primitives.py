@@ -13,18 +13,17 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
 from .state import StateVector, _check_size, make_state, record
 
 COEFF_NORM_TOL = 1e-10
-# Distinct (spec, labels) channel copies kept by channel_state, and
-# specs kept by _receiver_constants and _phase_rows: a sweep builds a
-# fresh spec per point, so the caches must not grow without end, yet one
-# run's m labelled copies (m <= 26 under the default amplitude guard)
-# must never be evicted.
+# Distinct (spec, labels) channel copies kept by channel_state: a sweep
+# builds a fresh spec per point, so the cache must not grow without end,
+# yet one run's m labelled copies (m <= 26 under the default amplitude
+# guard) must never be evicted.
 CHANNEL_CACHE_SIZE = 256
 # Matrices keyed by the dimension d (or one spec's dense reference): a
 # process sweeping d must not keep one per d, and a run needs one or two.
@@ -88,6 +87,58 @@ class ChannelSpec:
     def min_weight(self) -> float:
         """min_j |c_j|^2."""
         return float(np.min(self._weights))
+
+    # The tables derived from the coefficients, each built on first read
+    # and kept, read-only, for as long as the spec lives.
+
+    @cached_property
+    def _receiver_constants(self) -> tuple[np.ndarray, np.ndarray]:
+        """The receiver's extraction tables.
+
+        rotation   -- (gamma, gamma+) over the d^m receiver indices
+                      (copy-major): the extraction ratios Gamma_J = |c_k|^m /
+                      prod_l |c_(J_l)| and sqrt(1 - gamma^2), each 2x2
+                      rotation's aux-0 and aux-1 amplitude factors
+        extraction -- rotation^2 transposed: the aux outcomes' weights
+        """
+        mods = np.abs(np.asarray(self.coeffs))
+        per_index = mods[self.k_min] / mods  # length d, each <= 1
+        table = reduce(np.multiply.outer, [per_index] * self.m).reshape(-1)
+        gamma = np.minimum(table, 1.0)  # clamp float overshoot at ties
+        rotation = np.array((gamma, np.sqrt(1.0 - gamma**2)))
+        # extraction is C-ordered, as the sampler's and the oracle's products expect
+        return _read_only(rotation), _read_only(np.square(rotation.T, order="C"))
+
+    @cached_property
+    def _phase_rows(self) -> np.ndarray:
+        """phase_rows[u, j] = omega^(-u j) e^{i phi_j} with phi_j = arg c_j:
+        the phase the receiver's adjoint correction puts on a copy with
+        phase index u."""
+        j = np.arange(self.d)
+        coeff_phase = np.exp(1j * np.angle(np.asarray(self.coeffs)))
+        return _read_only(np.exp(-2j * np.pi * j[:, None] * j / self.d) * coeff_phase)
+
+    @cached_property
+    def _sampler_constants(self) -> tuple[np.ndarray, ...]:
+        """The sampler's sender-side tables (the receiver's are
+        _receiver_constants and _phase_rows).
+
+        cross    -- cross[t, s] = a_(t+s) = |c_(t+s)|^2 / d^2, symmetric
+        outcomes -- the s of each sender outcome r d + s
+        sender   -- sender[u, j] = omega^(-u j) c_j / d: the sender's and the
+                    controllers' factor on digit j when r + rho = u
+        controller -- a controller's outcome weights, 1/d each
+        """
+        d = self.d
+        coeffs = np.asarray(self.coeffs)
+        j = np.arange(d)
+        tables = (
+            np.abs(coeffs[(j[:, None] + j) % d]) ** 2 / d**2,
+            np.tile(j, d),
+            np.exp(-2j * np.pi * j[:, None] * j / d) * coeffs / d,
+            np.full(d, 1.0 / d),
+        )
+        return tuple(map(_read_only, tables))
 
 
 def _coeffs_from_uniforms(u: np.ndarray) -> tuple[complex, ...]:
@@ -219,35 +270,6 @@ def channel_state(spec: ChannelSpec, labels=None) -> StateVector:
     return StateVector((spec.d,) * parties, _channel_amps(spec), tuple(labels))
 
 
-@lru_cache(maxsize=CHANNEL_CACHE_SIZE)
-def _receiver_constants(spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The receiver's extraction tables, built once per spec, read-only.
-
-    rotation   -- (gamma, gamma+) over the d^m receiver indices
-                  (copy-major): the extraction ratios Gamma_J = |c_k|^m /
-                  prod_l |c_(J_l)| and sqrt(1 - gamma^2), each 2x2
-                  rotation's aux-0 and aux-1 amplitude factors
-    extraction -- rotation^2 transposed: the aux outcomes' weights
-    """
-    mods = np.abs(np.asarray(spec.coeffs))
-    per_index = mods[spec.k_min] / mods  # length d, each <= 1
-    table = reduce(np.multiply.outer, [per_index] * spec.m).reshape(-1)
-    gamma = np.minimum(table, 1.0)  # clamp float overshoot at ties
-    rotation = np.array((gamma, np.sqrt(1.0 - gamma**2)))
-    # extraction is C-ordered, as the sampler's and the oracle's products expect
-    return _read_only(rotation), _read_only(np.square(rotation.T, order="C"))
-
-
-@lru_cache(maxsize=CHANNEL_CACHE_SIZE)
-def _phase_rows(spec: ChannelSpec) -> np.ndarray:
-    """phase_rows[u, j] = omega^(-u j) e^{i phi_j} with phi_j = arg c_j:
-    the phase the receiver's adjoint correction puts on a copy with
-    phase index u.  Built once per spec, read-only."""
-    j = np.arange(spec.d)
-    coeff_phase = np.exp(1j * np.angle(np.asarray(spec.coeffs)))
-    return _read_only(np.exp(-2j * np.pi * j[:, None] * j / spec.d) * coeff_phase)
-
-
 @lru_cache(maxsize=DIMENSION_CACHE_SIZE)
 def u_max_m(spec: ChannelSpec) -> np.ndarray:
     """Receiver's collective extraction unitary on m qudits + one aux qubit.
@@ -260,7 +282,7 @@ def u_max_m(spec: ChannelSpec) -> np.ndarray:
     run_protocol applies it, the closed forms its 2x2 rotations one by one.
     """
     _check_size((2 * spec.d**spec.m) ** 2, f"u_max_m at d = {spec.d}, m = {spec.m}")
-    gamma, gamma_plus = _receiver_constants(spec)[0]
+    gamma, gamma_plus = spec._receiver_constants[0]
     dm = gamma.size
     op = np.zeros((2 * dm, 2 * dm), dtype=complex)
     idx = np.arange(dm)

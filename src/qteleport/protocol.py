@@ -25,14 +25,11 @@ import numpy as np
 
 from ._streams import child_uniforms, standard_normals, uniforms
 from .primitives import (
-    CHANNEL_CACHE_SIZE,
     DIMENSION_CACHE_SIZE,
     ChannelSpec,
     _channel_amps,
     _coeffs_from_uniforms,
-    _phase_rows,
     _read_only,
-    _receiver_constants,
     _View,
     channel_state,
     correction_unitary,
@@ -275,7 +272,7 @@ def _pullback(input_state: StateVector, spec: ChannelSpec, shifts) -> np.ndarray
     """
     shifts = np.asarray(shifts)
     flat = shifts.reshape(-1, spec.m, 2)
-    (pulled,) = _gather(input_state.amps, spec.d, flat, (_phase_rows(spec),), _Kept())
+    (pulled,) = _gather(input_state.amps, spec.d, flat, (spec._phase_rows,), _Kept())
     return pulled.reshape(shifts.shape[:-2] + (spec.d**spec.m,))
 
 
@@ -332,7 +329,7 @@ def run_structured(
         draws = _rng_from_seed(seed).random(_draw_count(spec))
     sample = _sample_runs(input_spec.state(), spec, draws[None])
     return Transcript(
-        seed=seed if isinstance(seed, int) else None,
+        seed=_recorded_seed(seed),
         gbs=tuple(map(tuple, sample.gbs[0].tolist())),
         controllers=tuple(map(tuple, sample.controllers[0].tolist())),
         r_sums=tuple(sample.r_sums[0].tolist()),
@@ -341,6 +338,12 @@ def run_structured(
         fidelity=float(sample.fidelity[0]),
         probability=float(sample.probability[0]),
     )
+
+
+def _recorded_seed(seed) -> int | None:
+    """The seed a Transcript records: an integral seed (numpy's too) as
+    an int; None for a SeedSequence or a forced run."""
+    return int(seed) if isinstance(seed, (int, np.integer)) else None
 
 
 def _forced_draws(
@@ -427,7 +430,7 @@ def _run(
         for l, ((r, s), rho) in enumerate(zip(gbs_outcomes, r_sums)):
             received = apply(received, correction_unitary(d, r + rho, d - s) @ phase_fix, [l])
     return Transcript(
-        seed=seed if isinstance(seed, int) else None,
+        seed=_recorded_seed(seed),
         gbs=tuple(gbs_outcomes),
         controllers=tuple(ctrl_outcomes),
         r_sums=r_sums,
@@ -465,29 +468,6 @@ def _sample_sizes(spec: ChannelSpec) -> tuple[int, int, int]:
     chunk = max(1, SAMPLE_CHUNK_AMPLITUDES // max(d**m, d * d))
     span = max(1, SAMPLE_CHUNK_AMPLITUDES // (d * max(d, m * n)))
     return chunk, span, chunk * max(1, SAMPLE_CHUNK_AMPLITUDES // (chunk * _draw_count(spec)))
-
-
-@lru_cache(maxsize=CHANNEL_CACHE_SIZE)
-def _sampler_constants(spec: ChannelSpec) -> tuple[np.ndarray, ...]:
-    """The sampler's sender-side tables, built once per spec, read-only
-    (the receiver's are _receiver_constants' and _phase_rows').
-
-    cross    -- cross[t, s] = a_(t+s) = |c_(t+s)|^2 / d^2, symmetric
-    outcomes -- the s of each sender outcome r d + s
-    sender   -- sender[u, j] = omega^(-u j) c_j / d: the sender's and the
-                controllers' factor on digit j when r + rho = u
-    controller -- a controller's outcome weights, 1/d each
-    """
-    d = spec.d
-    coeffs = np.asarray(spec.coeffs)
-    j = np.arange(d)
-    tables = (
-        np.abs(coeffs[(j[:, None] + j) % d]) ** 2 / d**2,
-        np.tile(j, d),
-        np.exp(-2j * np.pi * j[:, None] * j / d) * coeffs / d,
-        np.full(d, 1.0 / d),
-    )
-    return tuple(map(_read_only, tables))
 
 
 def _sample_runs(input_state: StateVector, spec: ChannelSpec, draws) -> _Samples:
@@ -533,8 +513,8 @@ def _sample_runs(input_state: StateVector, spec: ChannelSpec, draws) -> _Samples
     """
     d, m, n = spec.d, spec.m, spec.n
     _check_input_size(d, m)
-    cross, outcomes, sender_rows, controller = _sampler_constants(spec)
-    rotation, extraction = _receiver_constants(spec)
+    cross, outcomes, sender_rows, controller = spec._sampler_constants
+    rotation, extraction = spec._receiver_constants
     runs, (chunk, span, _) = len(draws), _sample_sizes(spec)
     per_copy = draws[:, :-1].reshape(runs, m, n + 1)
     controllers = np.empty((runs, m, n), dtype=int)
@@ -559,7 +539,7 @@ def _sample_runs(input_state: StateVector, spec: ChannelSpec, draws) -> _Samples
 
     rho = controllers.sum(axis=-1) % d
     shifts = np.stack((gbs[..., 0] + rho, gbs[..., 1]), axis=-1)
-    tables, kept = (sender_rows, _phase_rows(spec)), _Kept()
+    tables, kept = (sender_rows, spec._phase_rows), _Kept()
     aux, weight, overlap = np.empty(runs, dtype=int), np.empty(runs), np.empty(runs, complex)
     for lo in range(0, runs, chunk):
         part = slice(lo, lo + chunk)
@@ -661,6 +641,9 @@ def _check_oracle(d: int, m: int, n: int) -> None:
     _check_input_size(d, m)
 
 
+_gbs_rows = gbs_basis_matrix.__wrapped__  # uncached; bound at import, past any later wrapper
+
+
 @lru_cache(maxsize=DIMENSION_CACHE_SIZE)
 def _bell_entries(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_copy_tensor's sender tables for one d, built once, read-only.
@@ -670,12 +653,13 @@ def _bell_entries(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     real, imag -- the conjugated GBS bra's entry there, shaped
                   (d, d^2, 1, 1) to broadcast over a copy's (rho, j)
 
-    The entries are read from gbs_basis_matrix: each of its rows is
-    divided by its norm, which is not exactly 1 (at d = 2 for every
-    row), so the dense row's sum decides their bits."""
+    The entries are read from gbs_basis_matrix's rows: each is divided
+    by its norm, which is not exactly 1 (at d = 2 for every row), so the
+    dense row's sum decides their bits.  The matrix is built uncached
+    (_gbs_rows), so a sweep over d keeps no d^4 matrix per d."""
     k = np.arange(d)
     column = (k[:, None] + np.tile(k, d)) % d
-    bras = gbs_basis_matrix(d).reshape(d * d, d, d)  # [g, k, sender]
+    bras = _gbs_rows(d).reshape(d * d, d, d)  # [g, k, sender]
     sender = bras[np.arange(d * d), k[:, None], column].conj()[..., None, None]
     return tuple(map(_read_only, (column, sender.real, sender.imag)))
 
@@ -853,7 +837,7 @@ def _stage_one_success(input_spec: InputStateSpec, spec: ChannelSpec, kept: _Kep
     again), stage 1's large temporaries in kept's arrays.  It builds no
     input register: it reads beta normalized as make_state normalizes it."""
     per_group, chunks = _stage_one(spec)
-    extraction = _receiver_constants(spec)[1]
+    extraction = spec._receiver_constants[1]
     amps = _normalized(input_spec.beta)
     parts = (
         np.sum(_joint_weights(amps, tensors, extraction, kept)[..., 0], dtype=np.longdouble)
@@ -900,7 +884,7 @@ def _enumerate(
     )
     group_of = state_sum * len(offsets) + offset_of
 
-    rotation, extraction = _receiver_constants(spec)
+    rotation, extraction = spec._receiver_constants
     omega = _omega_table(d, m)
     probability, fidelity = np.empty((2, d ** (2 * m), n_ctrl, 2))
     success = total = np.longdouble(0.0)

@@ -235,10 +235,16 @@ def deterministic_output():
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _shared_sweep() -> Measurement:
+    """Criteria 1 and 2's one formula_sweep; run_selftest clears it per call."""
+    return formula_sweep(14)
+
+
 CHECKS = [
-    ("criterion_1_success_probability_formula", lambda: formula_sweep(14).judged(
+    ("criterion_1_success_probability_formula", lambda: _shared_sweep().judged(
         lambda v: v["error"] < 1e-9 and v["total_error"] < 1e-9)),
-    ("criterion_2_unit_fidelity_on_success", lambda: formula_sweep(14).judged(
+    ("criterion_2_unit_fidelity_on_success", lambda: _shared_sweep().judged(
         lambda v: v["min_fidelity"] >= 1.0 - 1e-9)),
     ("criterion_3_maximally_entangled_degenerate_case", lambda: degenerate_case(
         (2, 3), (1, 2)).judged(lambda v: max(v.values()) < 1e-12)),
@@ -262,6 +268,7 @@ def run_selftest() -> list[tuple[str, bool, str]]:
     """Run every check: (name, passed, why it failed, else ""). A check returns a
     bool or Measurement.judged's pair; one that raised reads "<Type>: <message>"."""
     results = []
+    _shared_sweep.cache_clear()
     for name, check in CHECKS:
         try:
             outcome = check()
@@ -269,4 +276,5 @@ def run_selftest() -> list[tuple[str, bool, str]]:
             outcome = (False, f"{type(exc).__name__}: {exc}")
         passed, why = outcome if isinstance(outcome, tuple) else (bool(outcome), "")
         results.append((name, passed, "" if passed else why))
+    _shared_sweep.cache_clear()
     return results

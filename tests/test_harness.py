@@ -352,7 +352,7 @@ def test_sweep_builds_no_channel_state_and_no_phase_rows(monkeypatch):
     # Stage 1 reads the channel copy's amplitudes, the input's and the
     # extraction weights: the sweep builds no state at all, not even a
     # point's input register.
-    from qteleport import protocol
+    from qteleport.primitives import ChannelSpec
     from qteleport.state import StateVector
 
     built = []
@@ -369,7 +369,7 @@ def test_sweep_builds_no_channel_state_and_no_phase_rows(monkeypatch):
     doc = {"kind": "sweep", "trials": 18, "seed": 4, "sweep": grid}
     expected = to_json_text(run_campaign(load_config(doc)))
     monkeypatch.setattr(StateVector, "__init__", counted)
-    monkeypatch.setattr(protocol, "_phase_rows", unreachable)
+    monkeypatch.setattr(ChannelSpec, "_phase_rows", property(unreachable))
     assert to_json_text(run_campaign(load_config(doc))) == expected
     assert built == []
 
@@ -1294,6 +1294,23 @@ def test_selftest_runs_each_acceptance_criterion_once():
     names = [name for name, _ in selftest.CHECKS]
     assert [name.split("_")[1] for name in names] == [str(i) for i in range(1, 10)]
     assert all(f"def test_{name}(" in acceptance for name in names)
+
+
+def test_selftest_runs_the_shared_formula_sweep_once(monkeypatch):
+    calls = []
+    sweep = selftest.formula_sweep
+
+    def counted(channels):
+        calls.append(channels)
+        return sweep(channels)
+
+    monkeypatch.setattr(selftest, "formula_sweep", counted)
+    for _ in range(2):
+        calls.clear()
+        results = dict((name, passed) for name, passed, _ in selftest.run_selftest())
+        assert calls == [14]
+        assert results["criterion_1_success_probability_formula"]
+        assert results["criterion_2_unit_fidelity_on_success"]
 
 
 def test_cli_selftest_fail_line_carries_the_detail(monkeypatch, capsys):

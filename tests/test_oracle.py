@@ -27,7 +27,6 @@ from qteleport import protocol
 from qteleport.config import random_coeffs
 from qteleport.primitives import (
     ChannelSpec,
-    _receiver_constants,
     channel_state,
     gbs_basis_matrix,
     x_basis_matrix,
@@ -191,7 +190,7 @@ def _assert_weights_have_the_complex_routes_bits(inp, spec):
     # what _enumerate reads.  _joint_weights squares where the matmul
     # wrote them and reorders the real density.
     state, (_, chunks) = inp.state(), _stage_one(spec)
-    extraction = _receiver_constants(spec)[1]
+    extraction = spec._receiver_constants[1]
     for _, tensors in chunks:
         amps = _joint_amplitudes(state.amps, tensors)
         density = amps.real**2
@@ -234,3 +233,24 @@ def test_stage_one_weights_hold_one_and_a_half_complex_chunks():
     finally:
         tracemalloc.stop()
     assert peak < 1.6 * chunk, peak / chunk
+
+
+def test_a_sweep_over_d_keeps_no_dense_gbs_matrix():
+    # _bell_entries reads d^3 entries of the d^4 GBS matrix; the oracle
+    # builds that matrix uncached, so a sweep over distinct d keeps only
+    # the d^3 entries of each d, not the matrices.
+    from qteleport.campaign import run_campaign
+    from qteleport.config import load_config
+
+    doc = {"kind": "sweep", "sweep": {"d": [20, 21, 22], "m": [1], "n": [0]}, "trials": 3}
+    run_campaign(load_config({**doc, "sweep": {"d": [2], "m": [1], "n": [0]}, "seed": 1}))
+    gbs_basis_matrix.cache_clear()
+    protocol._bell_entries.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_campaign(load_config({**doc, "seed": 1}))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 20**4 * np.dtype(complex).itemsize, retained

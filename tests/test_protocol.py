@@ -444,3 +444,13 @@ def test_transcript_records_integer_seed():
     assert run_protocol(inp, spec, seed=42).seed == 42
     child = np.random.SeedSequence(1).spawn(1)[0]
     assert run_structured(inp, spec, seed=child).seed is None
+
+
+@pytest.mark.parametrize("seed", [np.int64(5), np.uint32(5), np.int8(5)])
+@pytest.mark.parametrize("run", [run_structured, run_protocol])
+def test_transcript_records_a_numpy_integer_seed(run, seed):
+    spec = _spec(3, 1, 2, (1.5, 1.0, 0.5))
+    inp = InputStateSpec.random(3, 2, 4)
+    transcript, plain = run(inp, spec, seed=seed), run(inp, spec, seed=5)
+    assert type(transcript.seed) is int and transcript.seed == 5
+    assert transcript == plain
